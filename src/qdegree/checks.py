@@ -56,12 +56,17 @@ DEFAULT_A_SET = (0, 1, 2)
 
 def theorem_grid(d_max: int = DEFAULT_D_MAX,
                  m_set: Iterable[int] = DEFAULT_M_SET,
-                 a_set: Iterable[int] = DEFAULT_A_SET) -> Iterator[model.SetupParams]:
-    """All (m, d, t, a) with d <= d_max, m in m_set, t | m, a in a_set."""
+                 a_set: Iterable[int] = DEFAULT_A_SET,
+                 t_set: Iterable[int] | None = None) -> Iterator[model.SetupParams]:
+    """All (m, d, t, a) with d <= d_max, m in m_set, t | m, a in a_set.
+
+    ``t_set`` restricts t further; None keeps every divisor of m.
+    """
+    t_set = None if t_set is None else set(t_set)
     for d in range(1, d_max + 1):
         for m in m_set:
             for t in range(1, m + 1):
-                if m % t:
+                if m % t or (t_set is not None and t not in t_set):
                     continue
                 for a in a_set:
                     yield model.validate(m, d, t, a)
@@ -130,12 +135,13 @@ def ratio_reports(d_max: int = DEFAULT_D_MAX,
 
 def residue_reports(d_max: int = DEFAULT_D_MAX,
                     m_set: Iterable[int] = DEFAULT_M_SET,
-                    a_set: Iterable[int] = DEFAULT_A_SET) -> list[CheckReport]:
+                    a_set: Iterable[int] = DEFAULT_A_SET,
+                    t_set: Iterable[int] | None = None) -> list[CheckReport]:
     """The fully specialized residue datum equals its closed form, log grade 0."""
     from .resdata import res_a1_mu, residue_closed_form
 
     out = []
-    for p in theorem_grid(d_max, m_set, a_set):
+    for p in theorem_grid(d_max, m_set, a_set, t_set):
         start = time.perf_counter()
         got = res_a1_mu(p)
         quotient = canonical_quotient(got, residue_closed_form(p))
@@ -148,9 +154,10 @@ def residue_reports(d_max: int = DEFAULT_D_MAX,
 def theorem_reports(d_max: int = DEFAULT_D_MAX,
                     m_set: Iterable[int] = DEFAULT_M_SET,
                     a_set: Iterable[int] = DEFAULT_A_SET,
+                    t_set: Iterable[int] | None = None,
                     drop_level_inverse: bool = False) -> list[CheckReport]:
     """Assembled degree equals the closed-form degree on the whole grid."""
     from .degree import verify_theorem
 
     return [verify_theorem(p, drop_level_inverse=drop_level_inverse)
-            for p in theorem_grid(d_max, m_set, a_set)]
+            for p in theorem_grid(d_max, m_set, a_set, t_set)]

@@ -76,6 +76,17 @@ def _validated(m, d, t, a, q=None, deg_sigma=None) -> model.SetupParams:
         raise click.UsageError(str(exc))
 
 
+def _echo(text: str, err: bool = False) -> None:
+    """click.echo to a stream looked up afresh on every call.
+
+    click.echo's own lookup caches a wrapper per stream, and the cached
+    wrapper keeps the stream alive.  Run in process with a redirected stdout
+    (tests, embedding), every call would then keep its whole output for the
+    life of the process.
+    """
+    click.echo(text, file=click.get_text_stream("stderr" if err else "stdout"))
+
+
 def emit_json(obj) -> str:
     """Deterministic JSON with floats at 17 significant digits."""
     if obj is None:
@@ -119,7 +130,7 @@ def _print_reports(reports) -> None:
         line = f"[{r.status.upper()}] {r.name} ({r.elapsed_ms} ms)"
         if r.status != "pass":
             line += f"  detail: {r.detail}"
-        click.echo(line)
+        _echo(line)
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +162,18 @@ def cmd_degree(m, d, t, a, q_text, deg_sigma_text, config_path, as_json):
                    deg_sigma=_parse_deg_sigma(
                        deg_sigma_text if deg_sigma_text is not None else config.get("deg_sigma")))
     result = degree.closed_form_degree(p)
+    if p.q is not None and result.deg_sigma_power == 0 and result.numeric is None:
+        _echo(f"note: the degree at q={p.q} is beyond the float range; "
+              "numeric value omitted", err=True)
     if as_json:
         doc = {"params": _params_doc(p),
                "result": _result_doc(result.factored, result.render(), result.numeric),
                "checks": []}
-        click.echo(emit_json(doc))
+        _echo(emit_json(doc))
     else:
-        click.echo(result.render())
+        _echo(result.render())
         if result.numeric is not None:
-            click.echo(f"numeric: {format(result.numeric, '.17g')}")
+            _echo(f"numeric: {format(result.numeric, '.17g')}")
 
 
 @main.command("mu")
@@ -185,9 +199,9 @@ def cmd_mu(d, t, a, level, config_path, as_json):
         doc = {"params": _params_doc(p),
                "result": _result_doc(form, form.render(), None),
                "checks": []}
-        click.echo(emit_json(doc))
+        _echo(emit_json(doc))
     else:
-        click.echo(form.render())
+        _echo(form.render())
 
 
 @main.command("contour")
@@ -228,38 +242,32 @@ def cmd_contour(d, q, t, m, a, nodes, tol, config_path, as_json):
                "checks": _checks_doc(
                    [checks.CheckReport("residue decomposition", status,
                                        f"{report.relative_error:.3e}", 0)])}
-        click.echo(emit_json(doc))
+        _echo(emit_json(doc))
     else:
-        click.echo(f"lhs  = {report.lhs:.15g}")
-        click.echo(f"rhs  = {report.rhs:.15g}")
+        _echo(f"lhs  = {report.lhs:.15g}")
+        _echo(f"rhs  = {report.rhs:.15g}")
         for l, term in enumerate(report.chain_terms, start=1):
-            click.echo(f"  level {l} term = {term:.15g}")
+            _echo(f"  level {l} term = {term:.15g}")
         if p.d == 3:
-            click.echo(f"  off-chain term = {report.offchain_term:.15g}")
-        click.echo(f"relative error = {report.relative_error:.3e}  [{status}]")
+            _echo(f"  off-chain term = {report.offchain_term:.15g}")
+        _echo(f"relative error = {report.relative_error:.3e}  [{status}]")
     if status != "pass":
         sys.exit(1)
 
 
+# Each suite and the grid options it reads; giving it any other is a usage error.
 _SUITES = {
-    "pairing": lambda d_max, m_set, t_set, a_set, fault: checks.pairing_reports(
-        d_max=d_max, t_set=t_set),
-    "ratio": lambda d_max, m_set, t_set, a_set, fault: checks.ratio_reports(
-        d_max=d_max, t_set=t_set, a_set=a_set),
-    "residue": lambda d_max, m_set, t_set, a_set, fault: checks.residue_reports(
-        d_max=d_max, m_set=m_set, a_set=a_set),
-    "theorem": lambda d_max, m_set, t_set, a_set, fault: checks.theorem_reports(
-        d_max=d_max, m_set=m_set, a_set=a_set, drop_level_inverse=fault),
+    "pairing": (checks.pairing_reports, ("t_set",)),
+    "ratio": (checks.ratio_reports, ("t_set", "a_set")),
+    "residue": (checks.residue_reports, ("m_set", "t_set", "a_set")),
+    "theorem": (checks.theorem_reports, ("m_set", "t_set", "a_set")),
 }
 
 # the pairing layer is cheap and its guarantee extends further up the tower
 _SUITE_DEFAULT_D_MAX = {"pairing": 8}
 
 
-def _parse_int_set(text: str | None, default: tuple[int, ...],
-                   minimum: int = 1) -> tuple[int, ...]:
-    if text is None:
-        return default
+def _parse_int_set(text: str, minimum: int = 1) -> tuple[int, ...]:
     try:
         values = tuple(sorted({int(x) for x in text.split(",") if x.strip()}))
     except ValueError:
@@ -274,7 +282,9 @@ def _parse_int_set(text: str | None, default: tuple[int, ...],
 @click.option("--d-max", type=int, default=None,
               help="largest tower depth (default 6; 8 for pairing)")
 @click.option("--m-set", default=None, help="comma-separated block sizes (default 1,2,3,6)")
-@click.option("--t-set", default=None, help="comma-separated torsion numbers (default 1,2,3)")
+@click.option("--t-set", default=None,
+              help="comma-separated torsion numbers (default 1,2,3; every t | m for "
+                   "theorem and residue)")
 @click.option("--a-set", default=None, help="comma-separated conductors (default 0,1,2)")
 @click.option("--drop-level-inverse", is_flag=True, hidden=True,
               help="fault injection: omit the 1/(d-l+1) datum factor")
@@ -285,20 +295,29 @@ def cmd_verify(kind, d_max, m_set, t_set, a_set, drop_level_inverse, as_json):
         d_max = _SUITE_DEFAULT_D_MAX.get(kind, 6)
     if d_max < 1:
         raise click.UsageError(f"--d-max must be positive, got {d_max}")
-    m_values = _parse_int_set(m_set, checks.DEFAULT_M_SET)
-    t_values = _parse_int_set(t_set, checks.DEFAULT_T_SET)
-    a_values = _parse_int_set(a_set, checks.DEFAULT_A_SET, minimum=0)
-    reports = _SUITES[kind](d_max, m_values, t_values, a_values, drop_level_inverse)
+    suite, accepted = _SUITES[kind]
+    given = {"m_set": m_set, "t_set": t_set, "a_set": a_set}
+    extra = [key for key, text in given.items() if text is not None and key not in accepted]
+    if extra:
+        flags = ", ".join("--" + key.replace("_", "-") for key in extra)
+        raise click.UsageError(f"verify {kind} does not take {flags}")
+    kwargs = {key: _parse_int_set(text, minimum=0 if key == "a_set" else 1)
+              for key, text in given.items() if text is not None}
+    if drop_level_inverse:
+        if kind != "theorem":
+            raise click.UsageError(f"verify {kind} does not take --drop-level-inverse")
+        kwargs["drop_level_inverse"] = True
+    reports = suite(d_max=d_max, **kwargs)
     reports = sorted(reports, key=lambda r: r.name)
     if as_json:
         doc = {"params": {"kind": kind, "d_max": d_max},
                "result": None,
                "checks": _checks_doc(reports)}
-        click.echo(emit_json(doc))
+        _echo(emit_json(doc))
     else:
         _print_reports(reports)
         n_pass = sum(r.passed for r in reports)
-        click.echo(f"{n_pass}/{len(reports)} checks passed")
+        _echo(f"{n_pass}/{len(reports)} checks passed")
     if not all(r.passed for r in reports):
         sys.exit(1)
 

@@ -9,13 +9,14 @@ times deg(sigma)^d.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .checks import CheckReport, canonical_quotient
 from .model import OutOfRangeError, SetupParams
-from .qform import FactoredForm
+from .qform import FactoredForm, as_exponent
 from .resdata import res_a1_mu
 
 
@@ -45,10 +46,9 @@ def gl_order(n: int) -> FactoredForm:
     """|GL_n| over the q-element field: q^(n(n-1)/2) * prod_(k=1..n) (q^k - 1)."""
     if n < 1:
         raise OutOfRangeError(f"matrix size {n} must be positive")
-    out = FactoredForm.q_power(Fraction(n * (n - 1), 2))
-    for k in range(1, n + 1):
-        out = out * FactoredForm.binomial(k).scale(-1)
-    return out
+    # q^k - 1 = -(1 - q^k)
+    return FactoredForm.build((-1) ** n, 0, n * (n - 1) // 2,
+                              [(as_exponent(k), 1) for k in range(1, n + 1)])
 
 
 def gamma_factor(p: SetupParams) -> FactoredForm:
@@ -57,17 +57,31 @@ def gamma_factor(p: SetupParams) -> FactoredForm:
     return out / gl_order(p.m) ** p.d
 
 
+def _numeric(factored: FactoredForm, q: Fraction | float) -> float | None:
+    """The value at q as a float, or None when it lies beyond the float range."""
+    try:
+        if isinstance(q, Fraction):
+            value = float(factored.eval_exact(q))
+        else:
+            value = factored.eval_numeric(float(q)).real
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _finish(p: SetupParams, factored: FactoredForm) -> DegreeResult:
+    """Fold in deg(sigma) when given; evaluate when q is also given.
+
+    ``numeric`` stays None when the value does not fit in a float; the exact
+    factored form is still returned.
+    """
     power = p.d
     if p.deg_sigma is not None:
         factored = factored.scale(p.deg_sigma ** p.d)
         power = 0
     numeric = None
     if p.q is not None and power == 0:
-        if isinstance(p.q, Fraction):
-            numeric = float(factored.eval_exact(p.q))
-        else:
-            numeric = factored.eval_numeric(float(p.q)).real
+        numeric = _numeric(factored, p.q)
     return DegreeResult(factored, power, numeric)
 
 

@@ -8,6 +8,7 @@ carries unitary character tori whose reference measures are recorded here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -66,7 +67,9 @@ def validate(m: int, d: int, t: int, a: int,
         problems.append(f"a must be a nonnegative integer, got {a}")
     if isinstance(q, (int, Fraction)) and q is not None:
         q = Fraction(q)
-    if q is not None and not q > 1:
+    if isinstance(q, float) and not math.isfinite(q):
+        problems.append(f"q must be finite, got {q}")
+    elif q is not None and not q > 1:
         problems.append(f"q must exceed 1, got {q}")
     if deg_sigma is not None:
         deg_sigma = Fraction(deg_sigma)

@@ -17,6 +17,13 @@ from .model import OutOfRangeError, SetupParams
 from .qform import AffineExponent, ExponentValue, FactoredForm, as_exponent
 
 
+def _rank_one_binomials(p: SetupParams, x: ExponentValue) -> list[tuple[AffineExponent, int]]:
+    """The four binomials of the pair factor at difference x, with multiplicities."""
+    tx = as_exponent(x).scale(p.t)
+    t_const = AffineExponent.constant(p.t)
+    return [(tx, 1), (-tx, 1), (tx + t_const, -1), (t_const - tx, -1)]
+
+
 def rank_one_factor(p: SetupParams, x: ExponentValue) -> FactoredForm:
     """The pair factor q^(a+2t) (1-q^(tx))(1-q^(-tx)) / ((1-q^(t(x+1)))(1-q^(t(1-x)))).
 
@@ -24,27 +31,23 @@ def rank_one_factor(p: SetupParams, x: ExponentValue) -> FactoredForm:
     level products reproduce the closed level ratios; the telescoping tests pin
     it down.  Vanishes (second order) at x = 0; poles at x = +-1 raise.
     """
-    tx = as_exponent(x).scale(p.t)
-    t_const = AffineExponent.constant(p.t)
-    return (FactoredForm.q_power(AffineExponent.constant(p.a + 2 * p.t))
-            * FactoredForm.binomial(tx) * FactoredForm.binomial(-tx)
-            * FactoredForm.binomial(tx + t_const, -1)
-            * FactoredForm.binomial(t_const - tx, -1))
+    return FactoredForm.build(1, 0, p.a + 2 * p.t, _rank_one_binomials(p, x))
 
 
 def mu_full(p: SetupParams, weight: Weight) -> FactoredForm:
     """Product of rank-one factors over all block pairs 1 <= i < j <= d.
 
     Depends only on the differences s_i - s_j, hence is invariant under a
-    common shift of all entries.
+    common shift of all entries.  All pair binomials go into one build, so
+    they are merged and sorted once.
     """
     if weight.dim != p.d:
         raise OutOfRangeError(f"weight has {weight.dim} entries, expected {p.d}")
-    out = FactoredForm.one()
+    binomials = []
     for i in range(1, p.d + 1):
         for j in range(i + 1, p.d + 1):
-            out = out * rank_one_factor(p, weight.difference(i, j))
-    return out
+            binomials += _rank_one_binomials(p, weight.difference(i, j))
+    return FactoredForm.build(1, 0, (p.a + 2 * p.t) * (p.d * (p.d - 1) // 2), binomials)
 
 
 def mu_level_ratio_closed(p: SetupParams, l: int, var: str = "z") -> FactoredForm:
@@ -70,12 +73,12 @@ def mu_level_ratio_telescoped(p: SetupParams, l: int, var: str = "z") -> Factore
     x_j = z/t - (d-l)/2 + (j-l); the product telescopes to the closed form.
     """
     p.check_level(l, low=2)
-    out = FactoredForm.one()
+    binomials = []
     for j in range(l, p.d + 1):
         x = AffineExponent.variable(var, coeff=Fraction(1, p.t),
                                     const=Fraction(-(p.d - l), 2) + (j - l))
-        out = out * rank_one_factor(p, x)
-    return out
+        binomials += _rank_one_binomials(p, x)
+    return FactoredForm.build(1, 0, (p.a + 2 * p.t) * (p.d - l + 1), binomials)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,12 @@ iff E is identically zero, so equality of canonical forms is structural.
 log q is a formal grading symbol (the integer ``log_grade``) that is never
 expanded; residues decrement it, measure prefactors increment it.
 
+Residues come in two kinds.  At a simple pole, the only kind the degree
+computation meets, ``residue`` returns the leading Laurent coefficient as a
+single factored form built in one step.  At a pole of order two or more it
+falls back to the truncated series engine (``local_series``), whose
+coefficients are sums of factored forms (``SumForm``).
+
 All objects are immutable and hashable; all operations are pure functions.
 """
 
@@ -57,10 +63,19 @@ class AffineExponent:
     """An exponent  const + sum_l coeff_l * z_l  with exact rational parts.
 
     Zero coefficients are never stored; equality and hashing are structural.
+    The hash is computed once, since exponents are dictionary keys in every
+    product and Fraction hashing is not cheap.
     """
 
     const: Fraction = Fraction(0)
     coeffs: tuple[tuple[str, Fraction], ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.const, self.coeffs)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def make(const: Rational = 0,
@@ -115,14 +130,21 @@ class AffineExponent:
 
     def scale(self, r: Rational) -> "AffineExponent":
         r = _as_fraction(r)
-        return AffineExponent.make(self.const * r, {n: c * r for n, c in self.coeffs})
+        if not r:
+            return _ZERO_EXPONENT
+        # a nonzero factor keeps the coefficients nonzero and in order
+        return AffineExponent(self.const * r, tuple((n, c * r) for n, c in self.coeffs))
 
     def substitute(self, name: str, value: ExponentValue) -> "AffineExponent":
         c = self.coeff(name)
         if not c:
             return self
-        rest = AffineExponent(self.const, tuple(item for item in self.coeffs if item[0] != name))
-        return rest + as_exponent(value).scale(c)
+        value = as_exponent(value)
+        rest = tuple(item for item in self.coeffs if item[0] != name)
+        if value.is_constant:
+            # dropping one variable keeps the rest canonical
+            return AffineExponent(self.const + c * value.const, rest)
+        return AffineExponent(self.const, rest) + value.scale(c)
 
     def leading_sign(self) -> int:
         """Sign of the first nonzero coefficient, variables first, constant last."""
@@ -290,13 +312,17 @@ class FactoredForm:
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "FactoredForm":
+        """Integer power in one step: scaling every multiplicity by n keeps the
+        binomials oriented, distinct and sorted, so the result is canonical.
+        """
         if n == 0:
             return _ONE_FORM
         base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        if base.is_zero:
+            return _ZERO_FORM
+        k = abs(n)
+        return FactoredForm(base.constant ** k, base.log_grade * k, base.monomial.scale(k),
+                            tuple((e, m * k) for e, m in base.binomials), False)
 
     def substitute(self, name: str, value: ExponentValue) -> "FactoredForm":
         """Rewrite every exponent under  name := value.
@@ -408,8 +434,9 @@ _ONE_FORM = FactoredForm(Fraction(1), 0, _ZERO_EXPONENT, (), False)
 class SumForm:
     """A finite sum of factored forms; the empty sum is zero.
 
-    Sums only arise from local series expansion (higher-order poles); the
-    main computation path stays single-term throughout.
+    ``residue`` returns one: a simple pole gives a single term (the closed
+    path), and only the series fallback for poles of order two or more can
+    give several.  The degree computation stays single-term throughout.
     """
 
     terms: tuple[FactoredForm, ...] = ()
@@ -656,14 +683,32 @@ def local_series(f: Union[FactoredForm, SumForm], name: str, center: Rational,
 def residue(f: Union[FactoredForm, SumForm], name: str, point: Rational) -> SumForm:
     """Residue of f dz at name = point; regular points give zero.
 
-    The expansion uses 1 - q^(e*w) = -(e*logq) w (1 + ...), so each extracted
-    pole order lowers the log grade accordingly.
+    Near the point, a binomial whose exponent vanishes there is
+    1 - q^(s*w) = -(s*logq) w (1 + ...) with w = name - point.  At a simple
+    pole the residue is therefore the leading Laurent coefficient, built in
+    one step: every other factor is evaluated at the point, the constant is
+    multiplied by (-s)^m for each vanishing binomial (1 - q^(s*w))^m, and the
+    log grade drops by one.  Poles of order two or more go through the
+    truncated series engine (``local_series``), whose w^(-1) coefficient may
+    be a sum of several terms.
     """
     point = _as_fraction(point)
-    out = SumForm.zero()
+    center = AffineExponent.constant(point)
+    terms: list[FactoredForm] = []
     for term in as_sum(f).terms:
-        if term.pole_order(name, point) <= 0:
-            continue
-        series = _form_series(term, name, point, -1)
-        out = out + series.items.get(-1, SumForm.zero())
-    return out
+        constant = term.constant
+        order = 0
+        regular = []
+        for e, m in term.binomials:
+            e_center = e.substitute(name, center)
+            if e_center.is_zero:
+                constant *= (-e.coeff(name)) ** m
+                order -= m
+            else:
+                regular.append((e_center, m))
+        if order == 1:
+            terms.append(FactoredForm.build(constant, term.log_grade - 1,
+                                            term.monomial.substitute(name, center), regular))
+        elif order > 1:
+            terms.extend(_form_series(term, name, point, -1).items.get(-1, SumForm.zero()).terms)
+    return SumForm(tuple(terms))

@@ -24,6 +24,23 @@ class TestDegreeCommand:
         assert result.exit_code == 0
         assert result.output.strip() == "degσ"
 
+    @pytest.mark.parametrize("q", ["inf", "-inf", "nan"])
+    def test_non_finite_q_exits_2(self, runner, q):
+        result = runner.invoke(main, ["degree", "--m", "1", "--d", "2", "--t", "1", "--a", "0",
+                                      "--q", q, "--deg-sigma", "1"])
+        assert result.exit_code == 2
+        assert "finite" in result.stderr
+
+    @pytest.mark.parametrize("extra", [["--q", "1000", "--deg-sigma", "1"],
+                                       ["--q", "2", "--deg-sigma", "1e400"]])
+    def test_beyond_float_range_exits_0(self, runner, extra):
+        result = runner.invoke(main, ["degree", "--m", "6", "--d", "10", "--t", "3", "--a", "1",
+                                      *extra, "--json"])
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["result"]["numeric"] is None
+        assert len(result.stderr.splitlines()) == 1
+        assert "float range" in result.stderr
+
     def test_invalid_torsion_exits_2(self, runner):
         result = runner.invoke(main, ["degree", "--m", "2", "--d", "2", "--t", "3", "--a", "0"])
         assert result.exit_code == 2
@@ -124,6 +141,34 @@ class TestVerifyCommand:
                                       "--a-set", "0", "--drop-level-inverse"])
         assert result.exit_code == 1
         assert "[FAIL]" in result.output
+
+    def test_t_set_restricts_theorem_grid(self, runner):
+        result = runner.invoke(main, ["verify", "theorem", "--d-max", "2", "--m-set", "2",
+                                      "--t-set", "1"])
+        assert result.exit_code == 0
+        assert "t=2" not in result.output
+        assert "6/6 checks passed" in result.output
+
+    def test_t_set_restricts_residue_grid(self, runner):
+        result = runner.invoke(main, ["verify", "residue", "--d-max", "2", "--m-set", "2,6",
+                                      "--t-set", "2", "--a-set", "0"])
+        assert result.exit_code == 0
+        assert "4/4 checks passed" in result.output
+
+    def test_theorem_default_grid_takes_every_divisor(self, runner):
+        # m in {1,2,3,6} has 1+2+2+4 divisors t, times 3 conductors
+        result = runner.invoke(main, ["verify", "theorem", "--d-max", "1", "--json"])
+        assert result.exit_code == 0
+        names = [check["name"] for check in json.loads(result.stdout)["checks"]]
+        assert len(names) == 27
+        assert "theorem m=6 d=1 t=6 a=2" in names
+
+    @pytest.mark.parametrize("extra", [["--m-set", "5"], ["--a-set", "9"],
+                                       ["--m-set", "5", "--a-set", "9"]])
+    def test_pairing_rejects_unused_grid_options(self, runner, extra):
+        result = runner.invoke(main, ["verify", "pairing", *extra])
+        assert result.exit_code == 2
+        assert "does not take" in result.stderr
 
     def test_unknown_kind_exits_2(self, runner):
         result = runner.invoke(main, ["verify", "everything"])

@@ -102,6 +102,15 @@ class TestDegree:
         r = closed_form_degree(validate(1, 2, 1, 0, q=2.5, deg_sigma=F(2)))
         assert r.numeric == pytest.approx((2.5 - 1) / 2 * 4)
 
+    @pytest.mark.parametrize("q, deg_sigma", [(F(1000), F(1)), (F(2), F(10) ** 400),
+                                              (2.0, F(10) ** 400)])
+    def test_beyond_float_range_keeps_exact_form(self, q, deg_sigma):
+        r = closed_form_degree(validate(6, 10, 3, 1, q=q, deg_sigma=deg_sigma))
+        assert r.numeric is None
+        assert r.deg_sigma_power == 0
+        symbolic_q = closed_form_degree(validate(6, 10, 3, 1, deg_sigma=deg_sigma))
+        assert r.factored == symbolic_q.factored
+
 
 class TestTheoremIdentity:
     def test_full_grid(self):
@@ -119,6 +128,11 @@ class TestTheoremIdentity:
     def test_deeper_towers(self):
         for d in (7, 8):
             assert verify_theorem(validate(2, d, 2, 1)).passed
+
+    @pytest.mark.parametrize("d", [12, 16])
+    def test_deep_towers(self, d):
+        report = verify_theorem(validate(6, d, 3, 1))
+        assert report.passed, report.detail
 
     def test_positive_at_random_numeric_q(self):
         import random

@@ -35,6 +35,11 @@ class TestValidate:
         with pytest.raises(InvalidParamsError):
             validate(1, 1, 1, 0, q=0.5)
 
+    @pytest.mark.parametrize("q", [float("inf"), float("-inf"), float("nan")])
+    def test_rejects_non_finite_q(self, q):
+        with pytest.raises(InvalidParamsError, match="finite"):
+            validate(1, 1, 1, 0, q=q)
+
     def test_rejects_nonpositive_deg_sigma(self):
         with pytest.raises(InvalidParamsError):
             validate(1, 1, 1, 0, deg_sigma=F(0))
