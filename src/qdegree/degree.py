@@ -52,9 +52,17 @@ def gl_order(n: int) -> FactoredForm:
 
 
 def gamma_factor(p: SetupParams) -> FactoredForm:
-    """The induction constant |GL_n| / |GL_m|^d * q^(mn - n^2)."""
-    out = gl_order(p.n) * FactoredForm.q_power(p.m * p.n - p.n ** 2)
-    return out / gl_order(p.m) ** p.d
+    """The induction constant |GL_n| / |GL_m|^d * q^(mn - n^2), in one build.
+
+    With gl_order's factors, the signs (-1)^n / (-1)^(md) cancel since n = md,
+    and the quotient is q^(n(n-1)/2 - d m(m-1)/2 + mn - n^2)
+    * prod_(k<=n) (1 - q^k) / prod_(k<=m) (1 - q^k)^d.
+    """
+    n, m, d = p.n, p.m, p.d
+    binomials = [(as_exponent(k), 1) for k in range(1, n + 1)]
+    binomials += [(as_exponent(k), -d) for k in range(1, m + 1)]
+    return FactoredForm.build(1, 0, n * (n - 1) // 2 - d * m * (m - 1) // 2 + m * n - n * n,
+                              binomials)
 
 
 def _numeric(factored: FactoredForm, q: Fraction | float) -> float | None:

@@ -7,6 +7,16 @@ iff E is identically zero, so equality of canonical forms is structural.
 log q is a formal grading symbol (the integer ``log_grade``) that is never
 expanded; residues decrement it, measure prefactors increment it.
 
+Each exponent is stored as Python integers over one shared denominator,
+(num + sum_l c_l z_l) / den, reduced so that den > 0 and
+gcd(den, num, c_1, ...) = 1.  The representation is unique, so exponents
+hash and compare as integer tuples, and sums, scalings and substitutions
+are integer arithmetic with one gcd step; no Fraction arithmetic runs while
+forms are built and merged.  ``FactoredForm.build`` sorts binomials by these
+integers scaled to the lcm of the denominators it sees, which is the order
+of their rational parts.  Numeric evaluation carries a separate power of two,
+so a value's factors may each lie beyond the float range.
+
 Residues come in two kinds.  At a simple pole, the only kind the degree
 computation meets, ``residue`` returns the leading Laurent coefficient as a
 single factored form built in one step.  At a pole of order two or more it
@@ -20,8 +30,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 Rational = Union[int, Fraction]
@@ -47,6 +60,56 @@ def _as_fraction(x: Rational) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _ratio(x: Rational) -> tuple[int, int]:
+    """Numerator and positive denominator of an exact rational, in lowest terms."""
+    if isinstance(x, int):
+        return int(x), 1  # int() turns a bool into a plain int
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+_EXP_SAFE = 708.0  # |Re w| up to which exp(w) is a normal float
+_LN2 = math.log(2.0)
+
+
+def _normalized(z: complex, k: int) -> tuple[complex, int]:
+    """z * 2^k rewritten with the larger part of the mantissa in [0.5, 1)."""
+    big = max(abs(z.real), abs(z.imag))
+    if not big or not math.isfinite(big):
+        return z, k
+    e = math.frexp(big)[1]
+    return complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)), k + e
+
+
+def _scaled_exp(w: complex) -> tuple[complex, int]:
+    """exp(w) as (mantissa, k) with exp(w) = mantissa * 2^k; k = 0 while
+    exp(w) is a normal float, so the value is then cmath.exp's own.
+    """
+    if abs(w.real) <= _EXP_SAFE or not math.isfinite(w.real):
+        return cmath.exp(w), 0
+    k = int(w.real / _LN2)
+    return cmath.exp(complex(w.real - k * _LN2, w.imag)), k
+
+
+def _scaled_rational(x: Fraction) -> tuple[float, int]:
+    """x as (mantissa, k) with x = mantissa * 2^k, the mantissa correctly rounded."""
+    k = x.numerator.bit_length() - x.denominator.bit_length()
+    if abs(k) < 1000:
+        return float(x), 0
+    if k > 0:
+        return x.numerator / (x.denominator << k), k
+    return (x.numerator << -k) / x.denominator, k
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """Text of the nonnegative rational n/d as ``str(Fraction(n, d))`` gives it."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+@lru_cache(maxsize=4096)
 def _var_key(name: str) -> tuple[str, int]:
     """Sort key giving natural order z1 < z2 < ... < z10."""
     head = name.rstrip("0123456789")
@@ -54,134 +117,234 @@ def _var_key(name: str) -> tuple[str, int]:
     return (head, int(tail) if tail else -1)
 
 
+def _term_key(item: tuple[str, int]) -> tuple[str, int]:
+    return _var_key(item[0])
+
+
+def _merge(t1, f1: int, t2, f2: int) -> tuple[tuple[str, int], ...]:
+    """The terms of f1*t1 + f2*t2, zero coefficients dropped, in variable order."""
+    if not t2 or not t1:
+        t, f = (t1, f1) if t1 else (t2, f2)
+        return t if f == 1 else tuple((n, c * f) for n, c in t)
+    acc = {n: c * f1 for n, c in t1}
+    for n, c in t2:
+        acc[n] = acc.get(n, 0) + c * f2
+    items = [item for item in acc.items() if item[1]]
+    if len(acc) > len(t1):
+        # variables new to t1 were appended at the end
+        items.sort(key=_term_key)
+    return tuple(items)
+
+
+def _reduced(num: int, den: int, terms: tuple[tuple[str, int], ...]) -> "AffineExponent":
+    """The exponent (num + terms)/den, den > 0, with the common factor divided out."""
+    if den != 1:
+        g = gcd(den, num)
+        for _, c in terms:
+            if g == 1:
+                break
+            g = gcd(g, c)
+        if g != 1:
+            num //= g
+            den //= g
+            terms = tuple((n, c // g) for n, c in terms)
+    return AffineExponent(num, den, terms)
+
+
 # ---------------------------------------------------------------------------
 # Affine exponents
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class AffineExponent:
     """An exponent  const + sum_l coeff_l * z_l  with exact rational parts.
 
-    Zero coefficients are never stored; equality and hashing are structural.
-    The hash is computed once, since exponents are dictionary keys in every
-    product and Fraction hashing is not cheap.
+    Stored as integers over one shared denominator: the value is
+    (num + sum_l c_l * z_l) / den with den > 0, gcd(den, num, c_1, ...) = 1,
+    no zero c_l, and the variables in natural order.  That representation is
+    unique, so equality and hashing compare the integer tuple, and every
+    operation is integer arithmetic followed by at most one gcd step.
+    ``const``, ``coeffs`` and ``coeff`` give the parts as Fractions.
+
+    Build exponents with ``make``, ``constant`` or ``variable``; the
+    constructor takes an already reduced integer representation.  Instances
+    are never mutated after construction.
     """
 
-    const: Fraction = Fraction(0)
-    coeffs: tuple[tuple[str, Fraction], ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("_num", "_den", "_terms", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.const, self.coeffs)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __init__(self, num: int = 0, den: int = 1,
+                 terms: tuple[tuple[str, int], ...] = ()):
+        self._num = num
+        self._den = den
+        self._terms = terms
+        self._hash = hash((num, den, terms))
 
     @staticmethod
     def make(const: Rational = 0,
              coeffs: Mapping[str, Rational] | Iterable[tuple[str, Rational]] = ()) -> "AffineExponent":
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        cleaned = {}
+        num, den = _ratio(const)
+        const_den = den
+        parts = []
         for name, c in items:
-            c = _as_fraction(c)
-            if c:
-                cleaned[name] = cleaned.get(name, Fraction(0)) + c
-        fixed = tuple(sorted(((n, c) for n, c in cleaned.items() if c),
-                             key=lambda item: _var_key(item[0])))
-        return AffineExponent(_as_fraction(const), fixed)
+            n, d = _ratio(c)
+            if n:
+                parts.append((name, n, d))
+                den = lcm(den, d)
+        num *= den // const_den
+        acc: dict[str, int] = {}
+        for name, n, d in parts:
+            acc[name] = acc.get(name, 0) + n * (den // d)
+        terms = tuple(sorted(((n, c) for n, c in acc.items() if c), key=_term_key))
+        return _reduced(num, den, terms)
 
     @staticmethod
     def constant(c: Rational) -> "AffineExponent":
-        return AffineExponent.make(c)
+        return AffineExponent(*_ratio(c))
 
     @staticmethod
     def variable(name: str, coeff: Rational = 1, const: Rational = 0) -> "AffineExponent":
         return AffineExponent.make(const, {name: coeff})
 
+    # -- views --------------------------------------------------------------
+
+    @property
+    def const(self) -> Fraction:
+        return Fraction(self._num, self._den)
+
+    @property
+    def coeffs(self) -> tuple[tuple[str, Fraction], ...]:
+        return tuple((n, Fraction(c, self._den)) for n, c in self._terms)
+
     @property
     def is_zero(self) -> bool:
-        return not self.const and not self.coeffs
+        return not self._num and not self._terms
 
     @property
     def is_constant(self) -> bool:
-        return not self.coeffs
+        return not self._terms
 
     def variables(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.coeffs)
+        return tuple(name for name, _ in self._terms)
 
     def coeff(self, name: str) -> Fraction:
-        for n, c in self.coeffs:
+        for n, c in self._terms:
             if n == name:
-                return c
+                return Fraction(c, self._den)
         return Fraction(0)
+
+    # -- identity -----------------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not AffineExponent:
+            return NotImplemented
+        return (self._hash == other._hash and self._num == other._num
+                and self._den == other._den and self._terms == other._terms)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: rebuild rather than copy _hash
+        return AffineExponent, (self._num, self._den, self._terms)
+
+    def __repr__(self) -> str:
+        return f"AffineExponent({self.render()!r})"
+
+    # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: ExponentValue) -> "AffineExponent":
         other = as_exponent(other)
-        merged = dict(self.coeffs)
-        for n, c in other.coeffs:
-            merged[n] = merged.get(n, Fraction(0)) + c
-        return AffineExponent.make(self.const + other.const, merged)
+        d1, d2 = self._den, other._den
+        # adding an integer keeps the content coprime to the denominator
+        if d2 == 1 and not other._terms:
+            return AffineExponent(self._num + other._num * d1, d1, self._terms)
+        if d1 == 1 and not self._terms:
+            return AffineExponent(other._num + self._num * d2, d2, other._terms)
+        den = d1 if d1 == d2 else lcm(d1, d2)
+        f1, f2 = den // d1, den // d2
+        return _reduced(self._num * f1 + other._num * f2, den,
+                        _merge(self._terms, f1, other._terms, f2))
 
     def __sub__(self, other: ExponentValue) -> "AffineExponent":
         return self + (-as_exponent(other))
 
     def __neg__(self) -> "AffineExponent":
-        return self.scale(-1)
+        return AffineExponent(-self._num, self._den, tuple((n, -c) for n, c in self._terms))
 
     def scale(self, r: Rational) -> "AffineExponent":
-        r = _as_fraction(r)
-        if not r:
+        p, q = _ratio(r)
+        if not p:
             return _ZERO_EXPONENT
-        # a nonzero factor keeps the coefficients nonzero and in order
-        return AffineExponent(self.const * r, tuple((n, c * r) for n, c in self.coeffs))
+        if q == 1:
+            # the content is coprime to den, so only gcd(den, p) can cancel
+            g = gcd(self._den, p)
+            p //= g
+            return AffineExponent(self._num * p, self._den // g,
+                                  tuple((n, c * p) for n, c in self._terms))
+        return _reduced(self._num * p, self._den * q, tuple((n, c * p) for n, c in self._terms))
 
     def substitute(self, name: str, value: ExponentValue) -> "AffineExponent":
-        c = self.coeff(name)
-        if not c:
+        terms = self._terms
+        for i, (n, c) in enumerate(terms):
+            if n == name:
+                break
+        else:
             return self
         value = as_exponent(value)
-        rest = tuple(item for item in self.coeffs if item[0] != name)
-        if value.is_constant:
-            # dropping one variable keeps the rest canonical
-            return AffineExponent(self.const + c * value.const, rest)
-        return AffineExponent(self.const, rest) + value.scale(c)
+        vd = value._den
+        rest = terms[:i] + terms[i + 1:]
+        if vd != 1:
+            rest = tuple((n, x * vd) for n, x in rest)
+        if value._terms:
+            rest = _merge(rest, 1, value._terms, c)
+        return _reduced(self._num * vd + c * value._num, self._den * vd, rest)
 
     def leading_sign(self) -> int:
         """Sign of the first nonzero coefficient, variables first, constant last."""
-        for _, c in self.coeffs:
-            if c:
-                return 1 if c > 0 else -1
-        if self.const:
-            return 1 if self.const > 0 else -1
-        return 0
+        if self._terms:
+            return 1 if self._terms[0][1] > 0 else -1
+        return (self._num > 0) - (self._num < 0)
 
-    def sort_key(self):
-        return (self.const, self.coeffs)
+    def _scaled_key(self, den: int) -> tuple:
+        """(const, coeffs) scaled by a positive multiple ``den`` of the
+        denominator: orders exponents exactly as the Fraction tuples would.
+        """
+        f = den // self._den
+        if f == 1:
+            return (self._num, self._terms)
+        return (self._num * f, tuple((n, c * f) for n, c in self._terms))
+
+    # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, assignment: Mapping[str, complex]) -> complex:
-        total = complex(self.const)
-        for n, c in self.coeffs:
+        den = self._den
+        total = complex(self._num / den)
+        for n, c in self._terms:
             if n not in assignment:
                 raise ValueError(f"no value assigned to variable {n!r}")
-            total += float(c) * assignment[n]
+            total += (c / den) * assignment[n]
         return total
 
     def evaluate_exact(self, assignment: Mapping[str, Rational]) -> Fraction:
-        total = self.const
-        for n, c in self.coeffs:
+        total = self._num
+        for n, c in self._terms:
             if n not in assignment:
                 raise ValueError(f"no value assigned to variable {n!r}")
             total += c * _as_fraction(assignment[n])
-        return total
+        return Fraction(total, self._den)
 
     def render(self) -> str:
         """Deterministic text form; constant term first, then variables in order."""
+        den = self._den
         pieces: list[tuple[int, str]] = []
-        if self.const or not self.coeffs:
-            pieces.append((1 if self.const >= 0 else -1, str(abs(self.const))))
-        for n, c in self.coeffs:
+        if self._num or not self._terms:
+            pieces.append((1 if self._num >= 0 else -1, _ratio_str(abs(self._num), den)))
+        for n, c in self._terms:
             mag = abs(c)
-            body = n if mag == 1 else f"{mag}*{n}"
+            body = n if mag == den else f"{_ratio_str(mag, den)}*{n}"
             pieces.append((1 if c > 0 else -1, body))
         sign, body = pieces[0]
         out = ("-" if sign < 0 else "") + body
@@ -194,9 +357,9 @@ class AffineExponent:
 
 
 def as_exponent(value: ExponentValue) -> AffineExponent:
-    if isinstance(value, AffineExponent):
+    if type(value) is AffineExponent:
         return value
-    return AffineExponent.constant(_as_fraction(value))
+    return AffineExponent(*_ratio(value))
 
 
 _ZERO_EXPONENT = AffineExponent()
@@ -268,9 +431,11 @@ class FactoredForm:
                 monomial = monomial + exponent.scale(mult)
                 exponent = -exponent
             merged[exponent] = merged.get(exponent, 0) + mult
-        fixed = tuple(sorted(((e, m) for e, m in merged.items() if m),
-                             key=lambda item: item[0].sort_key()))
-        return FactoredForm(constant, log_grade, monomial, fixed, False)
+        fixed = [(e, m) for e, m in merged.items() if m]
+        if len(fixed) > 1:
+            den = lcm(*{e._den for e, _ in fixed})
+            fixed.sort(key=lambda item: item[0]._scaled_key(den))
+        return FactoredForm(constant, log_grade, monomial, tuple(fixed), False)
 
     # -- structure ----------------------------------------------------------
 
@@ -363,22 +528,44 @@ class FactoredForm:
     # -- evaluation ---------------------------------------------------------
 
     def eval_numeric(self, q: float, assignment: Mapping[str, complex] | None = None) -> complex:
-        """Floating-point value at a numeric q > 1, with (log q)^log_grade applied."""
+        """Floating-point value at a numeric q > 1, with (log q)^log_grade applied.
+
+        The product is carried as a mantissa times a separate power of two,
+        so no intermediate factor over- or underflows; scaling by powers of two
+        is exact, so values whose factors all fit in a float come out as the
+        plain product would give them.  A nonzero value whose magnitude lies
+        beyond the range of normal floats raises OverflowError.
+        """
         if q <= 1:
             raise ValueError("eval_numeric requires q > 1")
         if self.is_zero:
             return 0.0
         assignment = assignment or {}
         lnq = math.log(q)
-        value = complex(self.constant) * lnq ** self.log_grade
-        value *= cmath.exp(lnq * self.monomial.evaluate(assignment))
+        c, k = _scaled_rational(self.constant)
+        mant, k2 = _scaled_exp(lnq * self.monomial.evaluate(assignment))
+        value, shift = _normalized(complex(c) * lnq ** self.log_grade * mant, k + k2)
         for e, m in self.binomials:
-            factor = 1.0 - cmath.exp(lnq * e.evaluate(assignment))
-            if m < 0 and abs(factor) < 1e-13:
-                raise DivisionByZeroError(
-                    f"denominator factor (1 - q^({e})) evaluates to ~0")
-            value *= factor ** m
-        return value
+            w = lnq * e.evaluate(assignment)
+            if w.real <= _EXP_SAFE:
+                factor = 1.0 - cmath.exp(w)
+                if m < 0 and abs(factor) < 1e-13:
+                    raise DivisionByZeroError(
+                        f"denominator factor (1 - q^({e})) evaluates to ~0")
+                factor, k = _normalized(factor, 0)
+            else:
+                # |q^E| > e^708: the 1 is far below a float's precision
+                mant, k = _scaled_exp(w)
+                factor, k = _normalized(-mant, k)
+            while m:
+                # |factor| lies in [0.5, 1.5), so a power of at most 512 stays a normal float
+                step = max(-512, min(512, m))
+                value, shift = _normalized(value * factor ** step, shift + k * step)
+                m -= step
+        # the larger part of value lies in [0.5, 1), so shift is the result's binary exponent
+        if value and not sys.float_info.min_exp <= shift <= sys.float_info.max_exp:
+            raise OverflowError(f"value 2^{shift} * {value} lies beyond the float range")
+        return complex(math.ldexp(value.real, shift), math.ldexp(value.imag, shift))
 
     def eval_exact(self, q: Fraction, assignment: Mapping[str, Rational] | None = None) -> Fraction:
         """Exact rational value; requires integer exponents and log_grade 0."""

@@ -102,14 +102,25 @@ class TestDegree:
         r = closed_form_degree(validate(1, 2, 1, 0, q=2.5, deg_sigma=F(2)))
         assert r.numeric == pytest.approx((2.5 - 1) / 2 * 4)
 
+    # at float q=1000, q^(-1440) underflows before the large binomials are
+    # applied, so a factor-by-factor product used to give 0.0, not None
     @pytest.mark.parametrize("q, deg_sigma", [(F(1000), F(1)), (F(2), F(10) ** 400),
-                                              (2.0, F(10) ** 400)])
+                                              (2.0, F(10) ** 400), (1000.0, F(1))])
     def test_beyond_float_range_keeps_exact_form(self, q, deg_sigma):
         r = closed_form_degree(validate(6, 10, 3, 1, q=q, deg_sigma=deg_sigma))
         assert r.numeric is None
         assert r.deg_sigma_power == 0
         symbolic_q = closed_form_degree(validate(6, 10, 3, 1, deg_sigma=deg_sigma))
         assert r.factored == symbolic_q.factored
+
+    @pytest.mark.parametrize("m, d, t, a, q", [(3, 6, 3, 0, 1000.0), (6, 8, 1, 1, 2.0),
+                                               (6, 8, 2, 0, 2.0)])
+    def test_float_q_with_factors_beyond_range(self, m, d, t, a, q):
+        # in range, but a factor-by-factor float product passes below the
+        # smallest normal float on the way and loses digits (up to 7 % here)
+        got = closed_form_degree(validate(m, d, t, a, q=q, deg_sigma=1)).numeric
+        exact = closed_form_degree(validate(m, d, t, a, q=F(q), deg_sigma=1)).numeric
+        assert got == pytest.approx(exact, rel=1e-12)
 
 
 class TestTheoremIdentity:
@@ -128,6 +139,14 @@ class TestTheoremIdentity:
     def test_deeper_towers(self):
         for d in (7, 8):
             assert verify_theorem(validate(2, d, 2, 1)).passed
+
+    def test_full_grid_at_depths_seven_and_eight(self):
+        cases = [p for p in theorem_grid(d_max=8, m_set=(1, 2, 3, 6), a_set=(0, 1, 2))
+                 if p.d >= 7]
+        assert len(cases) == 54
+        for p in cases:
+            report = verify_theorem(p)
+            assert report.passed, (report.name, report.detail)
 
     @pytest.mark.parametrize("d", [12, 16])
     def test_deep_towers(self, d):

@@ -1,11 +1,16 @@
-"""The closed simple-pole residue against the general series engine.
+"""Fast paths against their general references.
 
 ``residue`` takes a simple pole in one step; ``local_series`` expands every
 factor as a truncated Laurent series.  At a simple pole both must give the
 same canonical form, including when zeros and poles at the point partly
 cancel.
+
+``AffineExponent`` keeps integers over one shared denominator; a plain
+model with Fraction parts checks its arithmetic, its reduced form, its
+hashing, its text, and the order ``FactoredForm.build`` sorts by.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -70,3 +75,121 @@ def test_zero_and_double_pole_cancel_to_simple_pole():
     assert got.single_term() == FF.build(-2, -1, 0, [(AE.make(1, {"w": 1}), 1)])
     assert got == local_series(f, "z", 1, -1).coefficient(-1)
 
+
+
+# -- the integer exponent representation against a plain-Fraction model -----
+
+NAMES = ("w", "z1", "z2", "z10")  # in natural order
+wide_rationals = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
+coeff_lists = st.lists(st.tuples(st.sampled_from(NAMES), wide_rationals), max_size=5)
+
+
+def _model(const, coeffs) -> tuple[F, dict]:
+    """The reference: a Fraction constant and a dict of nonzero Fraction coefficients."""
+    acc = {}
+    for n, c in coeffs:
+        acc[n] = acc.get(n, F(0)) + F(c)
+    return F(const), {n: c for n, c in acc.items() if c}
+
+
+def _model_of(e: AE) -> tuple[F, dict]:
+    return e.const, dict(e.coeffs)
+
+
+def _model_render(const: F, coeffs: dict) -> str:
+    """The text form as the Fraction-valued exponents produced it."""
+    pieces = []
+    if const or not coeffs:
+        pieces.append((1 if const >= 0 else -1, str(abs(const))))
+    for n in sorted(coeffs, key=NAMES.index):
+        c = coeffs[n]
+        pieces.append((1 if c > 0 else -1, n if abs(c) == 1 else f"{abs(c)}*{n}"))
+    out = ("-" if pieces[0][0] < 0 else "") + pieces[0][1]
+    for sign, body in pieces[1:]:
+        out += (" + " if sign > 0 else " - ") + body
+    return out
+
+
+def _check_reduced(e: AE) -> None:
+    """den > 0, gcd(den, num, c...) = 1, no zero coefficient, natural order."""
+    cs = [c for _, c in e._terms]
+    assert e._den > 0 and math.gcd(e._den, e._num, *cs) == 1
+    assert all(cs)
+    assert list(e.variables()) == [n for n in NAMES if n in e.variables()]
+
+
+@hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@hypothesis.given(wide_rationals, coeff_lists, wide_rationals, coeff_lists, wide_rationals)
+def test_exponent_operations_match_fraction_model(c1, t1, c2, t2, r):
+    a, b = AE.make(c1, t1), AE.make(c2, t2)
+    ma, mb = _model(c1, t1), _model(c2, t2)
+    assert _model_of(a) == ma
+    assert a.render() == _model_render(*ma)
+
+    total = a + b
+    assert _model_of(total) == (ma[0] + mb[0], {n: c for n in set(ma[1]) | set(mb[1])
+                                                if (c := ma[1].get(n, 0) + mb[1].get(n, 0))})
+    assert _model_of(a - b) == _model_of(a + (-b))
+    assert _model_of(a.scale(r)) == (ma[0] * r, {n: c * r for n, c in ma[1].items() if r})
+    assert _model_of(a.scale(int(r))) == (ma[0] * int(r),
+                                          {n: c * int(r) for n, c in ma[1].items() if int(r)})
+
+    # substituting z1 := b
+    c = ma[1].get("z1", F(0))
+    rest = {n: v for n, v in ma[1].items() if n != "z1"}
+    want = (ma[0] + c * mb[0], {n: v for n in set(rest) | set(mb[1])
+                                if (v := rest.get(n, 0) + c * mb[1].get(n, 0))})
+    assert _model_of(a.substitute("z1", b)) == want
+
+    for e in (a, b, total, a - b, a.scale(r), a.substitute("z1", b)):
+        _check_reduced(e)
+        const, coeffs = _model_of(e)
+        lead = [coeffs[n] for n in e.variables()] + [const]
+        assert e.leading_sign() == next(((x > 0) - (x < 0) for x in lead if x), 0)
+        assert e.render() == _model_render(const, coeffs)
+        value = complex(const)
+        for n in e.variables():
+            value += float(coeffs[n]) * 0.5
+        assert e.evaluate({n: 0.5 for n in NAMES}) == value
+        third = {n: F(1, 3) for n in NAMES}
+        assert e.evaluate_exact(third) == const + sum(coeffs.values(), F(0)) / 3
+
+
+@hypothesis.settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@hypothesis.given(wide_rationals, coeff_lists, st.integers(1, 30))
+def test_equal_values_are_equal_across_denominators(const, coeffs, k):
+    e = AE.make(const, coeffs)
+    routes = (
+        AE.make(const * k, [(n, c * k) for n, c in coeffs]).scale(F(1, k)),
+        AE.constant(const) + AE.make(0, coeffs),
+        (e + AE.make(F(1, k), {"z2": F(1, k)})) - AE.make(F(1, k), {"z2": F(1, k)}),
+    )
+    for other in routes:
+        assert other == e and hash(other) == hash(e)
+        _check_reduced(other)
+
+
+def test_equal_values_with_different_denominators():
+    # 1/2 + z reached over the denominators 2, 4 and 6
+    a = AE.make(F(1, 2), {"z": 1})
+    b = AE.make(F(1, 4), {"z": F(1, 4)}) + AE.make(F(1, 4), {"z": F(3, 4)})
+    c = AE.make(F(1, 6), {"z": F(1, 3)}).scale(3)
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert {a: 1}[b] == {a: 1}[c] == 1
+
+
+@hypothesis.settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@hypothesis.given(st.lists(st.tuples(wide_rationals, coeff_lists,
+                                     st.sampled_from((-2, -1, 1, 2))), min_size=1, max_size=8))
+def test_build_orders_binomials_as_fractions_do(factors):
+    binomials = [(AE.make(c, t), m) for c, t, m in factors]
+    binomials = [(e, m) for e, m in binomials if not e.is_zero]
+    f = FF.build(1, 0, 0, binomials)
+    # the reference: orient, merge, sort by the (const, coeffs) Fraction tuples
+    merged = {}
+    for e, m in binomials:
+        e = -e if e.leading_sign() < 0 else e
+        merged[e] = merged.get(e, 0) + m
+    want = sorted(((e, m) for e, m in merged.items() if m),
+                  key=lambda em: (em[0].const, em[0].coeffs))
+    assert list(f.binomials) == want

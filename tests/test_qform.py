@@ -3,7 +3,11 @@ numeric evaluation, and the randomized property suites."""
 
 import cmath
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -33,6 +37,15 @@ class TestAffineExponent:
     def test_natural_variable_order(self):
         e = AE.make(0, {"z10": 1, "z2": 1})
         assert e.variables() == ("z2", "z10")
+
+    def test_pickle_rehashes_in_another_process(self):
+        # str hashes are salted per process, so the cached hash must not travel
+        code = ("import pickle, sys; from qdegree.qform import AffineExponent as AE; "
+                "sys.stdout.buffer.write(pickle.dumps(AE.make(1, {'z': 2})))")
+        env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=os.pathsep.join(sys.path))
+        data = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              check=True).stdout
+        assert {AE.make(1, {"z": 2}): "found"}.get(pickle.loads(data)) == "found"
 
     def test_render_terms_constant_first(self):
         assert AE.make(F(-3, 2), {"z1": 1, "z2": F(-1, 2)}).render() == "-3/2 + z1 - 1/2*z2"
@@ -210,6 +223,35 @@ class TestEvalNumeric:
     def test_unassigned_variable(self):
         with pytest.raises(ValueError):
             FF.q_power(AE.variable("z")).eval_numeric(2.0, {})
+
+    def test_matches_plain_product_in_range(self):
+        # where every factor is an ordinary float, carrying a separate power of
+        # two must not change the value of the plain factor-by-factor product
+        rng = random.Random(41)
+        for _ in range(300):
+            f = random_form(rng, ("z", "w"), n_binomials=5)
+            assignment = {"z": complex(rng.uniform(-3, 3), rng.uniform(-1, 1)),
+                          "w": complex(rng.uniform(-3, 3), 0.25)}
+            q = rng.choice((1.5, 2.0, 7.0))
+            lnq = math.log(q)
+            want = complex(f.constant) * lnq ** f.log_grade
+            want *= cmath.exp(lnq * f.monomial.evaluate(assignment))
+            for e, m in f.binomials:
+                want *= (1.0 - cmath.exp(lnq * e.evaluate(assignment))) ** m
+            assert abs(f.eval_numeric(q, assignment) - want) <= 1e-15 * abs(want)
+
+    def test_factors_beyond_float_range(self):
+        # q^-2000 underflows and (1 - q^1990) overflows, their product is -2^-10
+        f = FF.q_power(-2000) * FF.binomial(1990)
+        assert f.eval_numeric(2.0) == pytest.approx(-2.0 ** -10, rel=1e-12)
+        # a constant below the float range times q^1329 above it
+        got = (FF.from_constant(F(1, 10 ** 400)) * FF.q_power(1329)).eval_numeric(2.0)
+        assert got == pytest.approx(float(F(2 ** 1329, 10 ** 400)), rel=1e-12)
+
+    @pytest.mark.parametrize("exponent", [-2000, 2000])
+    def test_value_beyond_float_range_raises(self, exponent):
+        with pytest.raises(OverflowError):
+            FF.q_power(exponent).eval_numeric(2.0)
 
     def test_exact_rational_evaluation(self):
         f = FF.q_power(3) * FF.binomial(1) * FF.binomial(2, -1)
