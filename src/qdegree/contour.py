@@ -17,6 +17,11 @@ term:
 
 With the default chamber shift R_l = r_l + t/2 + 1/4 these are exactly the
 crossed poles for d <= 3, and the two sides agree to machine precision.
+
+Both sides evaluate forms on a sparse meshgrid of nodes (``_eval_grid``).
+Exponents are affine, so q^E splits into a constant times one factor per
+variable; each such factor is one exponential over a single axis, shared by
+every binomial of the form, and only multiplications run over the full grid.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 from .checks import CheckReport
 from .coords import generic_weight, residue_point, z_var
 from .model import SetupParams
-from .mu import mu_on_z
+from .mu import mu_on_z, pole_hyperplanes
 from .qform import (AffineExponent, DivisionByZeroError, FactoredForm,
                     SumForm, as_sum, residue)
 from .resdata import res_al
@@ -81,38 +86,68 @@ def _check_shift_off_poles(p: SetupParams, shift: tuple[float, ...],
                            margin: float = 1e-9) -> None:
     """Reject contours whose real parts meet a pole hyperplane of mu.
 
-    Poles sit where t*(s_i - s_j) = +-t up to imaginary periods, so a real
-    part exactly at +-t puts a pole on the contour for some node phases.
+    Poles sit on the hyperplanes s_i - s_j = +-1 of ``pole_hyperplanes``, where
+    t*(s_i - s_j) = +-t up to imaginary periods, so a real part exactly at
+    +-t puts a pole on the contour for some node phases.  The level-0 loci
+    are zeros of mu, not poles.
     """
     weight = generic_weight(p)
     assignment = {z_var(j): complex(shift[j - 1]) for j in range(1, p.d)}
-    for i in range(1, p.d + 1):
-        for j in range(i + 1, p.d + 1):
-            x = weight.difference(i, j).scale(p.t).evaluate(assignment).real
-            for level in (p.t, -p.t):
-                if abs(x - level) < margin:
-                    raise ShiftOnPoleError(
-                        f"contour Re(t(s_{i}-s_{j})) = {x} sits on the pole level {level}")
+    for h in pole_hyperplanes(p):
+        if h.level == 0:
+            continue
+        x = weight.difference(h.i, h.j).scale(p.t).evaluate(assignment).real
+        level = p.t * h.level
+        if abs(x - level) < margin:
+            raise ShiftOnPoleError(
+                f"contour Re(t(s_{h.i}-s_{h.j})) = {x} sits on the pole level {level}")
 
 
 def _eval_grid(f: Union[FactoredForm, SumForm], q: float,
                arrays: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Vectorized eval_numeric over complex node arrays."""
+    """Vectorized eval_numeric over the nodes of a sparse meshgrid.
+
+    Every exponent is affine, so q^E = q^(c_0) * prod_v exp(lnq c_v z_v).  Each
+    axis factor exp(lnq c_v z_v) is one exponential over the nodes of that
+    axis alone, computed once per (variable, coefficient) pair in this call
+    and shared by the monomial and every binomial of every term.  q^(c_0) is
+    a numpy complex scalar, so it overflows to inf, with numpy's warning, as
+    a full-grid exponential does; broadcasting the product then costs one
+    full-grid multiply per factor.  Multiplicities are repeated
+    multiplications into one numerator and one denominator per term, divided
+    once; before that division each denominator factor is checked for nodes
+    where it vanishes.  Returns an array of the broadcast shape of ``arrays``.
+    """
     lnq = math.log(q)
     shape = np.broadcast_shapes(*(a.shape for a in arrays.values())) if arrays else ()
+    axis_powers: dict[tuple[str, Fraction], np.ndarray] = {}
+
+    def q_power(e: AffineExponent) -> np.ndarray:
+        """q^e as a new array over the axes of e's variables."""
+        value = np.array(np.exp(complex(lnq * float(e.const))))
+        for v, c in e.coeffs:
+            power = axis_powers.get((v, c))
+            if power is None:
+                power = axis_powers[v, c] = np.exp(lnq * float(c) * arrays[v])
+            value = value * power
+        return value
+
     total = np.zeros(shape, dtype=complex)
     for term in as_sum(f).terms:
-        exponent = float(term.monomial.const) + sum(
-            float(c) * arrays[v] for v, c in term.monomial.coeffs)
-        value = complex(term.constant) * lnq ** term.log_grade * np.exp(lnq * exponent)
+        numerator = np.full(shape, complex(term.constant) * lnq ** term.log_grade)
+        numerator *= q_power(term.monomial)
+        denominator = np.ones(shape, dtype=complex)
         for e, mult in term.binomials:
-            exponent = float(e.const) + sum(float(c) * arrays[v] for v, c in e.coeffs)
-            factor = 1.0 - np.exp(lnq * exponent)
+            factor = q_power(e)
+            np.subtract(1.0, factor, out=factor)
             if mult < 0 and np.abs(factor).min() < 1e-12:
                 raise DivisionByZeroError(
                     f"denominator factor (1 - q^({e})) vanishes on the contour")
-            value = value * factor ** mult
-        total = total + value
+            product = numerator if mult > 0 else denominator
+            for _ in range(abs(mult)):
+                product *= factor
+        numerator /= denominator
+        total += numerator
     return total
 
 

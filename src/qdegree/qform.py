@@ -92,6 +92,25 @@ def _scaled_exp(w: complex) -> tuple[complex, int]:
     return cmath.exp(complex(w.real - k * _LN2, w.imag)), k
 
 
+def _int_power(z: complex, n: int) -> complex:
+    """z ** n for a nonzero int n without a detour through a logarithm.
+
+    CPython raises a complex to an integer power beyond 100 through a
+    logarithm, which gives a real base a spurious imaginary part.  A real z
+    takes float ``**``; any other z takes repeated squaring, CPython's own
+    method for powers up to 100.
+    """
+    if not z.imag:
+        return complex(z.real ** n)
+    result, base, k = 1 + 0j, z, abs(n)
+    while k:
+        if k & 1:
+            result *= base
+        base *= base
+        k >>= 1
+    return result if n > 0 else 1 / result
+
+
 def _scaled_rational(x: Fraction) -> tuple[float, int]:
     """x as (mantissa, k) with x = mantissa * 2^k, the mantissa correctly rounded."""
     k = x.numerator.bit_length() - x.denominator.bit_length()
@@ -560,7 +579,7 @@ class FactoredForm:
             while m:
                 # |factor| lies in [0.5, 1.5), so a power of at most 512 stays a normal float
                 step = max(-512, min(512, m))
-                value, shift = _normalized(value * factor ** step, shift + k * step)
+                value, shift = _normalized(value * _int_power(factor, step), shift + k * step)
                 m -= step
         # the larger part of value lies in [0.5, 1), so shift is the result's binary exponent
         if value and not sys.float_info.min_exp <= shift <= sys.float_info.max_exp:

@@ -1,15 +1,75 @@
-"""Contour oracle tests: quadrature vs residue-term sums, shift handling,
-convergence, and fault injection."""
+"""Contour oracle tests: the grid evaluator against eval_numeric, quadrature
+vs residue-term sums, shift handling, convergence, and fault injection."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
-from qdegree.contour import (DecompositionReport, QuadratureSpec, default_shift,
+from conftest import random_exponent, random_rational
+from qdegree.contour import (DecompositionReport, QuadratureSpec, _check_shift_off_poles,
+                             _eval_grid, _unitary_nodes, default_shift,
                              decomposition_report, lhs_contour, residue_terms,
                              rhs_residue_sum, ShiftOnPoleError,
                              verify_residue_decomposition)
 from qdegree.model import validate
+from qdegree.qform import AffineExponent, DivisionByZeroError, FactoredForm, SumForm
+
+
+def _grid_term(rng: random.Random, variables) -> FactoredForm:
+    """A random term: rational constant, log grade -1..2, a monomial in every
+    variable and binomials of multiplicity +-1..+-3 with denominators <= 3."""
+    monomial = AffineExponent.make(random_rational(rng), {
+        v: random_rational(rng, allow_zero=False) for v in variables})
+    out = (FactoredForm.from_constant(random_rational(rng, allow_zero=False),
+                                      rng.randint(-1, 2))
+           * FactoredForm.q_power(monomial))
+    for _ in range(rng.randint(2, 5)):
+        e = random_exponent(rng, rng.sample(variables, rng.randint(0, len(variables))))
+        if not e.is_zero:
+            out = out * FactoredForm.binomial(e, rng.choice((-3, -2, -1, 1, 2, 3)))
+    return out
+
+
+def _axis(rng: random.Random, n: int) -> np.ndarray:
+    return np.array([complex(rng.uniform(-1, 1), rng.uniform(-3, 3)) for _ in range(n)])
+
+
+class TestEvalGrid:
+    @pytest.mark.parametrize("dim", (1, 2, 3))
+    def test_matches_eval_numeric_at_every_node(self, dim):
+        rng = random.Random(500 + dim)
+        variables = [f"z{j}" for j in range(1, dim + 1)]
+        checked = 0
+        while checked < 12:
+            q = rng.choice((1.5, 2.0, 3.0))
+            f = SumForm.make([_grid_term(rng, variables) for _ in range(rng.randint(1, 3))])
+            axes = np.meshgrid(*[_axis(rng, n) for n in (5, 4, 3)[:dim]],
+                               indexing="ij", sparse=True)
+            arrays = dict(zip(variables, axes))
+            shape = np.broadcast_shapes(*(a.shape for a in axes))
+            full = {v: np.broadcast_to(a, shape) for v, a in arrays.items()}
+            nodes = [{v: complex(a[i]) for v, a in full.items()} for i in np.ndindex(shape)]
+            # 1 - q^E near zero turns last-bit differences in q^E into large
+            # relative ones in either evaluation, so such draws are skipped
+            if any(abs(1 - FactoredForm.q_power(e).eval_numeric(q, node)) < 0.05
+                   for term in f.terms for e, _ in term.binomials for node in nodes):
+                continue
+            got = _eval_grid(f, q, arrays)
+            assert got.shape == shape
+            for i, node in zip(np.ndindex(shape), nodes):
+                # relative to the sum of the terms' sizes, as terms may cancel
+                scale = sum(abs(term.eval_numeric(q, node)) for term in f.terms)
+                assert abs(got[i] - f.eval_numeric(q, node)) <= 1e-13 * scale
+            checked += 1
+
+    def test_vanishing_denominator_raises(self):
+        # (1 - q^z1)^-1 on the unitary nodes, which start at z1 = 0
+        f = FactoredForm.binomial(AffineExponent.variable("z1"), -1)
+        with pytest.raises(DivisionByZeroError):
+            _eval_grid(f, 2.0, {"z1": _unitary_nodes(2.0, 16)})
+
 
 
 class TestQuadratureSpec:
@@ -63,6 +123,13 @@ class TestLhsContour:
     def test_contour_through_pole_rejected(self):
         with pytest.raises(ShiftOnPoleError):
             lhs_contour(validate(1, 2, 1, 0), QuadratureSpec(q=2.0, shift=(1.0,)))
+
+    @pytest.mark.parametrize("shift, level", (((0.25, 1.5), 1), ((-1.25, 0.5), -1)))
+    def test_contour_on_non_adjacent_pair_pole_rejected(self, shift, level):
+        # Re(t(s_1 - s_3)) = R_1 + R_2/2 at d = 3; the pairs (1,2) and (2,3) stay off their poles
+        message = rf"s_1-s_3\)\) = \S+ sits on the pole level {level}$"
+        with pytest.raises(ShiftOnPoleError, match=message):
+            _check_shift_off_poles(validate(1, 3, 1, 0), shift)
 
     def test_shift_not_beyond_residue_point_rejected(self):
         with pytest.raises(ShiftOnPoleError):

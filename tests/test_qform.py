@@ -240,6 +240,21 @@ class TestEvalNumeric:
                 want *= (1.0 - cmath.exp(lnq * e.evaluate(assignment))) ** m
             assert abs(f.eval_numeric(q, assignment) - want) <= 1e-15 * abs(want)
 
+    @pytest.mark.parametrize("mult, want", [(3000, 1.0), (101, -1.0), (-101, -1.0)])
+    def test_real_factor_to_high_power_stays_real(self, mult, want):
+        # (1 - 2)^mult: a power beyond 100 must not pass through a complex logarithm
+        got = FF.binomial(1, mult).eval_numeric(2.0)
+        assert got.imag == 0
+        assert got.real == want
+
+    @pytest.mark.parametrize("mult", [200, -200, 333])
+    def test_complex_factor_to_high_power(self, mult):
+        # q^z = i on z = i pi / (2 log q), so the factor is 1 - i = sqrt(2) e^(-i pi/4)
+        z = 1j * math.pi / (2 * math.log(2))
+        got = FF.binomial(AE.variable("z"), mult).eval_numeric(2.0, {"z": z})
+        want = 2 ** (mult / 2) * cmath.exp(-1j * math.pi / 4 * mult)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
     def test_factors_beyond_float_range(self):
         # q^-2000 underflows and (1 - q^1990) overflows, their product is -2^-10
         f = FF.q_power(-2000) * FF.binomial(1990)
