@@ -2,7 +2,9 @@
 subcommands, canonical text output and a stable JSON schema.
 
 Exit codes: 0 all passed, 1 a verification failed, 2 usage or parameter
-error.  Results go to stdout, diagnostics to stderr.
+error, 3 a value beyond the float range (``contour``; ``degree`` instead
+reports its exact form with ``numeric`` null).  Results go to stdout,
+diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -228,6 +230,9 @@ def cmd_contour(d, q, t, m, a, nodes, tol, config_path, as_json):
     try:
         spec = contour.QuadratureSpec(q=q, nodes=nodes, tolerance=tol)
         report = contour.decomposition_report(p, spec)
+    except OverflowError as exc:
+        _echo(f"error: value beyond float range: {exc}", err=True)
+        sys.exit(3)
     except (ValueError, contour.ShiftOnPoleError) as exc:
         raise click.UsageError(str(exc))
     status = "pass" if report.relative_error <= tol else "fail"

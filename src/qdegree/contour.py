@@ -26,6 +26,7 @@ every binomial of the form, and only multiplications run over the full grid.
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass
@@ -175,14 +176,16 @@ def lhs_contour(p: SetupParams, spec: QuadratureSpec) -> complex:
     return (Fraction(p.m, p.t) ** (p.d - 1)) * mean
 
 
-def _offchain_sum(p: SetupParams) -> SumForm:
+def _offchain_sum(p: SetupParams, f: FactoredForm | None = None) -> SumForm:
     """Residues of mu across the tilted hyperplanes z_1 = t -+ z_2/2 (d = 3).
 
     These are the level +1 loci of the pairs (1,2) and (1,3); both are
     crossed when z_1 is shifted to the unitary axis.  Each residue is taken
     by recentering with an auxiliary variable and extracting at its origin.
+    ``f`` is mu_on_z(p) when the caller has already built it.
     """
-    f = mu_on_z(p)
+    if f is None:
+        f = mu_on_z(p)
     total = SumForm.zero()
     for sign in (Fraction(1, 2), Fraction(-1, 2)):
         recentered = f.substitute(z_var(1), AffineExponent.make(p.t, {"u": 1, z_var(2): sign}))
@@ -232,7 +235,7 @@ def residue_terms(p: SetupParams, spec: QuadratureSpec,
     if p.d == 3:
         shift = _shift_of(p, spec)
         _check_offchain_chamber(p, shift)
-        values = _eval_grid(_offchain_sum(p), spec.q, {z_var(2): nodes})
+        values = _eval_grid(_offchain_sum(p, f), spec.q, {z_var(2): nodes})
         offchain = math.log(spec.q) * (ratio ** 2) * complex(values.mean())
     return tuple(chain), offchain
 
@@ -246,9 +249,18 @@ def rhs_residue_sum(p: SetupParams, spec: QuadratureSpec,
 
 def decomposition_report(p: SetupParams, spec: QuadratureSpec,
                          drop_level_inverse: bool = False) -> DecompositionReport:
-    lhs = lhs_contour(p, spec)
-    chain, offchain = residue_terms(p, spec, drop_level_inverse=drop_level_inverse)
+    """Both sides and the per-term breakdown.
+
+    Raises OverflowError when a side does not fit in a complex float: an
+    overflowed node value turns the node mean into inf or nan, and numpy's
+    warnings about it are silenced in favour of that one error.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = lhs_contour(p, spec)
+        chain, offchain = residue_terms(p, spec, drop_level_inverse=drop_level_inverse)
     rhs = sum(chain, 0j) + offchain
+    if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
+        raise OverflowError(f"lhs = {lhs}, rhs = {rhs} at q = {spec.q}")
     rel = abs(lhs - rhs) / max(abs(lhs), 1.0)
     return DecompositionReport(lhs, rhs, chain, offchain, rel)
 

@@ -87,15 +87,21 @@ def pairing_coroot(p: SetupParams, l: int, weight: Weight) -> AffineExponent:
 
 
 def z_to_s(p: SetupParams, z_values: Sequence[ExponentValue]) -> Weight:
-    """The weight sum_j z_j * atilde_j for given z-values (rational or affine)."""
+    """The weight sum_j z_j * atilde_j for given z-values (rational or affine).
+
+    Entry k is z_k times the head of atilde_k plus the running sum of
+    z_j times the tails of the earlier roots j < k (see ``alpha_tilde``).
+    """
     if len(z_values) != p.d - 1:
         raise OutOfRangeError(f"expected {p.d - 1} z-values, got {len(z_values)}")
-    entries = [AffineExponent.constant(0) for _ in range(p.d)]
+    entries = []
+    tail = AffineExponent.constant(0)
     for j, z in enumerate(z_values, start=1):
-        root = alpha_tilde(p, j)
         zj = as_exponent(z)
-        for k in range(p.d):
-            entries[k] = entries[k] + zj.scale(root.s[k].const)
+        size = p.t * (p.d - j + 1)
+        entries.append(tail + zj.scale(Fraction(p.d - j, size)))
+        tail = tail + zj.scale(Fraction(-1, size))
+    entries.append(tail)
     return Weight.make(entries)
 
 

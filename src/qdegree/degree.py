@@ -17,7 +17,7 @@ from fractions import Fraction
 from .checks import CheckReport, canonical_quotient
 from .model import OutOfRangeError, SetupParams
 from .qform import FactoredForm, as_exponent
-from .resdata import res_a1_mu
+from .resdata import res_a1_mu, residue_closed_form
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,11 @@ def closed_form_degree(p: SetupParams) -> DegreeResult:
     """The closed-form degree
 
         |GL_n|/|GL_m|^d q^(mn-n^2) * m^(d-1)/(t^(d-1) d)
-        * q^((a+t) d(d-1)/2) * (q^t-1)^d / (q^(td)-1) * deg(sigma)^d.
+        * q^((a+t) d(d-1)/2) * (q^t-1)^d / (q^(td)-1) * deg(sigma)^d,
+
+    that is gamma times the closed residue scalar times deg(sigma)^d.
     """
-    half_pairs = Fraction(p.d * (p.d - 1), 2)
-    factored = (gamma_factor(p)
-                * FactoredForm.from_constant(Fraction(p.m, p.t) ** (p.d - 1) / p.d)
-                * FactoredForm.q_power((p.a + p.t) * half_pairs)
-                * FactoredForm.binomial(p.t).scale(-1) ** p.d
-                / FactoredForm.binomial(p.t * p.d).scale(-1))
-    return _finish(p, factored)
+    return _finish(p, gamma_factor(p) * residue_closed_form(p))
 
 
 def assemble_degree(p: SetupParams, drop_level_inverse: bool = False) -> DegreeResult:

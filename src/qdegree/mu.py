@@ -18,20 +18,26 @@ from .qform import AffineExponent, ExponentValue, FactoredForm, as_exponent
 
 
 def _rank_one_binomials(p: SetupParams, x: ExponentValue) -> list[tuple[AffineExponent, int]]:
-    """The four binomials of the pair factor at difference x, with multiplicities."""
+    """The binomials of the oriented pair factor at difference x, with multiplicities:
+    (1 - q^(tx))^2 (1 - q^(tx+t))^-1 (1 - q^(tx-t))^-1; its monomial is q^(a+t).
+    """
     tx = as_exponent(x).scale(p.t)
-    t_const = AffineExponent.constant(p.t)
-    return [(tx, 1), (-tx, 1), (tx + t_const, -1), (t_const - tx, -1)]
+    return [(tx, 2), (tx + p.t, -1), (tx - p.t, -1)]
 
 
 def rank_one_factor(p: SetupParams, x: ExponentValue) -> FactoredForm:
-    """The pair factor q^(a+2t) (1-q^(tx))(1-q^(-tx)) / ((1-q^(t(x+1)))(1-q^(t(1-x)))).
+    """The pair factor q^(a+t) (1-q^(tx))^2 / ((1-q^(tx+t)) (1-q^(tx-t))).
 
-    The normalization q^(a+2t) is the unique per-pair constant whose telescoped
-    level products reproduce the closed level ratios; the telescoping tests pin
-    it down.  Vanishes (second order) at x = 0; poles at x = +-1 raise.
+    It equals q^(a+2t) (1-q^(tx))(1-q^(-tx)) / ((1-q^(t(x+1)))(1-q^(t(1-x)))):
+    writing 1-q^(-tx) = -q^(-tx)(1-q^(tx)) and 1-q^(t-tx) = -q^(t-tx)(1-q^(tx-t))
+    moves q^(-t) into the monomial.  The normalization q^(a+t) is the unique
+    per-pair constant whose telescoped level products reproduce the closed
+    level ratios; the telescoping tests pin it down.  Vanishes (second order)
+    at x = 0; poles at x = +-1 raise.  For a difference s_i - s_j with i < j
+    of the generic weight, every exponent already leads with a positive
+    coefficient, so a build only merges and sorts.
     """
-    return FactoredForm.build(1, 0, p.a + 2 * p.t, _rank_one_binomials(p, x))
+    return FactoredForm.build(1, 0, p.a + p.t, _rank_one_binomials(p, x))
 
 
 def mu_full(p: SetupParams, weight: Weight) -> FactoredForm:
@@ -47,7 +53,7 @@ def mu_full(p: SetupParams, weight: Weight) -> FactoredForm:
     for i in range(1, p.d + 1):
         for j in range(i + 1, p.d + 1):
             binomials += _rank_one_binomials(p, weight.difference(i, j))
-    return FactoredForm.build(1, 0, (p.a + 2 * p.t) * (p.d * (p.d - 1) // 2), binomials)
+    return FactoredForm.build(1, 0, (p.a + p.t) * (p.d * (p.d - 1) // 2), binomials)
 
 
 def mu_level_ratio_closed(p: SetupParams, l: int, var: str = "z") -> FactoredForm:
@@ -78,7 +84,7 @@ def mu_level_ratio_telescoped(p: SetupParams, l: int, var: str = "z") -> Factore
         x = AffineExponent.variable(var, coeff=Fraction(1, p.t),
                                     const=Fraction(-(p.d - l), 2) + (j - l))
         binomials += _rank_one_binomials(p, x)
-    return FactoredForm.build(1, 0, (p.a + 2 * p.t) * (p.d - l + 1), binomials)
+    return FactoredForm.build(1, 0, (p.a + p.t) * (p.d - l + 1), binomials)
 
 
 @dataclass(frozen=True)

@@ -321,6 +321,23 @@ class AffineExponent:
             rest = _merge(rest, 1, value._terms, c)
         return _reduced(self._num * vd + c * value._num, self._den * vd, rest)
 
+    def substitute_constants(self, nums: Mapping[str, int], den: int = 1) -> "AffineExponent":
+        """Every variable v named in ``nums`` replaced by the constant nums[v]/den.
+
+        One pass of integer arithmetic over the exponent's own denominator
+        times ``den``, then one gcd step; the other variables keep their
+        coefficients.
+        """
+        num = self._num * den
+        rest = []
+        for n, c in self._terms:
+            v = nums.get(n)
+            if v is None:
+                rest.append((n, c * den))
+            else:
+                num += c * v
+        return _reduced(num, self._den * den, tuple(rest))
+
     def leading_sign(self) -> int:
         """Sign of the first nonzero coefficient, variables first, constant last."""
         if self._terms:

@@ -9,18 +9,30 @@ cancels the d-1 simple-pole residues exactly, so the scalar has log grade 0
 and closed form
 
     (m/t)^(d-1) (1/d) q^(a d(d-1)/2) q^(t d(d-1)/2) (q^t - 1)^d / (q^(td) - 1).
+
+The chain is taken in one pass over each term's binomials.  Substituting a
+constant for one variable never changes the coefficient of another, so a
+binomial whose exponent is zero at the full point vanishes at exactly one
+level, the one that substitutes the last of its variables; every other
+binomial is regular along the whole chain and is simply evaluated at the
+point.  Each level's pole is then a residue of a one-variable form made of
+the binomials filed under it, and the result is one build of the regular
+part times those pieces.  A level with pole order <= 0 makes the term zero.
+At order >= 2 the derivatives of the regular part enter, so such a term goes
+through the residues level by level instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 from .coords import ResiduePlan, residue_plan
 from .model import SetupParams
 from .mu import mu_on_z
-from .qform import FactoredForm, SumForm, as_sum, residue
+from .qform import AffineExponent, FactoredForm, SumForm, as_sum, as_exponent, residue
 
 
 @dataclass(frozen=True)
@@ -36,14 +48,64 @@ class ResidueDatumResult:
 
 def iterated_residue(f: Union[FactoredForm, SumForm], plan: ResiduePlan,
                      stop_at: int = 1) -> SumForm:
-    """Apply residues at (z_k, r_k) for k = d-1 down to stop_at, innermost first."""
-    out = as_sum(f)
+    """Apply residues at (z_k, r_k) for k = d-1 down to stop_at, innermost first.
+
+    Each term is handled in one pass (see the module docstring): every
+    binomial exponent is evaluated at the whole plan once, the binomials
+    vanishing there are filed under their level, and each level's simple
+    pole is taken by ``residue`` on a one-variable form of its binomials
+    alone.  A term with a level of pole order >= 2 takes the residues level
+    by level, through the series engine at that level.  Variables below
+    stop_at stay free.
+    """
+    steps = []
     for name, point in plan:
-        level = int(name[1:])
-        if level < stop_at:
+        if int(name[1:]) < stop_at:
             break
-        out = residue(out, name, point)
-    return out
+        steps.append((name, point))
+    if not steps:
+        return as_sum(f)
+    den = lcm(*(point.denominator for _, point in steps))
+    nums = {name: point.numerator * (den // point.denominator) for name, point in steps}
+    position = {name: k for k, (name, _) in enumerate(steps)}
+    out: list[FactoredForm] = []
+    for term in as_sum(f).terms:
+        out += _term_residue(term, steps, nums, den, position)
+    return SumForm(tuple(out))
+
+
+def _term_residue(term: FactoredForm, steps, nums, den, position) -> list[FactoredForm]:
+    """The iterated residue of one term along ``steps``, as a list of terms."""
+    levels: list[list] = [[] for _ in steps]
+    regular = []
+    for e, m in term.binomials:
+        at_point = e.substitute_constants(nums, den)
+        if at_point.is_zero:
+            # it vanishes at the step that substitutes the last of its variables
+            levels[max(position[v] for v in e.variables())].append((e, m))
+        else:
+            regular.append((at_point, m))
+    orders = [-sum(m for _, m in level) for level in levels]
+    if any(order >= 2 for order in orders):
+        out = SumForm.of(term)
+        for name, point in steps:
+            out = residue(out, name, point)
+        return list(out.terms)
+    if any(order != 1 for order in orders):
+        return []
+    constant, log_grade = term.constant, term.log_grade
+    monomial = term.monomial.substitute_constants(nums, den)
+    for (name, point), level in zip(steps, levels):
+        vanishing = []
+        for e, m in level:
+            s = e.coeff(name)  # along the chain, e is s * (name - point) at this level
+            vanishing.append((AffineExponent.variable(name, s, -s * point), m))
+        pole = residue(FactoredForm.build(1, 0, 0, vanishing), name, point).single_term()
+        constant *= pole.constant
+        log_grade += pole.log_grade
+        monomial = monomial + pole.monomial
+        regular += pole.binomials
+    return [FactoredForm.build(constant, log_grade, monomial, regular)]
 
 
 def res_al(p: SetupParams, psi: Union[FactoredForm, SumForm], l: int,
@@ -69,10 +131,10 @@ def res_a1_mu(p: SetupParams, drop_level_inverse: bool = False) -> FactoredForm:
 
 
 def residue_closed_form(p: SetupParams) -> FactoredForm:
-    """Closed form of res_a1_mu:  (m/t)^(d-1) (1/d) q^((a+t) d(d-1)/2) (q^t-1)^d / (q^(td)-1)."""
-    half_pairs = Fraction(p.d * (p.d - 1), 2)
-    out = (FactoredForm.from_constant(Fraction(p.m, p.t) ** (p.d - 1) / p.d)
-           * FactoredForm.q_power((p.a + p.t) * half_pairs)
-           * FactoredForm.binomial(p.t).scale(-1) ** p.d
-           / FactoredForm.binomial(p.t * p.d).scale(-1))
-    return out
+    """Closed form of res_a1_mu:  (m/t)^(d-1) (1/d) q^((a+t) d(d-1)/2) (q^t-1)^d / (q^(td)-1).
+
+    With q^k - 1 = -(1 - q^k), the sign is (-1)^d / (-1) = (-1)^(d-1).
+    """
+    return FactoredForm.build(Fraction(p.m, p.t) ** (p.d - 1) / p.d * (-1) ** (p.d - 1), 0,
+                              (p.a + p.t) * (p.d * (p.d - 1) // 2),
+                              [(as_exponent(p.t), p.d), (as_exponent(p.t * p.d), -1)])

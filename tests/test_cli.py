@@ -111,6 +111,19 @@ class TestContourCommand:
                                       "--m", "1", "--a", "0"])
         assert result.exit_code == 2
 
+    # the left side overflows to nan; the residue terms overflow in eval_numeric
+    @pytest.mark.parametrize("args", [
+        ["--d", "2", "--q", "1e300", "--t", "1", "--m", "1", "--a", "0", "--nodes", "16"],
+        ["--d", "3", "--q", "1e30", "--t", "3", "--m", "3", "--a", "2", "--nodes", "16",
+         "--json"],
+    ])
+    def test_beyond_float_range_exits_3(self, runner, args):
+        result = runner.invoke(main, ["contour", *args])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert "beyond float range" in result.stderr
+
 
 class TestVerifyCommand:
     def test_theorem_small_grid(self, runner):

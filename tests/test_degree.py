@@ -148,6 +148,18 @@ class TestTheoremIdentity:
             report = verify_theorem(p)
             assert report.passed, (report.name, report.detail)
 
+    def test_full_grid_at_depths_nine_to_sixteen(self):
+        cases = [p for p in theorem_grid(d_max=16, m_set=(1, 2, 3, 6), a_set=(0, 1, 2))
+                 if p.d >= 9]
+        assert len(cases) == 216
+        for p in cases:
+            report = verify_theorem(p)
+            assert report.passed, (report.name, report.detail)
+
+    def test_depth_sixty_four(self):
+        report = verify_theorem(validate(6, 64, 3, 1))
+        assert report.passed, report.detail
+
     @pytest.mark.parametrize("d", [12, 16])
     def test_deep_towers(self, d):
         report = verify_theorem(validate(6, d, 3, 1))

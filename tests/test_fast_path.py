@@ -8,6 +8,9 @@ cancel.
 ``AffineExponent`` keeps integers over one shared denominator; a plain
 model with Fraction parts checks its arithmetic, its reduced form, its
 hashing, its text, and the order ``FactoredForm.build`` sorts by.
+
+``iterated_residue`` takes the whole chain in one pass per term; the
+level-by-level chain of ``residue`` calls is its reference.
 """
 
 import math
@@ -15,7 +18,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from qdegree.qform import AffineExponent as AE, FactoredForm as FF, local_series, residue
+from qdegree.coords import ResiduePlan
+from qdegree.qform import (AffineExponent as AE, FactoredForm as FF, SumForm, as_sum,
+                           local_series, residue)
+from qdegree.resdata import iterated_residue
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -193,3 +199,81 @@ def test_build_orders_binomials_as_fractions_do(factors):
     want = sorted(((e, m) for e, m in merged.items() if m),
                   key=lambda em: (em[0].const, em[0].coeffs))
     assert list(f.binomials) == want
+
+
+# -- the one-pass residue chain against residues taken level by level -------
+
+def _level_by_level(f, plan: ResiduePlan, stop_at: int) -> SumForm:
+    out = as_sum(f)
+    for name, point in plan:
+        if int(name[1:]) < stop_at:
+            break
+        out = residue(out, name, point)
+    return out
+
+
+@st.composite
+def chain_forms(draw, k: int, points: dict, stop_at: int, orders: list):
+    """A binomial product in z1..zk whose net pole order at each level
+    l >= stop_at is drawn from -1..2 and appended to ``orders``.
+
+    A binomial vanishing at level j has z_j as its lowest variable and is
+    zero at the whole point; zeros and poles at one level may partly cancel.
+    Its higher variables are often absent, so that the binomials of one
+    level differ in where a wrong filing would put them.  Regular factors
+    are random exponents in z1..zk.
+    """
+    def vanishing(j: int) -> AE:
+        coeffs = {f"z{j}": draw(nonzero_rationals)}
+        coeffs.update((f"z{l}", draw(st.one_of(st.just(F(0)), rationals)))
+                      for l in range(j + 1, k + 1))
+        return AE.make(-sum(c * points[int(n[1:])] for n, c in coeffs.items()), coeffs)
+
+    binomials = []
+    for j in range(stop_at, k + 1):
+        order = draw(st.sampled_from((-1, 0, 1, 1, 1, 1, 2)))
+        orders.append(order)
+        n_zeros = draw(st.integers(0, 2))
+        binomials += [(vanishing(j), 1) for _ in range(n_zeros)]
+        n_poles = n_zeros + order
+        if n_poles > 0:
+            split = draw(st.integers(0, n_poles - 1))
+            binomials += [(vanishing(j), -m) for m in (n_poles - split, split) if m]
+        elif n_poles < 0:
+            binomials.append((vanishing(j), -n_poles))
+    names = [f"z{l}" for l in range(1, k + 1)]
+    for _ in range(draw(st.integers(0, 3))):
+        e = AE.make(draw(rationals), {n: draw(rationals) for n in names})
+        if not e.is_zero:
+            binomials.append((e, draw(st.sampled_from((-1, 1, 2)))))
+    monomial = AE.make(draw(rationals), {n: draw(rationals) for n in names})
+    return FF.build(draw(nonzero_rationals), draw(st.integers(-1, 2)), monomial, binomials)
+
+
+@st.composite
+def chain_cases(draw):
+    k = draw(st.integers(1, 3))
+    stop_at = draw(st.integers(1, k))
+    points = {l: draw(rationals) for l in range(1, k + 1)}
+    plan = ResiduePlan(tuple((f"z{l}", points[l]) for l in range(k, 0, -1)))
+    orders: list = []
+    terms = [draw(chain_forms(k, points, stop_at, orders)) for _ in range(draw(st.integers(1, 2)))]
+    f = terms[0] if len(terms) == 1 else SumForm.make(terms)
+    return f, plan, stop_at, orders
+
+
+def test_one_pass_chain_matches_level_by_level():
+    seen = set()
+
+    @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(chain_cases())
+    def check(case):
+        f, plan, stop_at, orders = case
+        seen.update(orders)
+        if stop_at > 1:
+            seen.add("free variables")
+        assert iterated_residue(f, plan, stop_at) == _level_by_level(f, plan, stop_at)
+
+    check()
+    # simple poles, regular levels, the fallback at order two, and a free z1
+    assert {-1, 0, 1, 2, "free variables"} <= seen
