@@ -7,33 +7,30 @@ layer, the Harish-Chandra mu-function, the iterated residue data, the
 degree assembly, and a numeric contour-quadrature cross-check.
 """
 
-from .checks import CheckReport, canonical_quotient
+from .checks import CheckReport
 from .coords import (ResiduePlan, Weight, alpha_tilde, discrete_series_point,
                      generic_weight, pairing_coroot, residue_plan, z_to_s)
 from .degree import (DegreeResult, assemble_degree, closed_form_degree,
                      gamma_factor, gl_order, verify_theorem)
-from .model import (InvalidParamsError, MeasureReport, OutOfRangeError,
-                    SetupParams, measure_chars, measure_orbit, validate)
+from .model import InvalidParamsError, OutOfRangeError, SetupParams, validate
 from .mu import (PoleHyperplane, mu_full, mu_level_ratio_closed,
                  mu_level_ratio_telescoped, mu_on_z, on_pole_locus,
                  pole_hyperplanes, rank_one_factor)
 from .qform import (AffineExponent, DivisionByZeroError, FactoredForm,
-                    LocalSeries, PoleAtSubstitutionError, SumForm,
-                    local_series, residue)
-from .resdata import (ResidueDatumResult, iterated_residue, res_a1_mu, res_al,
-                      residue_closed_form)
+                    HigherOrderPoleError, LocalSeries, PoleAtSubstitutionError,
+                    SumForm, local_series, residue)
+from .resdata import iterated_residue, res_a1_mu, res_al, residue_closed_form
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AffineExponent", "CheckReport", "DegreeResult", "DivisionByZeroError",
-    "FactoredForm", "InvalidParamsError", "LocalSeries", "MeasureReport",
-    "OutOfRangeError", "PoleAtSubstitutionError", "PoleHyperplane",
-    "ResidueDatumResult", "ResiduePlan", "SetupParams", "SumForm", "Weight",
-    "alpha_tilde", "assemble_degree", "canonical_quotient",
-    "closed_form_degree", "discrete_series_point", "gamma_factor",
-    "generic_weight", "gl_order", "iterated_residue", "local_series",
-    "measure_chars", "measure_orbit", "mu_full", "mu_level_ratio_closed",
+    "FactoredForm", "HigherOrderPoleError", "InvalidParamsError",
+    "LocalSeries", "OutOfRangeError", "PoleAtSubstitutionError",
+    "PoleHyperplane", "ResiduePlan", "SetupParams", "SumForm", "Weight",
+    "alpha_tilde", "assemble_degree", "closed_form_degree",
+    "discrete_series_point", "gamma_factor", "generic_weight", "gl_order",
+    "iterated_residue", "local_series", "mu_full", "mu_level_ratio_closed",
     "mu_level_ratio_telescoped", "mu_on_z", "on_pole_locus",
     "pairing_coroot", "pole_hyperplanes", "rank_one_factor", "res_a1_mu",
     "res_al", "residue", "residue_closed_form", "residue_plan", "validate",

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from . import coords, model, mu
-from .qform import AffineExponent, FactoredForm
+from .qform import AffineExponent
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,6 @@ class CheckReport:
     @property
     def passed(self) -> bool:
         return self.status == "pass"
-
-
-def canonical_quotient(a: FactoredForm, b: FactoredForm) -> FactoredForm:
-    """a / b in canonical form; equals 1 iff a and b are the same function."""
-    return a / b
 
 
 def _report(name: str, ok: bool, detail_fail: str, start: float) -> CheckReport:
@@ -123,8 +118,8 @@ def ratio_reports(d_max: int = DEFAULT_D_MAX,
                 ok = True
                 detail = "1"
                 for l in range(2, d + 1):
-                    quotient = canonical_quotient(mu.mu_level_ratio_telescoped(p, l),
-                                                  mu.mu_level_ratio_closed(p, l))
+                    quotient = (mu.mu_level_ratio_telescoped(p, l)
+                                / mu.mu_level_ratio_closed(p, l))
                     if not quotient.is_one:
                         ok = False
                         detail = f"l={l}: {quotient.render()}"
@@ -144,7 +139,7 @@ def residue_reports(d_max: int = DEFAULT_D_MAX,
     for p in theorem_grid(d_max, m_set, a_set, t_set):
         start = time.perf_counter()
         got = res_a1_mu(p)
-        quotient = canonical_quotient(got, residue_closed_form(p))
+        quotient = got / residue_closed_form(p)
         ok = quotient.is_one and got.log_grade == 0
         detail = "1" if ok else f"quotient {quotient.render()} log_grade {got.log_grade}"
         out.append(_report(f"residue m={p.m} d={p.d} t={p.t} a={p.a}", ok, detail, start))
@@ -154,10 +149,8 @@ def residue_reports(d_max: int = DEFAULT_D_MAX,
 def theorem_reports(d_max: int = DEFAULT_D_MAX,
                     m_set: Iterable[int] = DEFAULT_M_SET,
                     a_set: Iterable[int] = DEFAULT_A_SET,
-                    t_set: Iterable[int] | None = None,
-                    drop_level_inverse: bool = False) -> list[CheckReport]:
+                    t_set: Iterable[int] | None = None) -> list[CheckReport]:
     """Assembled degree equals the closed-form degree on the whole grid."""
     from .degree import verify_theorem
 
-    return [verify_theorem(p, drop_level_inverse=drop_level_inverse)
-            for p in theorem_grid(d_max, m_set, a_set, t_set)]
+    return [verify_theorem(p) for p in theorem_grid(d_max, m_set, a_set, t_set)]

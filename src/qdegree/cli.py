@@ -28,7 +28,7 @@ def _parse_q(text: str | None):
         return None
     try:
         return Fraction(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         try:
             return float(text)
         except ValueError:
@@ -40,15 +40,19 @@ def _parse_deg_sigma(text: str | None):
         return None
     try:
         return Fraction(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise click.UsageError(f"cannot parse deg-sigma value {text!r}")
 
 
 def _load_config(path: str | None) -> dict[str, str]:
     if path is None:
         return {}
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise click.UsageError(f"cannot read config file: {exc}")
     out = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -291,10 +295,8 @@ def _parse_int_set(text: str, minimum: int = 1) -> tuple[int, ...]:
               help="comma-separated torsion numbers (default 1,2,3; every t | m for "
                    "theorem and residue)")
 @click.option("--a-set", default=None, help="comma-separated conductors (default 0,1,2)")
-@click.option("--drop-level-inverse", is_flag=True, hidden=True,
-              help="fault injection: omit the 1/(d-l+1) datum factor")
 @click.option("--json", "as_json", is_flag=True)
-def cmd_verify(kind, d_max, m_set, t_set, a_set, drop_level_inverse, as_json):
+def cmd_verify(kind, d_max, m_set, t_set, a_set, as_json):
     """Run a symbolic identity suite over a parameter grid."""
     if d_max is None:
         d_max = _SUITE_DEFAULT_D_MAX.get(kind, 6)
@@ -308,10 +310,6 @@ def cmd_verify(kind, d_max, m_set, t_set, a_set, drop_level_inverse, as_json):
         raise click.UsageError(f"verify {kind} does not take {flags}")
     kwargs = {key: _parse_int_set(text, minimum=0 if key == "a_set" else 1)
               for key, text in given.items() if text is not None}
-    if drop_level_inverse:
-        if kind != "theorem":
-            raise click.UsageError(f"verify {kind} does not take --drop-level-inverse")
-        kwargs["drop_level_inverse"] = True
     reports = suite(d_max=d_max, **kwargs)
     reports = sorted(reports, key=lambda r: r.name)
     if as_json:

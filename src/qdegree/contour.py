@@ -67,8 +67,8 @@ class QuadratureSpec:
             raise ValueError(f"q must exceed 1, got {self.q}")
         if self.nodes < 16 or self.nodes & (self.nodes - 1):
             raise ValueError(f"nodes must be a power of two >= 16, got {self.nodes}")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not self.tolerance > 0:
+            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
 
 def default_shift(p: SetupParams) -> tuple[float, ...]:
@@ -176,16 +176,14 @@ def lhs_contour(p: SetupParams, spec: QuadratureSpec) -> complex:
     return (Fraction(p.m, p.t) ** (p.d - 1)) * mean
 
 
-def _offchain_sum(p: SetupParams, f: FactoredForm | None = None) -> SumForm:
+def _offchain_sum(p: SetupParams, f: FactoredForm) -> SumForm:
     """Residues of mu across the tilted hyperplanes z_1 = t -+ z_2/2 (d = 3).
 
     These are the level +1 loci of the pairs (1,2) and (1,3); both are
     crossed when z_1 is shifted to the unitary axis.  Each residue is taken
     by recentering with an auxiliary variable and extracting at its origin.
-    ``f`` is mu_on_z(p) when the caller has already built it.
+    ``f`` is mu_on_z(p).
     """
-    if f is None:
-        f = mu_on_z(p)
     total = SumForm.zero()
     for sign in (Fraction(1, 2), Fraction(-1, 2)):
         recentered = f.substitute(z_var(1), AffineExponent.make(p.t, {"u": 1, z_var(2): sign}))
@@ -213,8 +211,7 @@ class DecompositionReport:
     relative_error: float
 
 
-def residue_terms(p: SetupParams, spec: QuadratureSpec,
-                  drop_level_inverse: bool = False) -> tuple[tuple[complex, ...], complex]:
+def residue_terms(p: SetupParams, spec: QuadratureSpec) -> tuple[tuple[complex, ...], complex]:
     """Per-level chain terms and the off-chain term of the unfolded right side."""
     if p.d > 3:
         raise ValueError("residue decomposition is implemented for d <= 3")
@@ -223,9 +220,9 @@ def residue_terms(p: SetupParams, spec: QuadratureSpec,
     f = mu_on_z(p)
     chain = []
     for l in range(1, p.d + 1):
-        datum = res_al(p, f, l, drop_level_inverse=drop_level_inverse).value
+        datum = res_al(p, f, l)
         if l == 1:
-            mean = complex(datum.single_term().eval_numeric(spec.q))
+            mean = complex(datum.eval_numeric(spec.q))
         else:
             axes = np.meshgrid(*[nodes] * (l - 1), indexing="ij", sparse=True)
             arrays = {z_var(j): axes[j - 1] for j in range(1, l)}
@@ -240,15 +237,7 @@ def residue_terms(p: SetupParams, spec: QuadratureSpec,
     return tuple(chain), offchain
 
 
-def rhs_residue_sum(p: SetupParams, spec: QuadratureSpec,
-                    drop_level_inverse: bool = False) -> complex:
-    """Sum of all residue terms of the unfolded decomposition."""
-    chain, offchain = residue_terms(p, spec, drop_level_inverse=drop_level_inverse)
-    return sum(chain, 0j) + offchain
-
-
-def decomposition_report(p: SetupParams, spec: QuadratureSpec,
-                         drop_level_inverse: bool = False) -> DecompositionReport:
+def decomposition_report(p: SetupParams, spec: QuadratureSpec) -> DecompositionReport:
     """Both sides and the per-term breakdown.
 
     Raises OverflowError when a side does not fit in a complex float: an
@@ -257,7 +246,7 @@ def decomposition_report(p: SetupParams, spec: QuadratureSpec,
     """
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = lhs_contour(p, spec)
-        chain, offchain = residue_terms(p, spec, drop_level_inverse=drop_level_inverse)
+        chain, offchain = residue_terms(p, spec)
     rhs = sum(chain, 0j) + offchain
     if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
         raise OverflowError(f"lhs = {lhs}, rhs = {rhs} at q = {spec.q}")
@@ -265,12 +254,11 @@ def decomposition_report(p: SetupParams, spec: QuadratureSpec,
     return DecompositionReport(lhs, rhs, chain, offchain, rel)
 
 
-def verify_residue_decomposition(p: SetupParams, spec: QuadratureSpec,
-                                 drop_level_inverse: bool = False) -> CheckReport:
+def verify_residue_decomposition(p: SetupParams, spec: QuadratureSpec) -> CheckReport:
     """Pass iff |lhs - rhs| / max(|lhs|, 1) <= spec.tolerance."""
     start = time.perf_counter()
     name = f"contour d={p.d} q={spec.q} t={p.t} m={p.m} a={p.a}"
-    report = decomposition_report(p, spec, drop_level_inverse=drop_level_inverse)
+    report = decomposition_report(p, spec)
     elapsed = int(1000 * (time.perf_counter() - start))
     status = "pass" if report.relative_error <= spec.tolerance else "fail"
     return CheckReport(name, status, f"{report.relative_error:.3e}", elapsed)

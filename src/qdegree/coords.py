@@ -47,9 +47,6 @@ class Weight:
     def is_numeric(self) -> bool:
         return all(e.is_constant for e in self.s)
 
-    def entry(self, k: int) -> AffineExponent:
-        return self.s[k - 1]
-
     def difference(self, i: int, j: int) -> AffineExponent:
         """The pairing of the composite coroot joining blocks i < j: s_i - s_j."""
         return self.s[i - 1] - self.s[j - 1]
@@ -120,15 +117,6 @@ class ResiduePlan:
 
     def __iter__(self):
         return iter(self.points)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def point(self, l: int) -> Fraction:
-        for name, r in self.points:
-            if name == z_var(l):
-                return r
-        raise OutOfRangeError(f"no residue point for level {l}")
 
 
 def residue_point(p: SetupParams, l: int) -> Fraction:

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .checks import CheckReport, canonical_quotient
+from .checks import CheckReport
 from .model import OutOfRangeError, SetupParams
 from .qform import FactoredForm, as_exponent
 from .resdata import res_a1_mu, residue_closed_form
@@ -104,23 +104,22 @@ def closed_form_degree(p: SetupParams) -> DegreeResult:
     return _finish(p, gamma_factor(p) * residue_closed_form(p))
 
 
-def assemble_degree(p: SetupParams, drop_level_inverse: bool = False) -> DegreeResult:
+def assemble_degree(p: SetupParams) -> DegreeResult:
     """Degree assembled from the residue route:
 
         gamma * deg(sigma)^d * |Stab|^(-1) * (fully specialized residue datum),
 
     with |Stab| = 1 because the discrete-series point is regular.
     """
-    factored = gamma_factor(p) * res_a1_mu(p, drop_level_inverse=drop_level_inverse)
-    return _finish(p, factored)
+    return _finish(p, gamma_factor(p) * res_a1_mu(p))
 
 
-def verify_theorem(p: SetupParams, drop_level_inverse: bool = False) -> CheckReport:
+def verify_theorem(p: SetupParams) -> CheckReport:
     """Check assemble_degree == closed_form_degree canonically."""
     start = time.perf_counter()
-    lhs = assemble_degree(p, drop_level_inverse=drop_level_inverse)
+    lhs = assemble_degree(p)
     rhs = closed_form_degree(p)
-    quotient = canonical_quotient(lhs.factored, rhs.factored)
+    quotient = lhs.factored / rhs.factored
     elapsed = int(1000 * (time.perf_counter() - start))
     name = f"theorem m={p.m} d={p.d} t={p.t} a={p.a}"
     if quotient.is_one and lhs.deg_sigma_power == rhs.deg_sigma_power:

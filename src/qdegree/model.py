@@ -1,9 +1,9 @@
-"""Input parameters and the measure bookkeeping for the block tower.
+"""Input parameters for the block tower.
 
 The setup is a cuspidal block size m repeated d times inside GL(n), n = m*d,
 with torsion number t (order of the unramified stabilizer of the cuspidal)
-and pair conductor a.  The Levi tower M_l = GL_m^(l-1) x GL_((d-l+1)m)
-carries unitary character tori whose reference measures are recorded here.
+and pair conductor a.  Levels l = 1..d index the Levi tower
+M_l = GL_m^(l-1) x GL_((d-l+1)m).
 """
 
 from __future__ import annotations
@@ -81,35 +81,3 @@ def validate(m: int, d: int, t: int, a: int,
     if m % t:
         warnings = (f"t={t} does not divide m={m}; formulas remain rational",)
     return SetupParams(m, d, t, a, q, deg_sigma, warnings)
-
-
-@dataclass(frozen=True)
-class MeasureReport:
-    """Reference measures at one level of the tower."""
-
-    level: int
-    chars_measure: Fraction
-    orbit_measure: Fraction
-
-
-def measure_chars(p: SetupParams, l: int) -> Fraction:
-    """Total measure (d-l+1) * m^l of the unitary character torus at level l.
-
-    The covering onto the central-torus characters, (z_1, ..., z_l) ->
-    (z_1^m, ..., z_{l-1}^m, z_l^((d-l+1)m)), has this degree.
-    """
-    p.check_level(l)
-    return Fraction((p.d - l + 1) * p.m ** l)
-
-
-def measure_orbit(p: SetupParams, l: int) -> Fraction:
-    """Total measure (d-l+1) * (m/t)^l of the unitary orbit at level l.
-
-    The fibers of the character torus over the orbit all have cardinality t^l.
-    """
-    p.check_level(l)
-    return (p.d - l + 1) * Fraction(p.m, p.t) ** l
-
-
-def measure_report(p: SetupParams, l: int) -> MeasureReport:
-    return MeasureReport(l, measure_chars(p, l), measure_orbit(p, l))

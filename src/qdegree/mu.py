@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coords import Weight, generic_weight, z_to_s
+from .coords import Weight, generic_weight
 from .model import OutOfRangeError, SetupParams
 from .qform import AffineExponent, ExponentValue, FactoredForm, as_exponent
 
@@ -114,8 +114,6 @@ def on_pole_locus(p: SetupParams, weight: Weight) -> tuple[PoleHyperplane, ...]:
     return tuple(hits)
 
 
-def mu_on_z(p: SetupParams, z_values=None) -> FactoredForm:
-    """mu at the weight sum_j z_j atilde_j (symbolic in z1..z(d-1) by default)."""
-    if z_values is None:
-        return mu_full(p, generic_weight(p))
-    return mu_full(p, z_to_s(p, z_values))
+def mu_on_z(p: SetupParams) -> FactoredForm:
+    """mu at the symbolic weight sum_j z_j atilde_j in z1..z(d-1)."""
+    return mu_full(p, generic_weight(p))

@@ -48,6 +48,10 @@ class PoleAtSubstitutionError(ArithmeticError):
     """
 
 
+class HigherOrderPoleError(ArithmeticError):
+    """A residue chain met a pole of order two or more, which it does not take."""
+
+
 class DivisionByZeroError(ZeroDivisionError):
     """A denominator factor evaluated within machine tolerance of zero."""
 
@@ -658,8 +662,8 @@ class SumForm:
     """A finite sum of factored forms; the empty sum is zero.
 
     ``residue`` returns one: a simple pole gives a single term (the closed
-    path), and only the series fallback for poles of order two or more can
-    give several.  The degree computation stays single-term throughout.
+    path), and only the series engine for poles of order two or more can
+    give several.  The degree computation never builds one.
     """
 
     terms: tuple[FactoredForm, ...] = ()
@@ -702,17 +706,11 @@ class SumForm:
             other = SumForm.of(other)
         return SumForm.make(a * b for a in self.terms for b in other.terms)
 
-    def substitute(self, name: str, value: ExponentValue) -> "SumForm":
-        return SumForm.make(t.substitute(name, value) for t in self.terms)
-
     def variables(self) -> tuple[str, ...]:
         seen = set()
         for t in self.terms:
             seen.update(t.variables())
         return tuple(sorted(seen, key=_var_key))
-
-    def log_grades(self) -> tuple[int, ...]:
-        return tuple(sorted({t.log_grade for t in self.terms}))
 
     def eval_numeric(self, q: float, assignment: Mapping[str, complex] | None = None) -> complex:
         return sum((t.eval_numeric(q, assignment) for t in self.terms), 0j)
@@ -804,10 +802,6 @@ class _Series:
         for _ in range(abs(k) - 1):
             out = out.mul(base)
         return out
-
-
-def _unit_series(trunc: int) -> _Series:
-    return _Series({0: SumForm.of(FactoredForm.one())}, trunc)
 
 
 def _exp_series(slope: Fraction, base: FactoredForm, n_terms: int) -> _Series:

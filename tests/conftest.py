@@ -1,4 +1,5 @@
-"""Shared helpers: seeded random factored forms and a numeric residue oracle."""
+"""Shared helpers: seeded random factored forms, a numeric residue oracle,
+and a fault injected into the residue datum."""
 
 from __future__ import annotations
 
@@ -7,7 +8,25 @@ import math
 import random
 from fractions import Fraction
 
-from qdegree.qform import AffineExponent, FactoredForm, SumForm, as_sum
+import pytest
+
+from qdegree import contour, resdata
+from qdegree.qform import AffineExponent, FactoredForm, as_sum
+
+
+@pytest.fixture()
+def drop_level_inverse(monkeypatch):
+    """A fault the checks must catch: res_al without its 1/(d-l+1) factor,
+    in the residue chain and in the contour oracle.  Returns the honest res_al.
+    """
+    honest = resdata.res_al
+
+    def faulty(p, psi, l):
+        return honest(p, psi, l).scale(p.d - l + 1)
+
+    monkeypatch.setattr(resdata, "res_al", faulty)
+    monkeypatch.setattr(contour, "res_al", faulty)
+    return honest
 
 
 def random_rational(rng: random.Random, max_num: int = 4, max_den: int = 3,

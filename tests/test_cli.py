@@ -49,6 +49,22 @@ class TestDegreeCommand:
         result = runner.invoke(main, ["degree", "--m", "2", "--d", "2", "--t", "1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("flag", ["--q", "--deg-sigma"])
+    def test_zero_denominator_exits_2(self, runner, flag):
+        result = runner.invoke(main, ["degree", "--m", "1", "--d", "2", "--t", "1", "--a", "0",
+                                      flag, "1/0"])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines()[-1].startswith("Error: cannot parse")
+
+    @pytest.mark.parametrize("content", [None, b"m=1\xff\n"])
+    def test_unreadable_config_exits_2(self, runner, tmp_path, content):
+        cfg = tmp_path / "run.cfg"
+        if content is not None:
+            cfg.write_bytes(content)
+        result = runner.invoke(main, ["degree", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines()[-1].startswith("Error: cannot read config file")
+
     def test_numeric_q(self, runner):
         result = runner.invoke(main, ["degree", "--m", "1", "--d", "2", "--t", "1",
                                       "--a", "0", "--q", "3", "--deg-sigma", "1"])
@@ -111,6 +127,12 @@ class TestContourCommand:
                                       "--m", "1", "--a", "0"])
         assert result.exit_code == 2
 
+    def test_nan_tolerance_exits_2(self, runner):
+        result = runner.invoke(main, ["contour", "--d", "2", "--q", "2", "--t", "1", "--m", "1",
+                                      "--a", "0", "--nodes", "16", "--tol", "nan"])
+        assert result.exit_code == 2
+        assert "tolerance must be positive" in result.stderr
+
     # the left side overflows to nan; the residue terms overflow in eval_numeric
     @pytest.mark.parametrize("args", [
         ["--d", "2", "--q", "1e300", "--t", "1", "--m", "1", "--a", "0", "--nodes", "16"],
@@ -149,11 +171,15 @@ class TestVerifyCommand:
         assert "pairing d=3" in result.output
         assert "pairing d=4" not in result.output
 
-    def test_fault_injection_exits_1(self, runner):
+    def test_fault_injection_exits_1(self, runner, drop_level_inverse):
         result = runner.invoke(main, ["verify", "theorem", "--d-max", "3", "--m-set", "1",
-                                      "--a-set", "0", "--drop-level-inverse"])
+                                      "--a-set", "0"])
         assert result.exit_code == 1
         assert "[FAIL]" in result.output
+
+    def test_no_fault_injection_flag(self, runner):
+        result = runner.invoke(main, ["verify", "theorem", "--drop-level-inverse"])
+        assert result.exit_code == 2
 
     def test_t_set_restricts_theorem_grid(self, runner):
         result = runner.invoke(main, ["verify", "theorem", "--d-max", "2", "--m-set", "2",

@@ -11,7 +11,7 @@ from conftest import random_exponent, random_rational
 from qdegree.contour import (DecompositionReport, QuadratureSpec, _check_shift_off_poles,
                              _eval_grid, _unitary_nodes, default_shift,
                              decomposition_report, lhs_contour, residue_terms,
-                             rhs_residue_sum, ShiftOnPoleError,
+                             ShiftOnPoleError,
                              verify_residue_decomposition)
 from qdegree.model import validate
 from qdegree.qform import AffineExponent, DivisionByZeroError, FactoredForm, SumForm
@@ -180,15 +180,15 @@ class TestDecomposition:
         assert abs(report.lhs - chain_only) / abs(report.lhs) > 0.05
         assert abs(report.lhs - chain_only - report.offchain_term) < 1e-10
 
-    def test_fault_injection_fails(self):
+    def test_fault_injection_fails(self, drop_level_inverse):
         p = validate(1, 2, 1, 0)
         spec = QuadratureSpec(q=2.0, nodes=512)
-        report = verify_residue_decomposition(p, spec, drop_level_inverse=True)
+        report = verify_residue_decomposition(p, spec)
         assert report.status == "fail"
 
     def test_unsupported_depth(self):
         with pytest.raises(ValueError):
-            rhs_residue_sum(validate(1, 4, 1, 0), QuadratureSpec(q=2.0))
+            residue_terms(validate(1, 4, 1, 0), QuadratureSpec(q=2.0))
 
     def test_offchain_chamber_guard(self):
         p = validate(1, 3, 1, 0)

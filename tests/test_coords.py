@@ -99,4 +99,3 @@ class TestResiduePlan:
         p = validate(2, 5, 2, 0)
         for l in range(1, 5):
             assert residue_point(p, l) == F(2 * (5 - l + 1), 2)
-        assert residue_plan(p).point(3) == residue_point(p, 3)

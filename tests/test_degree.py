@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qdegree.checks import canonical_quotient, theorem_grid
+from qdegree.checks import theorem_grid
 from qdegree.degree import (assemble_degree, closed_form_degree, gamma_factor,
                             gl_order, verify_theorem)
 from qdegree.model import OutOfRangeError, validate
@@ -180,13 +180,12 @@ class TestTheoremIdentity:
         assert verify_theorem(validate(2, 3, 2, 1)).passed
         assert verify_theorem(validate(1, 6, 1, 0)).passed
 
-    def test_fault_injection_reports_quotient_d(self):
-        report = verify_theorem(validate(2, 3, 2, 1), drop_level_inverse=True)
+    def test_fault_injection_reports_quotient_d(self, drop_level_inverse):
+        report = verify_theorem(validate(2, 3, 2, 1))
         assert report.status == "fail"
         assert report.detail == "3"
 
     def test_quotient_of_equal_forms_is_one(self):
         p = validate(2, 4, 2, 2)
-        q = canonical_quotient(assemble_degree(p).factored,
-                               closed_form_degree(p).factored)
+        q = assemble_degree(p).factored / closed_form_degree(p).factored
         assert q.is_one

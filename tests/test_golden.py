@@ -51,12 +51,13 @@ def _kernel_renders():
         yield f"m={p.m} d={p.d} t={p.t} a={p.a}"
         yield psi.render()
         for l in range(1, p.d + 1):
-            yield res_al(p, psi, l).value.render()
+            yield res_al(p, psi, l).render()
         yield assemble_degree(p).render()
         yield closed_form_degree(p).render()
     for t in (1, 2, 3):
         for a in (0, 1, 2):
-            yield _offchain_sum(validate(t, 3, t, a)).render()
+            p = validate(t, 3, t, a)
+            yield _offchain_sum(p, mu_on_z(p)).render()
 
 
 def _degree_json():
@@ -78,5 +79,5 @@ def test_degree_json_unchanged():
 def test_spot_render():
     # a literal value, so that a digest mismatch can be told from a broken harness
     p = validate(2, 3, 2, 1)
-    assert (res_al(p, mu_on_z(p), 1).value.render()
+    assert (res_al(p, mu_on_z(p), 1).render()
             == "1/3 * q^(9) * (1 - q^(2))^3 * (1 - q^(6))^-1")

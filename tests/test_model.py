@@ -1,11 +1,10 @@
-"""Parameter validation and measure bookkeeping."""
+"""Parameter validation."""
 
 from fractions import Fraction as F
 
 import pytest
 
-from qdegree.model import (InvalidParamsError, OutOfRangeError, measure_chars,
-                           measure_orbit, measure_report, validate)
+from qdegree.model import InvalidParamsError, validate
 
 
 class TestValidate:
@@ -43,34 +42,3 @@ class TestValidate:
     def test_rejects_nonpositive_deg_sigma(self):
         with pytest.raises(InvalidParamsError):
             validate(1, 1, 1, 0, deg_sigma=F(0))
-
-
-class TestMeasures:
-    def test_chars_values(self):
-        assert measure_chars(validate(2, 3, 1, 0), 2) == 8
-        assert measure_chars(validate(1, 1, 1, 0), 1) == 1
-        assert measure_chars(validate(3, 2, 1, 0), 1) == 6
-
-    def test_orbit_values(self):
-        assert measure_orbit(validate(2, 3, 2, 0), 2) == 2
-        assert measure_orbit(validate(2, 3, 1, 0), 2) == 8
-        assert measure_orbit(validate(6, 2, 3, 0), 1) == 4
-
-    def test_out_of_range(self):
-        p = validate(2, 3, 1, 0)
-        with pytest.raises(OutOfRangeError):
-            measure_chars(p, 0)
-        with pytest.raises(OutOfRangeError):
-            measure_orbit(p, 4)
-
-    def test_torsion_relation_and_top_level(self):
-        for m, d, t in [(2, 3, 2), (6, 4, 3), (4, 2, 2), (5, 5, 1)]:
-            p = validate(m, d, t, 0)
-            for l in range(1, d + 1):
-                assert measure_orbit(p, l) * t ** l == measure_chars(p, l)
-            assert measure_chars(p, d) == m ** d
-            assert measure_orbit(p, d) == F(m, t) ** d
-
-    def test_report(self):
-        r = measure_report(validate(2, 3, 2, 0), 2)
-        assert (r.level, r.chars_measure, r.orbit_measure) == (2, 8, 2)

@@ -6,10 +6,9 @@ import pytest
 
 from qdegree.checks import theorem_grid
 from qdegree.coords import residue_plan
-from qdegree.model import validate
+from qdegree.model import OutOfRangeError, validate
 from qdegree.mu import mu_on_z
-from qdegree.qform import (AffineExponent as AE, FactoredForm as FF, SumForm,
-                           residue)
+from qdegree.qform import AffineExponent as AE, FactoredForm as FF, residue
 from qdegree.resdata import (iterated_residue, res_a1_mu, res_al,
                              residue_closed_form)
 
@@ -19,7 +18,7 @@ class TestIteratedResidue:
     def test_two_block_value(self, t):
         # Res at z1 = t of the two-block mu: -q^a (1-q^-t)(1-q^t) / ((1-q^-2t) logq)
         p = validate(t, 2, t, 1)
-        got = iterated_residue(mu_on_z(p), residue_plan(p), 1).single_term()
+        got = iterated_residue(mu_on_z(p), residue_plan(p), 1)
         want = (FF.q_power(1) * FF.binomial(-t) * FF.binomial(t)
                 * FF.binomial(-2 * t, -1)).scale(-1) * FF.from_constant(1, -1)
         assert got == want
@@ -27,7 +26,7 @@ class TestIteratedResidue:
     def test_stop_at_top_level_is_identity(self):
         p = validate(1, 3, 1, 0)
         f = mu_on_z(p)
-        assert iterated_residue(f, residue_plan(p), 3) == SumForm.of(f)
+        assert iterated_residue(f, residue_plan(p), 3) == f
 
     def test_regular_function_gives_zero(self):
         p = validate(1, 3, 1, 0)
@@ -36,7 +35,7 @@ class TestIteratedResidue:
 
     def test_surviving_variables(self):
         p = validate(1, 4, 1, 0)
-        out = res_al(p, mu_on_z(p), 2).value
+        out = res_al(p, mu_on_z(p), 2)
         assert out.variables() == ("z1",)
 
 
@@ -44,32 +43,32 @@ class TestResAl:
     def test_top_level_keeps_function(self):
         p = validate(2, 3, 2, 1)
         f = mu_on_z(p)
-        datum = res_al(p, f, 3)
-        assert datum.prefactor_log_grade == 0
-        assert datum.value == SumForm.of(f)
+        assert res_al(p, f, 3) == f
 
     def test_two_block_datum_grade_zero(self):
         p = validate(2, 2, 2, 0)
-        datum = res_al(p, mu_on_z(p), 1)
-        assert datum.prefactor_log_grade == 1
-        assert datum.value.single_term().log_grade == 0
+        assert res_al(p, mu_on_z(p), 1).log_grade == 0
 
     def test_mid_level_grade_bookkeeping(self):
         p = validate(1, 3, 1, 1)
-        datum = res_al(p, mu_on_z(p), 2)
         # one residue taken (grade -1), one prefactor power (grade +1)
-        assert datum.value.single_term().log_grade == 0
-        assert datum.prefactor_log_grade == 1
+        assert iterated_residue(mu_on_z(p), residue_plan(p), 2).log_grade == -1
+        assert res_al(p, mu_on_z(p), 2).log_grade == 0
 
     def test_prefactor_rational_part(self):
         p = validate(6, 3, 2, 0)
-        datum = res_al(p, FF.one(), 3)
-        assert datum.value.single_term() == FF.one()
-        datum2 = res_al(p, mu_on_z(p), 2)
+        assert res_al(p, FF.one(), 3) == FF.one()
         # (m/t)^(d-l) / (d-l+1) = 3/2
-        term = datum2.value.single_term()
-        plain = res_al(validate(2, 3, 2, 0), mu_on_z(p), 2).value.single_term()
+        term = res_al(p, mu_on_z(p), 2)
+        plain = res_al(validate(2, 3, 2, 0), mu_on_z(p), 2)
         assert term == plain.scale(3)
+
+    @pytest.mark.parametrize("d", (1, 3))
+    def test_level_outside_one_to_d(self, d):
+        p = validate(2, d, 1, 0)
+        for l in (0, d + 1):
+            with pytest.raises(OutOfRangeError):
+                res_al(p, mu_on_z(p), l)
 
 
 class TestClosedScalar:
@@ -97,10 +96,10 @@ class TestClosedScalar:
             assert got.log_grade == 0
             assert got == residue_closed_form(p), (p.m, p.d, p.t, p.a)
 
-    def test_fault_injection_scales_by_level_factors(self):
+    def test_fault_injection_scales_by_level_factors(self, drop_level_inverse):
         p = validate(1, 3, 1, 0)
-        honest = res_a1_mu(p)
-        faulty = res_a1_mu(p, drop_level_inverse=True)
+        honest = drop_level_inverse(p, mu_on_z(p), 1)  # the unpatched res_al
+        faulty = res_a1_mu(p)
         assert faulty == honest.scale(p.d)
 
 
