@@ -13,9 +13,8 @@ from .coords import (ResiduePlan, Weight, alpha_tilde, discrete_series_point,
 from .degree import (DegreeResult, assemble_degree, closed_form_degree,
                      gamma_factor, gl_order, verify_theorem)
 from .model import InvalidParamsError, OutOfRangeError, SetupParams, validate
-from .mu import (PoleHyperplane, mu_full, mu_level_ratio_closed,
-                 mu_level_ratio_telescoped, mu_on_z, on_pole_locus,
-                 pole_hyperplanes, rank_one_factor)
+from .mu import (mu_full, mu_level_ratio_closed, mu_level_ratio_telescoped,
+                 mu_on_z, rank_one_factor)
 from .qform import (AffineExponent, DivisionByZeroError, FactoredForm,
                     HigherOrderPoleError, LocalSeries, PoleAtSubstitutionError,
                     SumForm, local_series, residue)
@@ -27,12 +26,11 @@ __all__ = [
     "AffineExponent", "CheckReport", "DegreeResult", "DivisionByZeroError",
     "FactoredForm", "HigherOrderPoleError", "InvalidParamsError",
     "LocalSeries", "OutOfRangeError", "PoleAtSubstitutionError",
-    "PoleHyperplane", "ResiduePlan", "SetupParams", "SumForm", "Weight",
-    "alpha_tilde", "assemble_degree", "closed_form_degree",
-    "discrete_series_point", "gamma_factor", "generic_weight", "gl_order",
-    "iterated_residue", "local_series", "mu_full", "mu_level_ratio_closed",
-    "mu_level_ratio_telescoped", "mu_on_z", "on_pole_locus",
-    "pairing_coroot", "pole_hyperplanes", "rank_one_factor", "res_a1_mu",
-    "res_al", "residue", "residue_closed_form", "residue_plan", "validate",
-    "verify_theorem", "z_to_s",
+    "ResiduePlan", "SetupParams", "SumForm", "Weight", "alpha_tilde",
+    "assemble_degree", "closed_form_degree", "discrete_series_point",
+    "gamma_factor", "generic_weight", "gl_order", "iterated_residue",
+    "local_series", "mu_full", "mu_level_ratio_closed",
+    "mu_level_ratio_telescoped", "mu_on_z", "pairing_coroot",
+    "rank_one_factor", "res_a1_mu", "res_al", "residue", "residue_closed_form",
+    "residue_plan", "validate", "verify_theorem", "z_to_s",
 ]

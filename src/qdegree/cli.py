@@ -237,7 +237,7 @@ def cmd_contour(d, q, t, m, a, nodes, tol, config_path, as_json):
     except OverflowError as exc:
         _echo(f"error: value beyond float range: {exc}", err=True)
         sys.exit(3)
-    except (ValueError, contour.ShiftOnPoleError) as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
     status = "pass" if report.relative_error <= tol else "fail"
     if as_json:

@@ -1,8 +1,9 @@
-"""Numeric oracle: quadrature of mu over shifted compact tori against the
+"""Numeric oracle: quadrature of mu over a shifted compact torus against the
 sum of residue-data terms.
 
-The left side integrates mu over the product of circles Re(z_l) = R_l with
-the unfolded prefactor (logq/2pi)^(d-1) (m/t)^(d-1); trapezoidal nodes on the
+The left side integrates mu over the product of circles Re(z_l) = R_l, at
+the chamber point R_l = r_l + t/2 + 1/4 beyond every crossed pole, with the
+unfolded prefactor (logq/2pi)^(d-1) (m/t)^(d-1); trapezoidal nodes on the
 period 2pi/logq give spectral accuracy.  The right side unfolds the shift of
 each circle to the unitary axis.  Every crossed pole contributes a residue
 term:
@@ -15,8 +16,8 @@ term:
     z_1 = t + z_2/2 and z_1 = t - z_2/2 (levels +1 of the pairs (1,2) and
     (1,3)), whose residues are integrated over the unitary z_2 circle.
 
-With the default chamber shift R_l = r_l + t/2 + 1/4 these are exactly the
-crossed poles for d <= 3, and the two sides agree to machine precision.
+At that chamber point these are exactly the crossed poles for d <= 3, and
+the two sides agree to machine precision.
 
 Both sides evaluate forms on a sparse meshgrid of nodes (``_eval_grid``).
 Exponents are affine, so q^E splits into a constant times one factor per
@@ -36,34 +37,27 @@ from typing import Mapping, Union
 import numpy as np
 
 from .checks import CheckReport
-from .coords import generic_weight, residue_point, z_var
+from .coords import residue_point, z_var
 from .model import SetupParams
-from .mu import mu_on_z, pole_hyperplanes
+from .mu import mu_on_z
 from .qform import (AffineExponent, DivisionByZeroError, FactoredForm,
                     SumForm, as_sum, residue)
 from .resdata import res_al
-
-
-class ShiftOnPoleError(ValueError):
-    """The requested contour passes through (or hugs) a pole hyperplane."""
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Contour quadrature parameters.
 
-    ``nodes`` is the per-circle node count (a power of two, at least 16);
-    ``shift`` is the vector of real parts R_1..R_(d-1), defaulting to the
-    chamber point r_l + t/2 + 1/4.
+    ``nodes`` is the per-circle node count (a power of two, at least 16).
     """
 
     q: float
     nodes: int = 256
-    shift: tuple[float, ...] | None = None
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.q <= 1:
+        if not self.q > 1:
             raise ValueError(f"q must exceed 1, got {self.q}")
         if self.nodes < 16 or self.nodes & (self.nodes - 1):
             raise ValueError(f"nodes must be a power of two >= 16, got {self.nodes}")
@@ -74,34 +68,6 @@ class QuadratureSpec:
 def default_shift(p: SetupParams) -> tuple[float, ...]:
     """Chamber point beyond every crossed pole: R_l = r_l + t/2 + 1/4."""
     return tuple(float(residue_point(p, l)) + p.t / 2 + 0.25 for l in range(1, p.d))
-
-
-def _shift_of(p: SetupParams, spec: QuadratureSpec) -> tuple[float, ...]:
-    shift = spec.shift if spec.shift is not None else default_shift(p)
-    if len(shift) != p.d - 1:
-        raise ValueError(f"shift must have {p.d - 1} entries, got {len(shift)}")
-    return shift
-
-
-def _check_shift_off_poles(p: SetupParams, shift: tuple[float, ...],
-                           margin: float = 1e-9) -> None:
-    """Reject contours whose real parts meet a pole hyperplane of mu.
-
-    Poles sit on the hyperplanes s_i - s_j = +-1 of ``pole_hyperplanes``, where
-    t*(s_i - s_j) = +-t up to imaginary periods, so a real part exactly at
-    +-t puts a pole on the contour for some node phases.  The level-0 loci
-    are zeros of mu, not poles.
-    """
-    weight = generic_weight(p)
-    assignment = {z_var(j): complex(shift[j - 1]) for j in range(1, p.d)}
-    for h in pole_hyperplanes(p):
-        if h.level == 0:
-            continue
-        x = weight.difference(h.i, h.j).scale(p.t).evaluate(assignment).real
-        level = p.t * h.level
-        if abs(x - level) < margin:
-            raise ShiftOnPoleError(
-                f"contour Re(t(s_{h.i}-s_{h.j})) = {x} sits on the pole level {level}")
 
 
 def _eval_grid(f: Union[FactoredForm, SumForm], q: float,
@@ -159,16 +125,12 @@ def _unitary_nodes(q: float, nodes: int) -> np.ndarray:
 
 def lhs_contour(p: SetupParams, spec: QuadratureSpec) -> complex:
     """(logq/2pi)^(d-1) (m/t)^(d-1) times the iterated box integral of mu
-    over the shifted circles; equals (m/t)^(d-1) times the node mean.
+    over the circles Re(z_l) = R_l of ``default_shift``; equals (m/t)^(d-1)
+    times the node mean.
     """
     if p.d == 1:
         return 1 + 0j
-    shift = _shift_of(p, spec)
-    for l in range(1, p.d):
-        if shift[l - 1] <= float(residue_point(p, l)):
-            raise ShiftOnPoleError(
-                f"R_{l} = {shift[l - 1]} is not beyond the residue point r_{l}")
-    _check_shift_off_poles(p, shift)
+    shift = default_shift(p)
     axes = np.meshgrid(*[_unitary_nodes(spec.q, spec.nodes)] * (p.d - 1),
                        indexing="ij", sparse=True)
     arrays = {z_var(j): shift[j - 1] + axes[j - 1] for j in range(1, p.d)}
@@ -189,15 +151,6 @@ def _offchain_sum(p: SetupParams, f: FactoredForm) -> SumForm:
         recentered = f.substitute(z_var(1), AffineExponent.make(p.t, {"u": 1, z_var(2): sign}))
         total = total + residue(recentered, "u", 0)
     return total
-
-
-def _check_offchain_chamber(p: SetupParams, shift: tuple[float, ...]) -> None:
-    """The d = 3 crossing inventory is valid for t < R_2 < 2t, R_1 > t + R_2/2."""
-    r1, r2 = shift
-    if not (p.t < r2 < 2 * p.t and r1 > p.t + r2 / 2):
-        raise ShiftOnPoleError(
-            f"shift {shift} leaves the supported chamber "
-            f"(need t < R_2 < 2t and R_1 > t + R_2/2 for d = 3)")
 
 
 @dataclass(frozen=True)
@@ -230,8 +183,6 @@ def residue_terms(p: SetupParams, spec: QuadratureSpec) -> tuple[tuple[complex, 
         chain.append((p.d - l + 1) * (ratio ** (l - 1)) * mean)
     offchain = 0j
     if p.d == 3:
-        shift = _shift_of(p, spec)
-        _check_offchain_chamber(p, shift)
         values = _eval_grid(_offchain_sum(p, f), spec.q, {z_var(2): nodes})
         offchain = math.log(spec.q) * (ratio ** 2) * complex(values.mean())
     return tuple(chain), offchain
@@ -245,8 +196,10 @@ def decomposition_report(p: SetupParams, spec: QuadratureSpec) -> DecompositionR
     warnings about it are silenced in favour of that one error.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs = lhs_contour(p, spec)
+        # residue_terms first: it rejects an unsupported depth before the
+        # quadrature allocates its nodes^(d-1) grid
         chain, offchain = residue_terms(p, spec)
+        lhs = lhs_contour(p, spec)
     rhs = sum(chain, 0j) + offchain
     if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
         raise OverflowError(f"lhs = {lhs}, rhs = {rhs} at q = {spec.q}")

@@ -62,18 +62,13 @@ class Weight:
 
 
 def alpha_tilde(p: SetupParams, j: int) -> Weight:
-    """The rescaled simple root atilde_j in s-coordinates.
-
-    Entry j is (1/t)(d-j)/(d-j+1), entries after j are -1/(t(d-j+1)), earlier
-    entries vanish; the vector sums to zero and is the unique multiple of
-    e_j - (e_(j+1) + ... + e_d)/(d-j) reproducing the coroot pairing below.
+    """The rescaled simple root atilde_j in s-coordinates: ``z_to_s`` at the
+    j-th unit vector.  It sums to zero and is the unique multiple of
+    e_j - (e_(j+1) + ... + e_d)/(d-j) reproducing the coroot pairing.
     """
     if not 1 <= j <= p.d - 1:
         raise OutOfRangeError(f"root index {j} outside [1, {p.d - 1}]")
-    head = Fraction(p.d - j, p.t * (p.d - j + 1))
-    tail = Fraction(-1, p.t * (p.d - j + 1))
-    entries = [Fraction(0)] * (j - 1) + [head] + [tail] * (p.d - j)
-    return Weight(tuple(AffineExponent.constant(c) for c in entries))
+    return z_to_s(p, [int(k == j) for k in range(1, p.d)])
 
 
 def pairing_coroot(p: SetupParams, l: int, weight: Weight) -> AffineExponent:
@@ -86,8 +81,10 @@ def pairing_coroot(p: SetupParams, l: int, weight: Weight) -> AffineExponent:
 def z_to_s(p: SetupParams, z_values: Sequence[ExponentValue]) -> Weight:
     """The weight sum_j z_j * atilde_j for given z-values (rational or affine).
 
-    Entry k is z_k times the head of atilde_k plus the running sum of
-    z_j times the tails of the earlier roots j < k (see ``alpha_tilde``).
+    The rescaled root atilde_j has entry j equal to the head (d-j)/(t(d-j+1)),
+    entries after j equal to the tail -1/(t(d-j+1)), and earlier entries 0.
+    So entry k is z_k times the head of atilde_k plus the running sum of
+    z_j times the tails of the earlier roots j < k.
     """
     if len(z_values) != p.d - 1:
         raise OutOfRangeError(f"expected {p.d - 1} z-values, got {len(z_values)}")

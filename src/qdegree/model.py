@@ -45,10 +45,9 @@ class SetupParams:
     def n(self) -> int:
         return self.m * self.d
 
-    def check_level(self, l: int, low: int = 1, high: int | None = None) -> None:
-        high = self.d if high is None else high
-        if not low <= l <= high:
-            raise OutOfRangeError(f"level {l} outside [{low}, {high}]")
+    def check_level(self, l: int, low: int = 1) -> None:
+        if not low <= l <= self.d:
+            raise OutOfRangeError(f"level {l} outside [{low}, {self.d}]")
 
 
 def validate(m: int, d: int, t: int, a: int,

@@ -9,7 +9,6 @@ which telescopes to a closed two-over-two form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coords import Weight, generic_weight
@@ -56,7 +55,7 @@ def mu_full(p: SetupParams, weight: Weight) -> FactoredForm:
     return FactoredForm.build(1, 0, (p.a + p.t) * (p.d * (p.d - 1) // 2), binomials)
 
 
-def mu_level_ratio_closed(p: SetupParams, l: int, var: str = "z") -> FactoredForm:
+def mu_level_ratio_closed(p: SetupParams, l: int) -> FactoredForm:
     """The level ratio joining block l-1 to the merged block l..d, closed form:
 
         q^((d-l+1)a) (1-q^(t(d-l)/2 - z))(1-q^(t(d-l)/2 + z))
@@ -64,7 +63,7 @@ def mu_level_ratio_closed(p: SetupParams, l: int, var: str = "z") -> FactoredFor
     """
     p.check_level(l, low=2)
     half = Fraction(p.t * (p.d - l), 2)
-    z = AffineExponent.variable(var)
+    z = AffineExponent.variable("z")
     return (FactoredForm.q_power(AffineExponent.constant((p.d - l + 1) * p.a))
             * FactoredForm.binomial(AffineExponent.constant(half) - z)
             * FactoredForm.binomial(AffineExponent.constant(half) + z)
@@ -72,7 +71,7 @@ def mu_level_ratio_closed(p: SetupParams, l: int, var: str = "z") -> FactoredFor
             / FactoredForm.binomial(AffineExponent.constant(-half - p.t) + z))
 
 
-def mu_level_ratio_telescoped(p: SetupParams, l: int, var: str = "z") -> FactoredForm:
+def mu_level_ratio_telescoped(p: SetupParams, l: int) -> FactoredForm:
     """The same level ratio as the product of its rank-one factors.
 
     The pairs (l-1, j) for j = l..d, at the nested specialization, sit at
@@ -81,37 +80,10 @@ def mu_level_ratio_telescoped(p: SetupParams, l: int, var: str = "z") -> Factore
     p.check_level(l, low=2)
     binomials = []
     for j in range(l, p.d + 1):
-        x = AffineExponent.variable(var, coeff=Fraction(1, p.t),
+        x = AffineExponent.variable("z", coeff=Fraction(1, p.t),
                                     const=Fraction(-(p.d - l), 2) + (j - l))
         binomials += _rank_one_binomials(p, x)
     return FactoredForm.build(1, 0, (p.a + p.t) * (p.d - l + 1), binomials)
-
-
-@dataclass(frozen=True)
-class PoleHyperplane:
-    """The locus s_i - s_j = level for a block pair i < j, level in {0, +1, -1}."""
-
-    i: int
-    j: int
-    level: int
-
-
-def pole_hyperplanes(p: SetupParams) -> tuple[PoleHyperplane, ...]:
-    """All loci where mu may vanish or blow up: s_i - s_j in {0, +1, -1}."""
-    return tuple(PoleHyperplane(i, j, level)
-                 for i in range(1, p.d + 1)
-                 for j in range(i + 1, p.d + 1)
-                 for level in (0, 1, -1))
-
-
-def on_pole_locus(p: SetupParams, weight: Weight) -> tuple[PoleHyperplane, ...]:
-    """The listed hyperplanes containing a numeric weight (empty if regular)."""
-    values = weight.as_fractions()
-    hits = []
-    for h in pole_hyperplanes(p):
-        if values[h.i - 1] - values[h.j - 1] == h.level:
-            hits.append(h)
-    return tuple(hits)
 
 
 def mu_on_z(p: SetupParams) -> FactoredForm:

@@ -607,17 +607,16 @@ class FactoredForm:
             raise OverflowError(f"value 2^{shift} * {value} lies beyond the float range")
         return complex(math.ldexp(value.real, shift), math.ldexp(value.imag, shift))
 
-    def eval_exact(self, q: Fraction, assignment: Mapping[str, Rational] | None = None) -> Fraction:
-        """Exact rational value; requires integer exponents and log_grade 0."""
+    def eval_exact(self, q: Fraction) -> Fraction:
+        """Exact rational value; requires constant integer exponents and log_grade 0."""
         if self.is_zero:
             return Fraction(0)
         if self.log_grade:
             raise ValueError("exact evaluation requires log_grade 0")
         q = _as_fraction(q)
-        assignment = assignment or {}
 
         def q_pow(e: AffineExponent) -> Fraction:
-            x = e.evaluate_exact(assignment)
+            x = e.evaluate_exact({})
             if x.denominator != 1:
                 raise ValueError(f"non-integer exponent {x} has no exact rational value")
             return q ** x.numerator

@@ -1,5 +1,5 @@
 """Contour oracle tests: the grid evaluator against eval_numeric, quadrature
-vs residue-term sums, shift handling, convergence, and fault injection."""
+vs residue-term sums, the exact chamber limit, convergence, and fault injection."""
 
 import math
 import random
@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import random_exponent, random_rational
-from qdegree.contour import (DecompositionReport, QuadratureSpec, _check_shift_off_poles,
-                             _eval_grid, _unitary_nodes, default_shift,
+from qdegree import contour
+from qdegree.contour import (QuadratureSpec, _eval_grid, _unitary_nodes, default_shift,
                              decomposition_report, lhs_contour, residue_terms,
-                             ShiftOnPoleError,
                              verify_residue_decomposition)
 from qdegree.model import validate
 from qdegree.qform import AffineExponent, DivisionByZeroError, FactoredForm, SumForm
@@ -80,8 +79,9 @@ class TestQuadratureSpec:
             QuadratureSpec(q=2.0, nodes=8)
 
     def test_rejects_bad_q(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(q=1.0)
+        for q in (1.0, float("nan")):
+            with pytest.raises(ValueError):
+                QuadratureSpec(q=q)
 
     def test_default_shift_beyond_residue_points(self):
         p = validate(2, 3, 2, 0)
@@ -102,42 +102,21 @@ class TestLhsContour:
 
     def test_finite_real_value_inside_chamber(self):
         p = validate(1, 2, 1, 0)
-        coarse = lhs_contour(p, QuadratureSpec(q=2.0, nodes=256, shift=(1.5,)))
-        fine = lhs_contour(p, QuadratureSpec(q=2.0, nodes=512, shift=(1.5,)))
+        coarse = lhs_contour(p, QuadratureSpec(q=2.0, nodes=256))
+        fine = lhs_contour(p, QuadratureSpec(q=2.0, nodes=512))
         assert abs(coarse.imag) < 1e-12
         assert abs(coarse - fine) < 1e-10
 
-    def test_shift_independence_in_chamber(self):
-        p = validate(1, 2, 1, 0)
-        base = lhs_contour(p, QuadratureSpec(q=2.0, nodes=256))
-        for shift in ((1.6,), (1.75,), (1.9,)):
-            moved = lhs_contour(p, QuadratureSpec(q=2.0, nodes=256, shift=shift))
-            assert abs(moved - base) < 1e-10
-
-    def test_shift_independence_d3(self):
-        p = validate(1, 3, 1, 0)
-        base = lhs_contour(p, QuadratureSpec(q=2.0, nodes=64))
-        moved = lhs_contour(p, QuadratureSpec(q=2.0, nodes=64, shift=(2.3, 1.7)))
-        assert abs(moved - base) < 1e-9
-
-    def test_contour_through_pole_rejected(self):
-        with pytest.raises(ShiftOnPoleError):
-            lhs_contour(validate(1, 2, 1, 0), QuadratureSpec(q=2.0, shift=(1.0,)))
-
-    @pytest.mark.parametrize("shift, level", (((0.25, 1.5), 1), ((-1.25, 0.5), -1)))
-    def test_contour_on_non_adjacent_pair_pole_rejected(self, shift, level):
-        # Re(t(s_1 - s_3)) = R_1 + R_2/2 at d = 3; the pairs (1,2) and (2,3) stay off their poles
-        message = rf"s_1-s_3\)\) = \S+ sits on the pole level {level}$"
-        with pytest.raises(ShiftOnPoleError, match=message):
-            _check_shift_off_poles(validate(1, 3, 1, 0), shift)
-
-    def test_shift_not_beyond_residue_point_rejected(self):
-        with pytest.raises(ShiftOnPoleError):
-            lhs_contour(validate(1, 2, 1, 0), QuadratureSpec(q=2.0, shift=(0.5,)))
-
-    def test_wrong_shift_length(self):
-        with pytest.raises(ValueError):
-            lhs_contour(validate(1, 3, 1, 0), QuadratureSpec(q=2.0, shift=(2.0,)))
+    @pytest.mark.parametrize("d, nodes", ((2, 256), (3, 64)))
+    @pytest.mark.parametrize("m, t, a, q", ((1, 1, 0, 2.0), (2, 1, 1, 3.0), (2, 2, 0, 2.0),
+                                            (3, 3, 2, 1.5), (6, 2, 1, 2.0)))
+    def test_equals_deep_chamber_limit(self, m, t, a, q, d, nodes):
+        """Deep in the chamber each pair factor tends to q^(a+t), and the torus
+        mean of mu is that limit: (m/t)^(d-1) q^((a+t) d(d-1)/2)."""
+        p = validate(m, d, t, a)
+        got = lhs_contour(p, QuadratureSpec(q=q, nodes=nodes))
+        limit = (m / t) ** (d - 1) * q ** ((a + t) * d * (d - 1) / 2)
+        assert abs(got - limit) <= 1e-12 * limit
 
 
 class TestDecomposition:
@@ -190,10 +169,13 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             residue_terms(validate(1, 4, 1, 0), QuadratureSpec(q=2.0))
 
-    def test_offchain_chamber_guard(self):
-        p = validate(1, 3, 1, 0)
-        with pytest.raises(ShiftOnPoleError):
-            residue_terms(p, QuadratureSpec(q=2.0, shift=(4.0, 2.6)))
+    def test_unsupported_depth_rejected_before_quadrature(self, monkeypatch):
+        def no_quadrature(p, spec):
+            raise AssertionError("lhs_contour ran before the depth check")
+
+        monkeypatch.setattr(contour, "lhs_contour", no_quadrature)
+        with pytest.raises(ValueError, match="d <= 3"):
+            decomposition_report(validate(1, 4, 1, 0), QuadratureSpec(q=2.0))
 
     def test_real_values_on_real_parameters(self):
         report = decomposition_report(validate(2, 3, 2, 1), QuadratureSpec(q=2.0, nodes=128))
