@@ -8,8 +8,8 @@ degree assembly, and a numeric contour-quadrature cross-check.
 """
 
 from .checks import CheckReport
-from .coords import (ResiduePlan, Weight, alpha_tilde, discrete_series_point,
-                     generic_weight, pairing_coroot, residue_plan, z_to_s)
+from .coords import (Weight, alpha_tilde, discrete_series_point, generic_weight,
+                     pairing_coroot, residue_plan, z_to_s)
 from .degree import (DegreeResult, assemble_degree, closed_form_degree,
                      gamma_factor, gl_order, verify_theorem)
 from .model import InvalidParamsError, OutOfRangeError, SetupParams, validate
@@ -25,12 +25,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineExponent", "CheckReport", "DegreeResult", "DivisionByZeroError",
     "FactoredForm", "HigherOrderPoleError", "InvalidParamsError",
-    "LocalSeries", "OutOfRangeError", "PoleAtSubstitutionError",
-    "ResiduePlan", "SetupParams", "SumForm", "Weight", "alpha_tilde",
-    "assemble_degree", "closed_form_degree", "discrete_series_point",
-    "gamma_factor", "generic_weight", "gl_order", "iterated_residue",
-    "local_series", "mu_full", "mu_level_ratio_closed",
-    "mu_level_ratio_telescoped", "mu_on_z", "pairing_coroot",
-    "rank_one_factor", "res_a1_mu", "res_al", "residue", "residue_closed_form",
-    "residue_plan", "validate", "verify_theorem", "z_to_s",
+    "LocalSeries", "OutOfRangeError", "PoleAtSubstitutionError", "SetupParams",
+    "SumForm", "Weight", "alpha_tilde", "assemble_degree",
+    "closed_form_degree", "discrete_series_point", "gamma_factor",
+    "generic_weight", "gl_order", "iterated_residue", "local_series",
+    "mu_full", "mu_level_ratio_closed", "mu_level_ratio_telescoped", "mu_on_z",
+    "pairing_coroot", "rank_one_factor", "res_a1_mu", "res_al", "residue",
+    "residue_closed_form", "residue_plan", "validate", "verify_theorem",
+    "z_to_s",
 ]

@@ -143,7 +143,27 @@ def _print_reports(reports) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-@click.group()
+class _OneLineErrors(click.Group):
+    """A group whose usage errors print as one ``Error:`` line, without the usage
+    text and help hint of their context: the group's own options fail in
+    ``make_context``, a subcommand and its options in ``invoke``."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.ctx = None
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.ctx = None
+            raise
+
+
+@click.group(cls=_OneLineErrors)
 @click.version_option()
 def main():
     """Exact formal-degree engine for discrete series built from a cuspidal block."""
@@ -228,8 +248,6 @@ def cmd_contour(d, q, t, m, a, nodes, tol, config_path, as_json):
     t = _require(config, t, "t")
     m = _require(config, m, "m")
     a = _require(config, a, "a")
-    if q <= 1:
-        raise click.UsageError(f"q must exceed 1, got {q}")
     p = _validated(m, d, t, a, q=q)
     try:
         spec = contour.QuadratureSpec(q=q, nodes=nodes, tolerance=tol)

@@ -104,27 +104,17 @@ def generic_weight(p: SetupParams) -> Weight:
     return z_to_s(p, [AffineExponent.variable(z_var(j)) for j in range(1, p.d)])
 
 
-@dataclass(frozen=True)
-class ResiduePlan:
-    """Nested specialization points (z_(d-1), r_(d-1)), ..., (z_1, r_1),
-    innermost first; r_l = t (d - l + 1) / 2.
-    """
-
-    points: tuple[tuple[str, Fraction], ...]
-
-    def __iter__(self):
-        return iter(self.points)
-
-
 def residue_point(p: SetupParams, l: int) -> Fraction:
     if not 1 <= l <= p.d - 1:
         raise OutOfRangeError(f"level {l} outside [1, {p.d - 1}]")
     return Fraction(p.t * (p.d - l + 1), 2)
 
 
-def residue_plan(p: SetupParams) -> ResiduePlan:
-    return ResiduePlan(tuple((z_var(l), residue_point(p, l))
-                             for l in range(p.d - 1, 0, -1)))
+def residue_plan(p: SetupParams) -> tuple[tuple[str, Fraction], ...]:
+    """Nested specialization points (z_(d-1), r_(d-1)), ..., (z_1, r_1),
+    innermost first; r_l = t (d - l + 1) / 2.
+    """
+    return tuple((z_var(l), residue_point(p, l)) for l in range(p.d - 1, 0, -1))
 
 
 def discrete_series_point(p: SetupParams) -> Weight:

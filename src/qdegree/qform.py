@@ -20,8 +20,10 @@ so a value's factors may each lie beyond the float range.
 Residues come in two kinds.  At a simple pole, the only kind the degree
 computation meets, ``residue`` returns the leading Laurent coefficient as a
 single factored form built in one step.  At a pole of order two or more it
-falls back to the truncated series engine (``local_series``), whose
-coefficients are sums of factored forms (``SumForm``).
+reads the coefficient of w^(-1) from the Laurent expansion (``local_series``):
+a lead form times w^p times one unit series (1 + a_1 w + ...)^m per factor,
+each raised to its multiplicity m by one power rule, with coefficients that
+are sums of factored forms (``SumForm``).
 
 All objects are immutable and hashable; all operations are pure functions.
 """
@@ -56,14 +58,6 @@ class DivisionByZeroError(ZeroDivisionError):
     """A denominator factor evaluated within machine tolerance of zero."""
 
 
-def _as_fraction(x: Rational) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
-
-
 def _ratio(x: Rational) -> tuple[int, int]:
     """Numerator and positive denominator of an exact rational, in lowest terms."""
     if isinstance(x, int):
@@ -71,6 +65,10 @@ def _ratio(x: Rational) -> tuple[int, int]:
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def _as_fraction(x: Rational) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(*_ratio(x))
 
 
 _EXP_SAFE = 708.0  # |Re w| up to which exp(w) is a normal float
@@ -694,22 +692,8 @@ class SumForm:
     def __add__(self, other: "SumForm") -> "SumForm":
         return SumForm(self.terms + other.terms)
 
-    def __neg__(self) -> "SumForm":
-        return SumForm(tuple(t.scale(-1) for t in self.terms))
-
     def scale(self, c: Rational) -> "SumForm":
         return SumForm.make(t.scale(c) for t in self.terms)
-
-    def __mul__(self, other: Union["SumForm", FactoredForm]) -> "SumForm":
-        if isinstance(other, FactoredForm):
-            other = SumForm.of(other)
-        return SumForm.make(a * b for a in self.terms for b in other.terms)
-
-    def variables(self) -> tuple[str, ...]:
-        seen = set()
-        for t in self.terms:
-            seen.update(t.variables())
-        return tuple(sorted(seen, key=_var_key))
 
     def eval_numeric(self, q: float, assignment: Mapping[str, complex] | None = None) -> complex:
         return sum((t.eval_numeric(q, assignment) for t in self.terms), 0j)
@@ -756,130 +740,68 @@ class LocalSeries:
         return min(self.coefficients) if self.coefficients else 0
 
 
-class _Series:
-    """Internal truncated series with SumForm coefficients."""
-
-    __slots__ = ("items", "trunc")
-
-    def __init__(self, items: dict[int, SumForm], trunc: int):
-        self.items = {n: s for n, s in items.items() if not s.is_zero and n <= trunc}
-        self.trunc = trunc
-
-    @property
-    def min_order(self) -> int:
-        return min(self.items) if self.items else 0
-
-    def mul(self, other: "_Series") -> "_Series":
-        trunc = min(self.trunc + other.min_order, other.trunc + self.min_order)
-        out: dict[int, SumForm] = {}
-        for i, a in self.items.items():
-            for j, b in other.items.items():
-                if i + j > trunc:
-                    continue
-                out[i + j] = out.get(i + j, SumForm.zero()) + (a * b)
-        return _Series(out, trunc)
-
-    def invert(self, n_terms: int) -> "_Series":
-        p = self.min_order
-        lead = self.items[p].single_term()
-        lead_inv = SumForm.of(lead.inverse())
-        coeffs: dict[int, SumForm] = {-p: lead_inv}
-        for i in range(1, n_terms):
-            acc = SumForm.zero()
-            for j in range(1, i + 1):
-                a = self.items.get(p + j)
-                c = coeffs.get(-p + i - j)
-                if a is None or c is None:
-                    continue
-                acc = acc + (a * c)
-            coeffs[-p + i] = (-acc) * lead_inv
-        return _Series(coeffs, -p + n_terms - 1)
-
-    def power(self, k: int, n_terms: int) -> "_Series":
-        base = self if k > 0 else self.invert(n_terms)
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out.mul(base)
-        return out
+def _collect(terms: Iterable[FactoredForm]) -> SumForm:
+    """The sum of the terms with like terms merged and zeros dropped."""
+    acc: dict[tuple, Fraction] = {}
+    for t in terms:
+        key = (t.log_grade, t.monomial, t.binomials)
+        acc[key] = acc.get(key, 0) + t.constant
+    return SumForm(tuple(FactoredForm(c, *key, False) for key, c in acc.items() if c))
 
 
-def _exp_series(slope: Fraction, base: FactoredForm, n_terms: int) -> _Series:
-    """Series of base * q^(slope*w) = base * sum_j (slope*logq)^j w^j / j!."""
-    items: dict[int, SumForm] = {}
-    num = Fraction(1)
-    fact = 1
-    for j in range(n_terms):
-        items[j] = SumForm.of(base.scale(num / fact) * FactoredForm.from_constant(1, j))
-        num *= slope
-        fact *= j + 1
-    return _Series(items, n_terms - 1)
+def _unit_power(a: list[FactoredForm], m: int, n: int) -> list[SumForm]:
+    """Coefficients b_0..b_n of (1 + a_1 w + a_2 w^2 + ...)^m for any integer m,
+    by the power rule k b_k = sum_(j=1..k) ((m+1) j - k) a_j b_(k-j)
+    (Knuth, TAOCP vol. 2, 4.7); a[0] is not read.
+    """
+    b = [SumForm.of(_ONE_FORM)]
+    for k in range(1, n + 1):
+        b.append(_collect(a[j].scale(Fraction((m + 1) * j - k, k)) * t
+                          for j in range(1, k + 1) for t in b[k - j].terms))
+    return b
 
 
-def _binomial_vanishing_series(slope: Fraction, n_terms: int) -> _Series:
-    """Series of (1 - q^(slope*w)) = -(slope*logq) w (1 + (slope*logq/2) w + ...)."""
-    items: dict[int, SumForm] = {}
-    num = slope
-    fact = 1
-    for j in range(1, n_terms + 1):
-        items[j] = SumForm.of(FactoredForm.from_constant(-num / fact, j))
-        num *= slope
-        fact *= j + 1
-    return _Series(items, n_terms)
+def _form_series(f: FactoredForm, name: str, center: Fraction, order: int) -> dict[int, SumForm]:
+    """Laurent coefficients of f in w = name - center up to w^order; zero ones are absent.
 
+    With u = w log q, f is a lead form times w^p times one unit series
+    (1 + a_1 w + a_2 w^2 + ...)^m per factor that depends on name, where p is
+    the total multiplicity of the binomials that vanish at the center:
 
-def _binomial_regular_series(slope: Fraction, center_part: AffineExponent, n_terms: int) -> _Series:
-    """Series of (1 - q^(center_part + slope*w)) with center_part not identically zero."""
-    items: dict[int, SumForm] = {0: SumForm.of(FactoredForm.binomial(center_part))}
-    num = slope
-    fact = 1
-    for j in range(1, n_terms):
-        coeff = FactoredForm.build(-num / fact, j, center_part, ())
-        items[j] = SumForm.of(coeff)
-        num *= slope
-        fact *= j + 1
-    return _Series(items, n_terms - 1)
-
-
-def _form_series(f: FactoredForm, name: str, center: Fraction, order: int) -> _Series:
-    """Expand a factored form around name = center up to the given order."""
-    center_exp = AffineExponent.constant(center)
-
-    # Classify factors and find the total minimal order first.
-    factors: list[tuple[str, object]] = []
-    total_min = 0
-    e0 = f.monomial.coeff(name)
-    for e, m in f.binomials:
-        slope = e.coeff(name)
-        e_center = e.substitute(name, center_exp)
-        if slope and e_center.is_zero:
-            total_min += m
-            factors.append(("vanishing", (slope, m)))
+        q^(e w)            lead 1              a_j = (e u)^j / j!
+        1 - q^(s w)        lead -s log q w     a_j = (s u)^j / (j+1)!
+        1 - q^(c + s w)    lead 1 - q^c        a_j = -q^c (s u)^j / (j! (1 - q^c))
+    """
+    at = AffineExponent.constant(center)
+    constant, log_grade, p = f.constant, f.log_grade, 0
+    regular, units = [], []  # units: (m, slope, j! offset, the form that a_j scales)
+    e = f.monomial.coeff(name)
+    if e:
+        units.append((1, e, 0, _ONE_FORM))
+    for exponent, m in f.binomials:
+        s, c = exponent.coeff(name), exponent.substitute(name, at)
+        if c.is_zero:
+            constant *= (-s) ** m
+            log_grade += m
+            p += m
+            units.append((m, s, 1, _ONE_FORM))
         else:
-            factors.append(("regular", (slope, e_center, m)))
-
-    n_terms = order - total_min + 1
-    if n_terms <= 0:
-        return _Series({}, order)
-
-    base = FactoredForm.build(f.constant, f.log_grade,
-                              f.monomial.substitute(name, center_exp), ())
-    if e0:
-        series = _exp_series(e0, base, n_terms)
-    else:
-        series = _Series({0: SumForm.of(base)}, n_terms - 1)
-
-    for kind, data in factors:
-        if kind == "vanishing":
-            slope, m = data
-            piece = _binomial_vanishing_series(slope, n_terms).power(m, n_terms)
-        else:
-            slope, e_center, m = data
-            if not slope:
-                piece = _Series({0: SumForm.of(FactoredForm.binomial(e_center, m))}, n_terms - 1)
-            else:
-                piece = _binomial_regular_series(slope, e_center, n_terms).power(m, n_terms)
-        series = series.mul(piece)
-    return series
+            regular.append((c, m))
+            if s:
+                units.append((m, s, 0, FactoredForm.build(-1, 0, c, ((c, -1),))))
+    n = order - p
+    if n < 0:
+        return {}
+    product = [SumForm.of(_ONE_FORM)] + [SumForm.zero()] * n
+    for m, s, offset, g in units:
+        a = [FactoredForm(g.constant * s ** j / math.factorial(j + offset), j,
+                          g.monomial, g.binomials, False) for j in range(n + 1)]
+        power = _unit_power(a, m, n)
+        product = [_collect(x * y for i in range(k + 1) for x in product[i].terms
+                            for y in power[k - i].terms) for k in range(n + 1)]
+    lead = FactoredForm.build(constant, log_grade, f.monomial.substitute(name, at), regular)
+    return {p + k: SumForm(tuple(lead * t for t in c.terms))
+            for k, c in enumerate(product) if not c.is_zero}
 
 
 def local_series(f: Union[FactoredForm, SumForm], name: str, center: Rational,
@@ -887,13 +809,10 @@ def local_series(f: Union[FactoredForm, SumForm], name: str, center: Rational,
     """Exact Laurent expansion of f around name = center, up to the given order."""
     center = _as_fraction(center)
     items: dict[int, SumForm] = {}
-    trunc = order
     for term in as_sum(f).terms:
-        series = _form_series(term, name, center, order)
-        trunc = min(trunc, series.trunc)
-        for n, s in series.items.items():
+        for n, s in _form_series(term, name, center, order).items():
             items[n] = items.get(n, SumForm.zero()) + s
-    return LocalSeries(name, center, {n: s for n, s in items.items() if n <= trunc}, trunc)
+    return LocalSeries(name, center, items, order)
 
 
 def residue(f: Union[FactoredForm, SumForm], name: str, point: Rational) -> SumForm:
@@ -926,5 +845,5 @@ def residue(f: Union[FactoredForm, SumForm], name: str, point: Rational) -> SumF
             terms.append(FactoredForm.build(constant, term.log_grade - 1,
                                             term.monomial.substitute(name, center), regular))
         elif order > 1:
-            terms.extend(_form_series(term, name, point, -1).items.get(-1, SumForm.zero()).terms)
+            terms.extend(_form_series(term, name, point, -1).get(-1, SumForm.zero()).terms)
     return SumForm(tuple(terms))

@@ -225,6 +225,25 @@ class TestVerifyCommand:
         assert names == sorted(names)
 
 
+# a usage error in the group's own options, in the command name, in a
+# subcommand's options, and from a parameter check inside a command
+@pytest.mark.parametrize("args", [
+    ["degree", "--m", "1", "--d", "x", "--t", "1", "--a", "0"],
+    ["degree", "--m", "1", "--d", "2", "--t", "1", "--a", "0", "--q", "1/0"],
+    ["verify", "bogus"],
+    ["nosuch"],
+    ["contour", "--d", "5", "--q", "2", "--t", "1", "--m", "1", "--a", "0"],
+    ["mu", "--d", "2", "--t", "1", "--a", "0", "--level", "9"],
+    ["--bogus"],
+])
+def test_usage_error_is_one_line(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: ")
+
+
 class TestJsonOutput:
     def test_degree_schema(self, runner):
         result = runner.invoke(main, ["degree", "--m", "2", "--d", "2", "--t", "2",

@@ -1,9 +1,10 @@
 """Fast paths against their general references.
 
-``residue`` takes a simple pole in one step; ``local_series`` expands every
-factor as a truncated Laurent series.  At a simple pole both must give the
-same canonical form, including when zeros and poles at the point partly
-cancel.
+``residue`` takes a simple pole in one step; ``local_series`` writes the form
+as a lead form times one unit series per factor, each raised to its
+multiplicity by the power rule, and multiplies the truncated series out.  At
+a simple pole both must give the same canonical form, including when zeros
+and poles at the point partly cancel.
 
 ``AffineExponent`` keeps integers over one shared denominator; a plain
 model with Fraction parts checks its arithmetic, its reduced form, its
@@ -17,15 +18,14 @@ and elsewhere it must refuse with ``HigherOrderPoleError``.
 import math
 from fractions import Fraction as F
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
-from qdegree.coords import ResiduePlan
 from qdegree.qform import (AffineExponent as AE, FactoredForm as FF, HigherOrderPoleError,
                            SumForm, as_sum, local_series, residue)
 from qdegree.resdata import iterated_residue
 
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
 
 rationals = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
 nonzero_rationals = rationals.filter(bool)
@@ -204,7 +204,7 @@ def test_build_orders_binomials_as_fractions_do(factors):
 
 # -- the one-pass residue chain against residues taken level by level -------
 
-def _level_by_level(f, plan: ResiduePlan, stop_at: int) -> SumForm:
+def _level_by_level(f, plan, stop_at: int) -> SumForm:
     out = as_sum(f)
     for name, point in plan:
         if int(name[1:]) < stop_at:
@@ -258,7 +258,7 @@ def chain_cases(draw):
     k = draw(st.integers(1, 3))
     stop_at = draw(st.integers(1, k))
     points = {l: draw(rationals) for l in range(1, k + 1)}
-    plan = ResiduePlan(tuple((f"z{l}", points[l]) for l in range(k, 0, -1)))
+    plan = tuple((f"z{l}", points[l]) for l in range(k, 0, -1))
     orders: list = []
     f = draw(chain_forms(k, points, stop_at, orders))
     return f, plan, stop_at, orders

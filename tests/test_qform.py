@@ -162,6 +162,28 @@ class TestResidue:
         num = circle_integral(f, 2.0, "z", 1.0, 0.25)
         assert abs(sym.eval_numeric(2.0) - num) < 1e-9
 
+    def test_higher_order_poles_match_circle_integral(self):
+        # random forms times two to four poles at the point, 20 of each net order 2, 3, 4
+        rng = random.Random(6006)
+        q = 2.0
+        counts = {2: 0, 3: 0, 4: 0}
+        while min(counts.values()) < 20:
+            point = F(rng.randint(-2, 2), rng.randint(1, 2))
+            f = random_form(rng, ("z",), n_binomials=2)
+            for _ in range(rng.randint(2, 4)):
+                slope = F(rng.choice((1, 2, -1, 3)))
+                f = f * FF.binomial(AE.make(-point * slope, {"z": slope}), -1)
+            order = f.pole_order("z", point)
+            if counts.get(order, 20) >= 20:
+                continue
+            radius = 0.5 * pole_distance_bound(f, "z", point, q)
+            if radius <= 1e-3:
+                continue
+            sym = residue(f, "z", point).eval_numeric(q)
+            num = circle_integral(f, q, "z", complex(float(point)), radius, nodes=512)
+            assert abs(sym - num) <= 1e-8 * max(1.0, abs(num))
+            counts[order] += 1
+
     def test_residue_in_other_variables_stays_exact(self):
         # pole in z with a spectator variable w in the regular part
         f = (FF.binomial(AE.make(0, {"z": 1, "w": 1}))
