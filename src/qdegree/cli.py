@@ -144,22 +144,24 @@ def _print_reports(reports) -> None:
 # ---------------------------------------------------------------------------
 
 class _OneLineErrors(click.Group):
-    """A group whose usage errors print as one ``Error:`` line, without the usage
-    text and help hint of their context: the group's own options fail in
-    ``make_context``, a subcommand and its options in ``invoke``."""
+    """Usage errors print as one ``Error:`` line, without their context's usage
+    text: the group's own options fail in ``make_context``, a subcommand in
+    ``invoke``. An error with its own ``show`` (bare ``qdegree``) keeps it."""
 
     def make_context(self, *args, **kwargs):
         try:
             return super().make_context(*args, **kwargs)
         except click.UsageError as exc:
-            exc.ctx = None
+            if type(exc).show is click.UsageError.show:
+                exc.ctx = None
             raise
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except click.UsageError as exc:
-            exc.ctx = None
+            if type(exc).show is click.UsageError.show:
+                exc.ctx = None
             raise
 
 

@@ -20,10 +20,9 @@ so a value's factors may each lie beyond the float range.
 Residues come in two kinds.  At a simple pole, the only kind the degree
 computation meets, ``residue`` returns the leading Laurent coefficient as a
 single factored form built in one step.  At a pole of order two or more it
-reads the coefficient of w^(-1) from the Laurent expansion (``local_series``):
-a lead form times w^p times one unit series (1 + a_1 w + ...)^m per factor,
-each raised to its multiplicity m by one power rule, with coefficients that
-are sums of factored forms (``SumForm``).
+reads the w^(-1) coefficient of ``local_series``: a lead form times w^p times
+one unit series per factor, raised to the factor's multiplicity by one power
+rule; its coefficients are sums of factored forms (``SumForm``).
 
 All objects are immutable and hashable; all operations are pure functions.
 """
@@ -58,6 +57,14 @@ class DivisionByZeroError(ZeroDivisionError):
     """A denominator factor evaluated within machine tolerance of zero."""
 
 
+def _as_fraction(x: Rational) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
 def _ratio(x: Rational) -> tuple[int, int]:
     """Numerator and positive denominator of an exact rational, in lowest terms."""
     if isinstance(x, int):
@@ -65,10 +72,6 @@ def _ratio(x: Rational) -> tuple[int, int]:
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
-
-
-def _as_fraction(x: Rational) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(*_ratio(x))
 
 
 _EXP_SAFE = 708.0  # |Re w| up to which exp(w) is a normal float
@@ -721,8 +724,7 @@ def as_sum(f: Union[FactoredForm, SumForm]) -> SumForm:
 class LocalSeries:
     """Truncated Laurent expansion in w = (variable - center), exact coefficients.
 
-    ``coefficients`` maps order -> SumForm; orders below the minimal order are
-    absent, orders above ``truncation_order`` are unknown.
+    ``coefficients`` maps order -> SumForm up to ``truncation_order``; zero ones are absent.
     """
 
     variable: str
@@ -750,10 +752,9 @@ def _collect(terms: Iterable[FactoredForm]) -> SumForm:
 
 
 def _unit_power(a: list[FactoredForm], m: int, n: int) -> list[SumForm]:
-    """Coefficients b_0..b_n of (1 + a_1 w + a_2 w^2 + ...)^m for any integer m,
-    by the power rule k b_k = sum_(j=1..k) ((m+1) j - k) a_j b_(k-j)
-    (Knuth, TAOCP vol. 2, 4.7); a[0] is not read.
-    """
+    """Coefficients b_0..b_n of (1 + a_1 w + a_2 w^2 + ...)^m for any integer m
+    (a[0] is not read), by the power rule k b_k = sum_(j=1..k) ((m+1) j - k)
+    a_j b_(k-j) (Knuth, TAOCP vol. 2, 4.7)."""
     b = [SumForm.of(_ONE_FORM)]
     for k in range(1, n + 1):
         b.append(_collect(a[j].scale(Fraction((m + 1) * j - k, k)) * t
@@ -823,9 +824,8 @@ def residue(f: Union[FactoredForm, SumForm], name: str, point: Rational) -> SumF
     pole the residue is therefore the leading Laurent coefficient, built in
     one step: every other factor is evaluated at the point, the constant is
     multiplied by (-s)^m for each vanishing binomial (1 - q^(s*w))^m, and the
-    log grade drops by one.  Poles of order two or more go through the
-    truncated series engine (``local_series``), whose w^(-1) coefficient may
-    be a sum of several terms.
+    log grade drops by one.  At a pole of order two or more the residue is the
+    w^(-1) coefficient of ``local_series``, which may have several terms.
     """
     point = _as_fraction(point)
     center = AffineExponent.constant(point)

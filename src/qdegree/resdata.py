@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
 
 from .coords import residue_plan
 from .model import SetupParams
@@ -34,7 +33,7 @@ from .mu import mu_on_z
 from .qform import AffineExponent, FactoredForm, HigherOrderPoleError, as_exponent, residue
 
 
-def iterated_residue(f: FactoredForm, plan: Iterable[tuple[str, Fraction]],
+def iterated_residue(f: FactoredForm, plan: tuple[tuple[str, Fraction], ...],
                      stop_at: int = 1) -> FactoredForm:
     """Apply residues at (z_k, r_k) for k = d-1 down to stop_at, innermost first.
 

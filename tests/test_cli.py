@@ -2,6 +2,7 @@
 
 import json
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -242,6 +243,15 @@ def test_usage_error_is_one_line(runner, args):
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error: ")
+
+
+def test_bare_group_prints_help(runner):
+    # click >= 8.2 signals help-on-no-args with an error whose own show()
+    # reads its context; older click prints the help and exits 0
+    result = runner.invoke(main, [])
+    assert result.exit_code == (2 if hasattr(click.exceptions, "NoArgsIsHelpError") else 0)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Usage:" in result.output and "Commands:" in result.output
 
 
 class TestJsonOutput:
