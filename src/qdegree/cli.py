@@ -3,8 +3,9 @@ subcommands, canonical text output and a stable JSON schema.
 
 Exit codes: 0 all passed, 1 a verification failed, 2 usage or parameter
 error, 3 a value beyond the float range (``contour``; ``degree`` instead
-reports its exact form with ``numeric`` null).  Results go to stdout,
-diagnostics to stderr.
+reports its exact form with ``numeric`` null), 4 an internal error: any
+unexpected exception, reported as one ``error: internal: <type>: <message>``
+line.  Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -146,7 +147,9 @@ def _print_reports(reports) -> None:
 class _OneLineErrors(click.Group):
     """Usage errors print as one ``Error:`` line, without their context's usage
     text: the group's own options fail in ``make_context``, a subcommand in
-    ``invoke``. An error with its own ``show`` (bare ``qdegree``) keeps it."""
+    ``invoke``. An error with its own ``show`` (bare ``qdegree``) keeps it.
+    Any other exception (a closed stdout aside) is one ``error: internal:``
+    line and exit 4."""
 
     def make_context(self, *args, **kwargs):
         try:
@@ -163,6 +166,11 @@ class _OneLineErrors(click.Group):
             if type(exc).show is click.UsageError.show:
                 exc.ctx = None
             raise
+        except (click.ClickException, click.exceptions.Exit, click.Abort, BrokenPipeError):
+            raise
+        except Exception as exc:
+            _echo(f"error: internal: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(4)
 
 
 @click.group(cls=_OneLineErrors)

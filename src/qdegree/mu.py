@@ -10,6 +10,7 @@ which telescopes to a closed two-over-two form.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from .coords import Weight, generic_weight
 from .model import OutOfRangeError, SetupParams
@@ -42,16 +43,17 @@ def rank_one_factor(p: SetupParams, x: ExponentValue) -> FactoredForm:
 def mu_full(p: SetupParams, weight: Weight) -> FactoredForm:
     """Product of rank-one factors over all block pairs 1 <= i < j <= d.
 
-    Depends only on the differences s_i - s_j, hence is invariant under a
-    common shift of all entries.  All pair binomials go into one build, so
+    Depends only on the differences s_i - s_j, each a running sum of adjacent
+    ones, so it is shift invariant.  All pair binomials go into one build, so
     they are merged and sorted once.
     """
     if weight.dim != p.d:
         raise OutOfRangeError(f"weight has {weight.dim} entries, expected {p.d}")
+    steps = [a - b for a, b in zip(weight.s, weight.s[1:])]
     binomials = []
-    for i in range(1, p.d + 1):
-        for j in range(i + 1, p.d + 1):
-            binomials += _rank_one_binomials(p, weight.difference(i, j))
+    for i in range(p.d - 1):
+        for x in accumulate(steps[i:]):
+            binomials += _rank_one_binomials(p, x)
     return FactoredForm.build(1, 0, (p.a + p.t) * (p.d * (p.d - 1) // 2), binomials)
 
 

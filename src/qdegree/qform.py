@@ -14,8 +14,9 @@ hash and compare as integer tuples, and sums, scalings and substitutions
 are integer arithmetic with one gcd step; no Fraction arithmetic runs while
 forms are built and merged.  ``FactoredForm.build`` sorts binomials by these
 integers scaled to the lcm of the denominators it sees, which is the order
-of their rational parts.  Numeric evaluation carries a separate power of two,
-so a value's factors may each lie beyond the float range.
+of their rational parts.  Numeric evaluation carries a separate power of two;
+exact evaluation multiplies every factor into one integer numerator and one
+integer denominator, so it reduces the quotient once.
 
 Residues come in two kinds.  At a simple pole, the only kind the degree
 computation meets, ``residue`` returns the leading Laurent coefficient as a
@@ -369,14 +370,6 @@ class AffineExponent:
             total += (c / den) * assignment[n]
         return total
 
-    def evaluate_exact(self, assignment: Mapping[str, Rational]) -> Fraction:
-        total = self._num
-        for n, c in self._terms:
-            if n not in assignment:
-                raise ValueError(f"no value assigned to variable {n!r}")
-            total += c * _as_fraction(assignment[n])
-        return Fraction(total, self._den)
-
     def render(self) -> str:
         """Deterministic text form; constant term first, then variables in order."""
         den = self._den
@@ -609,26 +602,36 @@ class FactoredForm:
         return complex(math.ldexp(value.real, shift), math.ldexp(value.imag, shift))
 
     def eval_exact(self, q: Fraction) -> Fraction:
-        """Exact rational value; requires constant integer exponents and log_grade 0."""
+        """Exact rational value; requires constant integer exponents and log_grade 0.
+
+        With q = n/d every factor is multiplied into one integer numerator and
+        one denominator, 1 - q^k as (d^k - n^k)/d^k or, for k < 0, as
+        (n^|k| - d^|k|)/n^|k|, and the quotient is reduced once.
+        """
         if self.is_zero:
             return Fraction(0)
         if self.log_grade:
             raise ValueError("exact evaluation requires log_grade 0")
-        q = _as_fraction(q)
+        n, d = _ratio(q)
 
-        def q_pow(e: AffineExponent) -> Fraction:
-            x = e.evaluate_exact({})
-            if x.denominator != 1:
-                raise ValueError(f"non-integer exponent {x} has no exact rational value")
-            return q ** x.numerator
+        def power(e: AffineExponent) -> tuple[int, int]:
+            k = e._num
+            if e._terms or e._den != 1:
+                raise ValueError(f"exponent {e} is not a constant integer")
+            if k < 0 and not n:
+                raise ZeroDivisionError(f"q = 0 has no power q^({e})")
+            return (n ** k, d ** k) if k >= 0 else (d ** -k, n ** -k)
 
-        value = self.constant * q_pow(self.monomial)
+        x, y = power(self.monomial)
+        num, den = x * self.constant.numerator, y * self.constant.denominator
         for e, m in self.binomials:
-            factor = 1 - q_pow(e)
-            if not factor and m < 0:
+            x, y = power(e)  # q^e = x/y, so 1 - q^e = (y - x)/y
+            if m < 0 and x == y:
                 raise DivisionByZeroError(f"denominator factor (1 - q^({e})) is zero")
-            value *= factor ** m
-        return value
+            top, bottom = (y - x, y) if m > 0 else (y, y - x)
+            num *= top ** abs(m)
+            den *= bottom ** abs(m)
+        return Fraction(num, den)
 
     # -- rendering ----------------------------------------------------------
 

@@ -6,6 +6,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
+from qdegree import degree
 from qdegree.cli import emit_json, main
 
 
@@ -243,6 +244,40 @@ def test_usage_error_is_one_line(runner, args):
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error: ")
+
+
+@pytest.fixture()
+def broken_degree(monkeypatch):
+    """A fault no command expects: closed_form_degree raises."""
+    def broken(p):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(degree, "closed_form_degree", broken)
+
+
+def test_closed_stdout_is_not_an_internal_error(runner, monkeypatch):
+    # click's own handling of a closed pipe: a quiet exit
+    def closed(p):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(degree, "closed_form_degree", closed)
+    result = runner.invoke(main, ["degree", "--m", "1", "--d", "2", "--t", "1", "--a", "0"])
+    assert result.exit_code not in (0, 4)
+    assert result.stderr == ""
+
+
+def test_unexpected_exception_exits_4(runner, broken_degree):
+    result = runner.invoke(main, ["degree", "--m", "1", "--d", "2", "--t", "1", "--a", "0"])
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["error: internal: RuntimeError: injected fault"]
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_click_exits_keep_their_codes(runner, broken_degree):
+    # a usage error and --help are click's own and pass through
+    assert runner.invoke(main, ["degree", "--m", "x"]).exit_code == 2
+    assert runner.invoke(main, ["degree", "--help"]).exit_code == 0
 
 
 def test_bare_group_prints_help(runner):

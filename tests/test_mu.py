@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qdegree.coords import generic_weight, z_to_s
+from qdegree.coords import Weight, generic_weight, z_to_s
 from qdegree.model import OutOfRangeError, validate
 from qdegree.mu import (mu_full, mu_level_ratio_closed, mu_level_ratio_telescoped,
                         mu_on_z, rank_one_factor)
@@ -71,6 +71,32 @@ class TestMuFull:
         for perm in itertools.permutations(range(d)):
             permuted = type(w)(tuple(w.s[i] for i in perm))
             assert mu_full(p, permuted) == base
+
+    @staticmethod
+    def pairwise_product(p, w):
+        """mu as the product of pair factors, each s_i - s_j taken by
+        subtracting whole entries; mu_full sums adjacent differences."""
+        out = FF.one()
+        for i in range(1, p.d + 1):
+            for j in range(i + 1, p.d + 1):
+                out = out * rank_one_factor(p, w.difference(i, j))
+        return out
+
+    @pytest.mark.parametrize("d", (12, 16))
+    def test_matches_pairwise_differences(self, d):
+        p = validate(6, d, 3, 1)
+        w = generic_weight(p)
+        assert mu_full(p, w) == self.pairwise_product(p, w)
+
+    def test_any_weight_matches_pairwise_differences(self):
+        rng = random.Random(12)
+        p = validate(2, 5, 2, 1)
+        for _ in range(5):
+            w = Weight.make(AE.make(F(rng.randint(-9, 9), rng.randint(1, 4)),
+                                    {v: F(rng.randint(-3, 3), rng.randint(1, 3))
+                                     for v in ("x", "y", "w")})
+                            for _ in range(p.d))
+            assert mu_full(p, w) == self.pairwise_product(p, w)
 
     def test_unitary_positivity(self):
         rng = random.Random(11)

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import (circle_integral, pole_distance_bound, random_form,
                       random_rational)
+from qdegree.degree import gl_order
 from qdegree.qform import (AffineExponent as AE, DivisionByZeroError,
                            FactoredForm as FF, PoleAtSubstitutionError,
                            SumForm, local_series, residue)
@@ -295,6 +296,91 @@ class TestEvalNumeric:
         assert f.eval_exact(F(2)) == F(8, 3)
         with pytest.raises(ValueError):
             FF.q_power(F(1, 2)).eval_exact(F(2))
+
+
+def fraction_loop_eval(f: FF, q) -> F:
+    """Reference for eval_exact: a Fraction power, a 1 - x and a normalising
+    Fraction multiply per factor."""
+    if f.is_zero:
+        return F(0)
+    if f.log_grade:
+        raise ValueError("exact evaluation requires log_grade 0")
+    q = F(q)
+
+    def q_pow(e):
+        if not e.is_constant or e.const.denominator != 1:
+            raise ValueError(f"exponent {e} is not a constant integer")
+        return q ** e.const.numerator
+
+    value = f.constant * q_pow(f.monomial)
+    for e, m in f.binomials:
+        factor = 1 - q_pow(e)
+        if not factor and m < 0:
+            raise DivisionByZeroError(f"denominator factor (1 - q^({e})) is zero")
+        value *= factor ** m
+    return value
+
+
+def _outcome(evaluate, f, q):
+    """The value, or the type of the exception raised."""
+    try:
+        return evaluate(f, q)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+class TestEvalExact:
+    @pytest.mark.parametrize("q", [F(7, 2), F(2), F(-3, 2), F(0)])
+    def test_matches_fraction_loop(self, q):
+        rng = random.Random(1010)
+        values = 0
+        for _ in range(300):
+            binomials = [(AE.constant(rng.choice((-1, 1)) * rng.randint(1, 12)),
+                          rng.choice((-3, -2, -1, 1, 2, 3)))
+                         for _ in range(rng.randint(0, 8))]
+            monomial = rng.randint(-6, 6) if rng.random() < 0.5 else rng.randint(0, 6)
+            constant = random_rational(rng, 9, 9, allow_zero=False)
+            # build orients every exponent positive; the raw form keeps the
+            # negative ones, so both branches of the kernel are compared
+            raw = FF(constant, 0, AE.constant(monomial), tuple(binomials), False)
+            for f in (FF.build(constant, 0, monomial, binomials), raw):
+                want = _outcome(fraction_loop_eval, f, q)
+                assert _outcome(FF.eval_exact, f, q) == want
+                values += isinstance(want, F)
+        assert values >= 100  # at q = 0 every negative power raises
+
+    def test_negative_power_of_zero_raises_first(self):
+        # the monomial is evaluated before the symbolic binomial
+        with pytest.raises(ZeroDivisionError):
+            (FF.q_power(-1) * FF.binomial(AE.variable("z"))).eval_exact(F(0))
+        with pytest.raises(ZeroDivisionError):
+            FF(F(1), 0, AE.constant(0), ((AE.constant(-2), -1),), False).eval_exact(F(0))
+
+    def test_integer_constant_and_int_q(self):
+        f = FF.build(-4, 0, -3, [(AE.constant(-2), 3), (AE.constant(5), -2)])
+        assert f.eval_exact(3) == fraction_loop_eval(f, 3)
+
+    def test_vanishing_numerator_factor_gives_zero(self):
+        f = FF.build(F(5, 3), 0, -2, [(AE.constant(3), 1), (AE.constant(-4), 2)])
+        assert f.eval_exact(F(1)) == 0
+        assert FF.binomial(2, 3).eval_exact(F(-1)) == 0
+
+    @pytest.mark.parametrize("q,exponent", [(F(1), 3), (F(1), -2), (F(-1), 2), (F(-1), -4)])
+    def test_vanishing_denominator_factor_raises(self, q, exponent):
+        with pytest.raises(DivisionByZeroError):
+            (FF.binomial(1) * FF.binomial(exponent, -1)).eval_exact(q)
+
+    @pytest.mark.parametrize("form", [FF.q_power(F(1, 2)), FF.binomial(F(3, 2), -1),
+                                      FF.q_power(AE.variable("z")),
+                                      FF.binomial(AE.variable("z", 1, 2)),
+                                      FF.from_constant(2, log_grade=1)])
+    def test_non_integer_symbolic_or_graded_raises(self, form):
+        with pytest.raises(ValueError):
+            form.eval_exact(F(2))
+
+    def test_gl_order_96_at_five(self):
+        n = 96
+        assert gl_order(n).eval_exact(5) == math.prod(5 ** n - 5 ** i for i in range(n))
 
 
 # ---------------------------------------------------------------------------
