@@ -1,48 +1,61 @@
 """Command-line surface: parameter intake, computation and verification
 subcommands, canonical text output and a stable JSON schema.
 
+Every command shares one intake: each of ``--m --d --t --a --q --deg-sigma``
+falls back to its key (``m d t a q deg_sigma``) in a ``--config`` file of
+``key=value`` lines, then ``model.validate`` runs once and each parameter
+warning goes to stderr as one ``warning: ...`` line.  ``--q`` and
+``--deg-sigma`` take rationals such as ``3/2`` or ``2.5``.
+
 Exit codes: 0 all passed, 1 a verification failed, 2 usage or parameter
 error, 3 a value beyond the float range (``contour``; ``degree`` instead
 reports its exact form with ``numeric`` null), 4 an internal error: any
 unexpected exception, reported as one ``error: internal: <type>: <message>``
-line.  Results go to stdout, diagnostics to stderr.
+line, 141 a closed stdout (128 + SIGPIPE, as a shell reports it).  Results
+go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import click
+from click.utils import PacifyFlushWrapper
 
-from . import checks, contour, degree, model, mu
+from . import __version__, checks, contour, degree, model, mu
 from .qform import FactoredForm
 
 
-# ---------------------------------------------------------------------------
-# Parsing and output helpers
-# ---------------------------------------------------------------------------
+# Every shared option, defined once; a command attaches those it reads.
+_OPTIONS = {
+    "m": click.option("--m", type=int, help="cuspidal block size"),
+    "d": click.option("--d", type=int, help="number of blocks"),
+    "t": click.option("--t", type=int, help="torsion number of the cuspidal"),
+    "a": click.option("--a", type=int, help="pair conductor"),
+    "q": click.option("--q", help="a rational or a float > 1; degree's default is 'symbolic'"),
+    "deg_sigma": click.option("--deg-sigma", help="'symbolic' (default) or a positive rational"),
+    "config_path": click.option("--config", "config_path", help="key=value parameter file"),
+    "as_json": click.option("--json", "as_json", is_flag=True, help="emit JSON"),
+}
 
-def _parse_q(text: str | None):
+# exact numbers, None when symbolic; every other key is a required integer
+_RATIONAL_KEYS = ("q", "deg_sigma")
+
+
+def _parse_number(text: str | None, key: str):
+    """None for absent or 'symbolic', else the exact rational (3/2, 2.5, 1e400).
+    q also reads inf and nan, as floats, so that validate names them."""
     if text is None or text == "symbolic":
         return None
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+    for parse in (Fraction, float) if key == "q" else (Fraction,):
         try:
-            return float(text)
-        except ValueError:
-            raise click.UsageError(f"cannot parse q value {text!r}")
-
-
-def _parse_deg_sigma(text: str | None):
-    if text is None or text == "symbolic":
-        return None
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise click.UsageError(f"cannot parse deg-sigma value {text!r}")
+            return parse(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise click.UsageError(f"cannot parse {key.replace('_', '-')} value {text!r}")
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -64,33 +77,41 @@ def _load_config(path: str | None) -> dict[str, str]:
     return out
 
 
-def _require(config: dict[str, str], flag_value, key: str, cast=int):
-    """Flag value, falling back to the config file; missing is a usage error."""
-    if flag_value is not None:
-        return flag_value
-    if key in config:
+def _intake(keys: tuple[str, ...], flags: dict, numeric_q: bool) -> model.SetupParams:
+    """Pop ``keys`` and ``config_path`` from ``flags``: each key is its flag, else its
+    config key, the first missing one is the usage error, and validate runs once.
+    ``numeric_q`` makes q required and a float."""
+    config = _load_config(flags.pop("config_path"))
+    values = {}
+    for key in keys:
+        value = flags.pop(key)
+        if key in _RATIONAL_KEYS:
+            value = _parse_number(config.get(key) if value is None else value, key)
+        elif value is None and key in config:
+            try:
+                value = int(config[key])
+            except ValueError:
+                raise click.UsageError(f"config value {key}={config[key]!r} is invalid")
+        if value is None and (key not in _RATIONAL_KEYS or numeric_q):
+            raise click.UsageError(f"missing required parameter --{key.replace('_', '-')}")
+        values[key] = value
+    if numeric_q:
         try:
-            return cast(config[key])
-        except ValueError:
-            raise click.UsageError(f"config value {key}={config[key]!r} is invalid")
-    raise click.UsageError(f"missing required parameter --{key.replace('_', '-')}")
-
-
-def _validated(m, d, t, a, q=None, deg_sigma=None) -> model.SetupParams:
-    try:
-        return model.validate(m, d, t, a, q=q, deg_sigma=deg_sigma)
-    except model.InvalidParamsError as exc:
-        raise click.UsageError(str(exc))
+            values["q"] = float(values["q"])
+        except OverflowError:  # infinite, as float() reads the literal, so validate names it
+            values["q"] = math.inf if values["q"] > 0 else -math.inf
+    # mu reads no --m: its form is the one at m = t
+    p = model.validate(values.get("m", values["t"]), values["d"], values["t"], values["a"],
+                       q=values.get("q"), deg_sigma=values.get("deg_sigma"))
+    for warning in p.warnings:
+        _echo(f"warning: {warning}", err=True)
+    return p
 
 
 def _echo(text: str, err: bool = False) -> None:
-    """click.echo to a stream looked up afresh on every call.
-
-    click.echo's own lookup caches a wrapper per stream, and the cached
-    wrapper keeps the stream alive.  Run in process with a redirected stdout
-    (tests, embedding), every call would then keep its whole output for the
-    life of the process.
-    """
+    """click.echo to a stream looked up afresh on every call: click's own lookup
+    caches a wrapper that keeps a redirected stdout (tests, embedding), and so
+    its whole output, alive for the life of the process."""
     click.echo(text, file=click.get_text_stream("stderr" if err else "stdout"))
 
 
@@ -128,16 +149,12 @@ def _result_doc(factored: FactoredForm, rendered: str, numeric) -> dict:
             "numeric": float(numeric) if numeric is not None else None}
 
 
-def _checks_doc(reports) -> list[dict]:
-    return [{"name": r.name, "status": r.status, "detail": r.detail} for r in reports]
-
-
-def _print_reports(reports) -> None:
-    for r in reports:
-        line = f"[{r.status.upper()}] {r.name} ({r.elapsed_ms} ms)"
-        if r.status != "pass":
-            line += f"  detail: {r.detail}"
-        _echo(line)
+def _emit_doc(params: dict, result, reports=()) -> None:
+    """The one JSON document of every command: params, result and checks."""
+    doc = {"params": params, "result": result,
+           "checks": [{"name": r.name, "status": r.status, "detail": r.detail}
+                      for r in reports]}
+    _echo(emit_json(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +162,11 @@ def _print_reports(reports) -> None:
 # ---------------------------------------------------------------------------
 
 class _OneLineErrors(click.Group):
-    """Usage errors print as one ``Error:`` line, without their context's usage
-    text: the group's own options fail in ``make_context``, a subcommand in
-    ``invoke``. An error with its own ``show`` (bare ``qdegree``) keeps it.
-    Any other exception (a closed stdout aside) is one ``error: internal:``
-    line and exit 4."""
+    """Usage errors, rejected parameters and out-of-range levels print as one
+    ``Error:`` line without usage text: the group's own options fail in
+    ``make_context``, a subcommand in ``invoke``. An error with its own ``show``
+    (bare ``qdegree``) keeps it. A value beyond the float range exits 3, a closed
+    stdout 141, and any other exception is one ``error: internal:`` line, exit 4."""
 
     def make_context(self, *args, **kwargs):
         try:
@@ -166,7 +183,17 @@ class _OneLineErrors(click.Group):
             if type(exc).show is click.UsageError.show:
                 exc.ctx = None
             raise
-        except (click.ClickException, click.exceptions.Exit, click.Abort, BrokenPipeError):
+        except (model.InvalidParamsError, model.OutOfRangeError) as exc:
+            raise click.UsageError(str(exc)) from None
+        except OverflowError as exc:
+            _echo(f"error: value beyond float range: {exc}", err=True)
+            sys.exit(3)
+        except BrokenPipeError:
+            # as click's own EPIPE handling: flushing at exit must not fail again
+            sys.stdout = PacifyFlushWrapper(sys.stdout)
+            sys.stderr = PacifyFlushWrapper(sys.stderr)
+            sys.exit(141)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
         except Exception as exc:
             _echo(f"error: internal: {type(exc).__name__}: {exc}", err=True)
@@ -174,112 +201,70 @@ class _OneLineErrors(click.Group):
 
 
 @click.group(cls=_OneLineErrors)
-@click.version_option()
+@click.version_option(version=__version__)
 def main():
     """Exact formal-degree engine for discrete series built from a cuspidal block."""
 
 
-@main.command("degree")
-@click.option("--m", type=int, default=None, help="cuspidal block size")
-@click.option("--d", type=int, default=None, help="number of blocks")
-@click.option("--t", type=int, default=None, help="torsion number of the cuspidal")
-@click.option("--a", type=int, default=None, help="pair conductor")
-@click.option("--q", "q_text", default=None, help="'symbolic' (default), a rational, or a float > 1")
-@click.option("--deg-sigma", "deg_sigma_text", default=None,
-              help="'symbolic' (default) or a positive rational")
-@click.option("--config", "config_path", default=None, help="key=value parameter file")
-@click.option("--json", "as_json", is_flag=True, help="emit JSON")
-def cmd_degree(m, d, t, a, q_text, deg_sigma_text, config_path, as_json):
+def _setup_command(name: str, *keys: str, options=(), numeric_q: bool = False):
+    """Register subcommand ``name`` with the options of ``keys``, its own
+    ``options``, --config and --json; its body takes ``_intake``'s ``p``."""
+    def register(body):
+        def run(**flags):
+            p = _intake(keys, flags, numeric_q)
+            return body(p, **flags)
+
+        for attach in reversed([*(_OPTIONS[key] for key in keys), *options,
+                                _OPTIONS["config_path"], _OPTIONS["as_json"]]):
+            run = attach(run)
+        return main.command(name, help=body.__doc__)(run)
+    return register
+
+
+@_setup_command("degree", "m", "d", "t", "a", "q", "deg_sigma")
+def cmd_degree(p, as_json):
     """Print the formal degree in canonical factored form."""
-    config = _load_config(config_path)
-    p = _validated(_require(config, m, "m"), _require(config, d, "d"),
-                   _require(config, t, "t"), _require(config, a, "a"),
-                   q=_parse_q(q_text if q_text is not None else config.get("q")),
-                   deg_sigma=_parse_deg_sigma(
-                       deg_sigma_text if deg_sigma_text is not None else config.get("deg_sigma")))
     result = degree.closed_form_degree(p)
     if p.q is not None and result.deg_sigma_power == 0 and result.numeric is None:
         _echo(f"note: the degree at q={p.q} is beyond the float range; "
               "numeric value omitted", err=True)
     if as_json:
-        doc = {"params": _params_doc(p),
-               "result": _result_doc(result.factored, result.render(), result.numeric),
-               "checks": []}
-        _echo(emit_json(doc))
+        _emit_doc(_params_doc(p), _result_doc(result.factored, result.render(), result.numeric))
     else:
         _echo(result.render())
         if result.numeric is not None:
             _echo(f"numeric: {format(result.numeric, '.17g')}")
 
 
-@main.command("mu")
-@click.option("--d", type=int, default=None)
-@click.option("--t", type=int, default=None)
-@click.option("--a", type=int, default=None)
-@click.option("--level", type=int, default=None,
-              help="print the closed level ratio at this level instead of the full product")
-@click.option("--config", "config_path", default=None)
-@click.option("--json", "as_json", is_flag=True)
-def cmd_mu(d, t, a, level, config_path, as_json):
+@_setup_command("mu", "d", "t", "a", options=[click.option(
+    "--level", type=int, default=None,
+    help="print the closed level ratio at this level instead of the full product")])
+def cmd_mu(p, level, as_json):
     """Print the mu-function (or one closed level ratio) canonically."""
-    config = _load_config(config_path)
-    d = _require(config, d, "d")
-    t = _require(config, t, "t")
-    a = _require(config, a, "a")
-    p = _validated(t, d, t, a)
-    try:
-        form = mu.mu_on_z(p) if level is None else mu.mu_level_ratio_closed(p, level)
-    except model.OutOfRangeError as exc:
-        raise click.UsageError(str(exc))
+    form = mu.mu_on_z(p) if level is None else mu.mu_level_ratio_closed(p, level)
     if as_json:
-        doc = {"params": _params_doc(p),
-               "result": _result_doc(form, form.render(), None),
-               "checks": []}
-        _echo(emit_json(doc))
+        _emit_doc(_params_doc(p), _result_doc(form, form.render(), None))
     else:
         _echo(form.render())
 
 
-@main.command("contour")
-@click.option("--d", type=int, default=None)
-@click.option("--q", type=float, default=None)
-@click.option("--t", type=int, default=None)
-@click.option("--m", type=int, default=None)
-@click.option("--a", type=int, default=None)
-@click.option("--nodes", type=int, default=256, show_default=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
-@click.option("--config", "config_path", default=None)
-@click.option("--json", "as_json", is_flag=True)
-def cmd_contour(d, q, t, m, a, nodes, tol, config_path, as_json):
+@_setup_command("contour", "d", "q", "t", "m", "a", numeric_q=True, options=[
+    click.option("--nodes", type=int, default=256, show_default=True),
+    click.option("--tol", type=float, default=1e-8, show_default=True)])
+def cmd_contour(p, nodes, tol, as_json):
     """Check the contour integral against the residue-term sum numerically."""
-    config = _load_config(config_path)
-    d = _require(config, d, "d")
-    q = _require(config, q, "q", cast=float)
-    t = _require(config, t, "t")
-    m = _require(config, m, "m")
-    a = _require(config, a, "a")
-    p = _validated(m, d, t, a, q=q)
-    try:
-        spec = contour.QuadratureSpec(q=q, nodes=nodes, tolerance=tol)
-        report = contour.decomposition_report(p, spec)
-    except OverflowError as exc:
-        _echo(f"error: value beyond float range: {exc}", err=True)
-        sys.exit(3)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    status = "pass" if report.relative_error <= tol else "fail"
+    report = contour.decomposition_report(p, contour.QuadratureSpec(p.q, nodes, tol))
+    status = report.status
     if as_json:
-        doc = {"params": _params_doc(p),
-               "result": {"lhs": [report.lhs.real, report.lhs.imag],
-                          "rhs": [report.rhs.real, report.rhs.imag],
-                          "chain_terms": [[z.real, z.imag] for z in report.chain_terms],
-                          "offchain_term": [report.offchain_term.real,
-                                            report.offchain_term.imag],
-                          "relative_error": report.relative_error},
-               "checks": _checks_doc(
-                   [checks.CheckReport("residue decomposition", status,
-                                       f"{report.relative_error:.3e}", 0)])}
-        _echo(emit_json(doc))
+        check = checks.CheckReport("residue decomposition", status,
+                                   f"{report.relative_error:.3e}", 0)
+        _emit_doc(_params_doc(p),
+                  {"lhs": [report.lhs.real, report.lhs.imag],
+                   "rhs": [report.rhs.real, report.rhs.imag],
+                   "chain_terms": [[z.real, z.imag] for z in report.chain_terms],
+                   "offchain_term": [report.offchain_term.real, report.offchain_term.imag],
+                   "relative_error": report.relative_error},
+                  [check])
     else:
         _echo(f"lhs  = {report.lhs:.15g}")
         _echo(f"rhs  = {report.rhs:.15g}")
@@ -292,16 +277,14 @@ def cmd_contour(d, q, t, m, a, nodes, tol, config_path, as_json):
         sys.exit(1)
 
 
-# Each suite and the grid options it reads; giving it any other is a usage error.
+# Each suite, the grid options it reads (any other is a usage error) and its
+# default depth: the pairing layer is cheap and its guarantee extends further
 _SUITES = {
-    "pairing": (checks.pairing_reports, ("t_set",)),
-    "ratio": (checks.ratio_reports, ("t_set", "a_set")),
-    "residue": (checks.residue_reports, ("m_set", "t_set", "a_set")),
-    "theorem": (checks.theorem_reports, ("m_set", "t_set", "a_set")),
+    "pairing": (checks.pairing_reports, ("t_set",), 8),
+    "ratio": (checks.ratio_reports, ("t_set", "a_set"), 6),
+    "residue": (checks.residue_reports, ("m_set", "t_set", "a_set"), 6),
+    "theorem": (checks.theorem_reports, ("m_set", "t_set", "a_set"), 6),
 }
-
-# the pairing layer is cheap and its guarantee extends further up the tower
-_SUITE_DEFAULT_D_MAX = {"pairing": 8}
 
 
 def _parse_int_set(text: str, minimum: int = 1) -> tuple[int, ...]:
@@ -323,14 +306,14 @@ def _parse_int_set(text: str, minimum: int = 1) -> tuple[int, ...]:
               help="comma-separated torsion numbers (default 1,2,3; every t | m for "
                    "theorem and residue)")
 @click.option("--a-set", default=None, help="comma-separated conductors (default 0,1,2)")
-@click.option("--json", "as_json", is_flag=True)
+@_OPTIONS["as_json"]
 def cmd_verify(kind, d_max, m_set, t_set, a_set, as_json):
     """Run a symbolic identity suite over a parameter grid."""
+    suite, accepted, default_d_max = _SUITES[kind]
     if d_max is None:
-        d_max = _SUITE_DEFAULT_D_MAX.get(kind, 6)
+        d_max = default_d_max
     if d_max < 1:
         raise click.UsageError(f"--d-max must be positive, got {d_max}")
-    suite, accepted = _SUITES[kind]
     given = {"m_set": m_set, "t_set": t_set, "a_set": a_set}
     extra = [key for key, text in given.items() if text is not None and key not in accepted]
     if extra:
@@ -338,15 +321,15 @@ def cmd_verify(kind, d_max, m_set, t_set, a_set, as_json):
         raise click.UsageError(f"verify {kind} does not take {flags}")
     kwargs = {key: _parse_int_set(text, minimum=0 if key == "a_set" else 1)
               for key, text in given.items() if text is not None}
-    reports = suite(d_max=d_max, **kwargs)
-    reports = sorted(reports, key=lambda r: r.name)
+    reports = sorted(suite(d_max=d_max, **kwargs), key=lambda r: r.name)
     if as_json:
-        doc = {"params": {"kind": kind, "d_max": d_max},
-               "result": None,
-               "checks": _checks_doc(reports)}
-        _echo(emit_json(doc))
+        _emit_doc({"kind": kind, "d_max": d_max}, None, reports)
     else:
-        _print_reports(reports)
+        for r in reports:
+            line = f"[{r.status.upper()}] {r.name} ({r.elapsed_ms} ms)"
+            if r.status != "pass":
+                line += f"  detail: {r.detail}"
+            _echo(line)
         n_pass = sum(r.passed for r in reports)
         _echo(f"{n_pass}/{len(reports)} checks passed")
     if not all(r.passed for r in reports):

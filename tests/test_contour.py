@@ -12,7 +12,7 @@ from qdegree import contour
 from qdegree.contour import (QuadratureSpec, _eval_grid, _unitary_nodes, default_shift,
                              decomposition_report, lhs_contour, residue_terms,
                              verify_residue_decomposition)
-from qdegree.model import validate
+from qdegree.model import InvalidParamsError, OutOfRangeError, validate
 from qdegree.qform import AffineExponent, DivisionByZeroError, FactoredForm, SumForm
 
 
@@ -82,6 +82,13 @@ class TestQuadratureSpec:
         for q in (1.0, float("nan")):
             with pytest.raises(ValueError):
                 QuadratureSpec(q=q)
+
+    def test_rejections_are_typed(self):
+        # the CLI maps both to a usage error; both stay ValueErrors for callers
+        with pytest.raises(InvalidParamsError):
+            QuadratureSpec(q=2.0, tolerance=0)
+        with pytest.raises(OutOfRangeError):
+            residue_terms(validate(1, 4, 1, 0), QuadratureSpec(q=2.0))
 
     def test_default_shift_beyond_residue_points(self):
         p = validate(2, 3, 2, 0)
