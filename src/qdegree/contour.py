@@ -123,19 +123,24 @@ def _unitary_nodes(q: float, nodes: int) -> np.ndarray:
     return 1j * period * np.arange(nodes) / nodes
 
 
+def _torus_mean(f: Union[FactoredForm, SumForm], spec: QuadratureSpec,
+                shifts: Mapping[str, float]) -> complex:
+    """Node mean of f over the circles Re(v) = shifts[v], ``spec.nodes`` per
+    circle, on a sparse meshgrid; over no circles it is f's constant value.
+    """
+    nodes = _unitary_nodes(spec.q, spec.nodes)
+    axes = np.meshgrid(*[nodes] * len(shifts), indexing="ij", sparse=True)
+    arrays = {v: shift + axis for (v, shift), axis in zip(shifts.items(), axes)}
+    return complex(_eval_grid(f, spec.q, arrays).mean())
+
+
 def lhs_contour(p: SetupParams, spec: QuadratureSpec) -> complex:
     """(logq/2pi)^(d-1) (m/t)^(d-1) times the iterated box integral of mu
     over the circles Re(z_l) = R_l of ``default_shift``; equals (m/t)^(d-1)
     times the node mean.
     """
-    if p.d == 1:
-        return 1 + 0j
-    shift = default_shift(p)
-    axes = np.meshgrid(*[_unitary_nodes(spec.q, spec.nodes)] * (p.d - 1),
-                       indexing="ij", sparse=True)
-    arrays = {z_var(j): shift[j - 1] + axes[j - 1] for j in range(1, p.d)}
-    mean = complex(_eval_grid(mu_on_z(p), spec.q, arrays).mean())
-    return (Fraction(p.m, p.t) ** (p.d - 1)) * mean
+    shifts = {z_var(j): r for j, r in enumerate(default_shift(p), start=1)}
+    return (Fraction(p.m, p.t) ** (p.d - 1)) * _torus_mean(mu_on_z(p), spec, shifts)
 
 
 def _offchain_sum(p: SetupParams, f: FactoredForm) -> SumForm:
@@ -143,14 +148,10 @@ def _offchain_sum(p: SetupParams, f: FactoredForm) -> SumForm:
 
     These are the level +1 loci of the pairs (1,2) and (1,3); both are
     crossed when z_1 is shifted to the unitary axis.  Each residue is taken
-    by recentering with an auxiliary variable and extracting at its origin.
-    ``f`` is mu_on_z(p).
+    in z_1 at the affine point itself.  ``f`` is mu_on_z(p).
     """
-    total = SumForm.zero()
-    for sign in (Fraction(1, 2), Fraction(-1, 2)):
-        recentered = f.substitute(z_var(1), AffineExponent.make(p.t, {"u": 1, z_var(2): sign}))
-        total = total + residue(recentered, "u", 0)
-    return total
+    return sum((residue(f, z_var(1), AffineExponent.make(p.t, {z_var(2): sign}))
+                for sign in (Fraction(1, 2), Fraction(-1, 2))), SumForm.zero())
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,6 @@ def residue_terms(p: SetupParams, spec: QuadratureSpec) -> tuple[tuple[complex, 
     if p.d > 3:
         raise OutOfRangeError("residue decomposition is implemented for d <= 3")
     ratio = Fraction(p.m, p.t)
-    nodes = _unitary_nodes(spec.q, spec.nodes)
     f = mu_on_z(p)
     chain = []
     for l in range(1, p.d + 1):
@@ -178,14 +178,12 @@ def residue_terms(p: SetupParams, spec: QuadratureSpec) -> tuple[tuple[complex, 
         if l == 1:
             mean = complex(datum.eval_numeric(spec.q))
         else:
-            axes = np.meshgrid(*[nodes] * (l - 1), indexing="ij", sparse=True)
-            arrays = {z_var(j): axes[j - 1] for j in range(1, l)}
-            mean = complex(_eval_grid(datum, spec.q, arrays).mean())
+            mean = _torus_mean(datum, spec, {z_var(j): 0.0 for j in range(1, l)})
         chain.append((p.d - l + 1) * (ratio ** (l - 1)) * mean)
     offchain = 0j
     if p.d == 3:
-        values = _eval_grid(_offchain_sum(p, f), spec.q, {z_var(2): nodes})
-        offchain = math.log(spec.q) * (ratio ** 2) * complex(values.mean())
+        mean = _torus_mean(_offchain_sum(p, f), spec, {z_var(2): 0.0})
+        offchain = math.log(spec.q) * (ratio ** 2) * mean
     return tuple(chain), offchain
 
 

@@ -9,7 +9,7 @@ times deg(sigma)^d.
 
 from __future__ import annotations
 
-import math
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,7 +66,7 @@ def gamma_factor(p: SetupParams) -> FactoredForm:
 
 
 def _numeric(factored: FactoredForm, q: Fraction | float) -> float | None:
-    """The value at q as a float, or None when it lies beyond the float range."""
+    """The value at q as a float, or None when it lies beyond the range of normal floats."""
     try:
         if isinstance(q, Fraction):
             value = float(factored.eval_exact(q))
@@ -74,7 +74,7 @@ def _numeric(factored: FactoredForm, q: Fraction | float) -> float | None:
             value = factored.eval_numeric(float(q)).real
     except OverflowError:
         return None
-    return value if math.isfinite(value) else None
+    return value if sys.float_info.min <= abs(value) <= sys.float_info.max else None
 
 
 def _finish(p: SetupParams, factored: FactoredForm) -> DegreeResult:

@@ -70,7 +70,9 @@ def validate(m: int, d: int, t: int, a: int,
         problems.append(f"q must be finite, got {q}")
     elif q is not None and not q > 1:
         problems.append(f"q must exceed 1, got {q}")
-    if deg_sigma is not None:
+    if isinstance(deg_sigma, float) and not math.isfinite(deg_sigma):
+        problems.append(f"deg_sigma must be finite, got {deg_sigma}")
+    elif deg_sigma is not None:
         deg_sigma = Fraction(deg_sigma)
         if not deg_sigma > 0:
             problems.append(f"deg_sigma must be positive, got {deg_sigma}")

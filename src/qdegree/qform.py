@@ -18,12 +18,12 @@ of their rational parts.  Numeric evaluation carries a separate power of two;
 exact evaluation multiplies every factor into one integer numerator and one
 integer denominator, so it reduces the quotient once.
 
-Residues come in two kinds.  At a simple pole, the only kind the degree
-computation meets, ``residue`` returns the leading Laurent coefficient as a
-single factored form built in one step.  At a pole of order two or more it
-reads the w^(-1) coefficient of ``local_series``: a lead form times w^p times
-one unit series per factor, raised to the factor's multiplicity by one power
-rule; its coefficients are sums of factored forms (``SumForm``).
+``residue``, at a rational point or at a point affine in the other variables,
+reads the w^(-1) coefficient of one Laurent expansion: a lead form times w^p
+times one unit series per factor, raised to the factor's multiplicity by one
+power rule.  At a simple pole, the only kind the degree computation meets,
+that coefficient is the lead form alone; at a pole of order two or more it is
+a sum of factored forms (``SumForm``).
 
 All objects are immutable and hashable; all operations are pure functions.
 """
@@ -664,8 +664,8 @@ _ONE_FORM = FactoredForm(Fraction(1), 0, _ZERO_EXPONENT, (), False)
 class SumForm:
     """A finite sum of factored forms; the empty sum is zero.
 
-    ``residue`` returns one: a simple pole gives a single term (the closed
-    path), and only the series engine for poles of order two or more can
+    ``residue`` returns one: a simple pole gives a single term, the lead
+    form of the Laurent expansion, and only a pole of order two or more can
     give several.  The degree computation never builds one.
     """
 
@@ -765,10 +765,11 @@ def _unit_power(a: list[FactoredForm], m: int, n: int) -> list[SumForm]:
     return b
 
 
-def _form_series(f: FactoredForm, name: str, center: Fraction, order: int) -> dict[int, SumForm]:
+def _form_series(f: FactoredForm, name: str, center: ExponentValue, order: int) -> dict[int, SumForm]:
     """Laurent coefficients of f in w = name - center up to w^order; zero ones are absent.
 
-    With u = w log q, f is a lead form times w^p times one unit series
+    The center is rational or affine in the other variables.  With
+    u = w log q, f is a lead form times w^p times one unit series
     (1 + a_1 w + a_2 w^2 + ...)^m per factor that depends on name, where p is
     the total multiplicity of the binomials that vanish at the center:
 
@@ -776,34 +777,37 @@ def _form_series(f: FactoredForm, name: str, center: Fraction, order: int) -> di
         1 - q^(s w)        lead -s log q w     a_j = (s u)^j / (j+1)!
         1 - q^(c + s w)    lead 1 - q^c        a_j = -q^c (s u)^j / (j! (1 - q^c))
     """
-    at = AffineExponent.constant(center)
+    at = as_exponent(center)
     constant, log_grade, p = f.constant, f.log_grade, 0
-    regular, units = [], []  # units: (m, slope, j! offset, the form that a_j scales)
-    e = f.monomial.coeff(name)
-    if e:
-        units.append((1, e, 0, _ONE_FORM))
+    regular, units = [], []  # units: (m, slope, j! offset, exponent c of a regular factor)
     for exponent, m in f.binomials:
         s, c = exponent.coeff(name), exponent.substitute(name, at)
         if c.is_zero:
             constant *= (-s) ** m
             log_grade += m
             p += m
-            units.append((m, s, 1, _ONE_FORM))
+            units.append((m, s, 1, None))
         else:
             regular.append((c, m))
             if s:
-                units.append((m, s, 0, FactoredForm.build(-1, 0, c, ((c, -1),))))
+                units.append((m, s, 0, c))
     n = order - p
     if n < 0:
         return {}
+    lead = FactoredForm.build(constant, log_grade, f.monomial.substitute(name, at), regular)
+    if n == 0:  # only the constant 1 of each unit series enters
+        return {p: SumForm((lead,))}
+    e = f.monomial.coeff(name)
+    if e:
+        units.insert(0, (1, e, 0, None))  # first: the order of the sums' terms follows units
     product = [SumForm.of(_ONE_FORM)] + [SumForm.zero()] * n
-    for m, s, offset, g in units:
+    for m, s, offset, c in units:
+        g = _ONE_FORM if c is None else FactoredForm.build(-1, 0, c, ((c, -1),))
         a = [FactoredForm(g.constant * s ** j / math.factorial(j + offset), j,
                           g.monomial, g.binomials, False) for j in range(n + 1)]
         power = _unit_power(a, m, n)
         product = [_collect(x * y for i in range(k + 1) for x in product[i].terms
                             for y in power[k - i].terms) for k in range(n + 1)]
-    lead = FactoredForm.build(constant, log_grade, f.monomial.substitute(name, at), regular)
     return {p + k: SumForm(tuple(lead * t for t in c.terms))
             for k, c in enumerate(product) if not c.is_zero}
 
@@ -819,34 +823,12 @@ def local_series(f: Union[FactoredForm, SumForm], name: str, center: Rational,
     return LocalSeries(name, center, items, order)
 
 
-def residue(f: Union[FactoredForm, SumForm], name: str, point: Rational) -> SumForm:
-    """Residue of f dz at name = point; regular points give zero.
-
-    Near the point, a binomial whose exponent vanishes there is
-    1 - q^(s*w) = -(s*logq) w (1 + ...) with w = name - point.  At a simple
-    pole the residue is therefore the leading Laurent coefficient, built in
-    one step: every other factor is evaluated at the point, the constant is
-    multiplied by (-s)^m for each vanishing binomial (1 - q^(s*w))^m, and the
-    log grade drops by one.  At a pole of order two or more the residue is the
-    w^(-1) coefficient of ``local_series``, which may have several terms.
+def residue(f: Union[FactoredForm, SumForm], name: str, point: ExponentValue) -> SumForm:
+    """Residue of f dz at name = point, rational or affine in the other
+    variables: the w^(-1) coefficients of ``_form_series`` of f's terms.  A
+    simple pole gives one factored form per term; regular points give zero.
     """
-    point = _as_fraction(point)
-    center = AffineExponent.constant(point)
     terms: list[FactoredForm] = []
     for term in as_sum(f).terms:
-        constant = term.constant
-        order = 0
-        regular = []
-        for e, m in term.binomials:
-            e_center = e.substitute(name, center)
-            if e_center.is_zero:
-                constant *= (-e.coeff(name)) ** m
-                order -= m
-            else:
-                regular.append((e_center, m))
-        if order == 1:
-            terms.append(FactoredForm.build(constant, term.log_grade - 1,
-                                            term.monomial.substitute(name, center), regular))
-        elif order > 1:
-            terms.extend(_form_series(term, name, point, -1).get(-1, SumForm.zero()).terms)
+        terms.extend(_form_series(term, name, point, -1).get(-1, SumForm.zero()).terms)
     return SumForm(tuple(terms))

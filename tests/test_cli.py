@@ -34,7 +34,8 @@ class TestDegreeCommand:
         assert "finite" in result.stderr
 
     @pytest.mark.parametrize("extra", [["--q", "1000", "--deg-sigma", "1"],
-                                       ["--q", "2", "--deg-sigma", "1e400"]])
+                                       ["--q", "2", "--deg-sigma", "1e400"],
+                                       ["--q", "2", "--deg-sigma", "1e-400"]])
     def test_beyond_float_range_exits_0(self, runner, extra):
         result = runner.invoke(main, ["degree", "--m", "6", "--d", "10", "--t", "3", "--a", "1",
                                       *extra, "--json"])
@@ -42,6 +43,14 @@ class TestDegreeCommand:
         assert json.loads(result.stdout)["result"]["numeric"] is None
         assert len(result.stderr.splitlines()) == 1
         assert "float range" in result.stderr
+
+    def test_below_float_range_prints_no_numeric_line(self, runner):
+        result = runner.invoke(main, ["degree", "--m", "2", "--d", "2", "--t", "1", "--a", "0",
+                                      "--q", "2", "--deg-sigma", "1e-400"])
+        assert result.exit_code == 0
+        assert "numeric:" not in result.stdout
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("note: ")
 
     def test_invalid_torsion_exits_2(self, runner):
         result = runner.invoke(main, ["degree", "--m", "2", "--d", "2", "--t", "3", "--a", "0"])

@@ -103,9 +103,11 @@ class TestDegree:
         assert r.numeric == pytest.approx((2.5 - 1) / 2 * 4)
 
     # at float q=1000, q^(-1440) underflows before the large binomials are
-    # applied, so a factor-by-factor product used to give 0.0, not None
+    # applied, so a factor-by-factor product used to give 0.0, not None; a
+    # degree below the smallest normal float is None as well, not 0.0
     @pytest.mark.parametrize("q, deg_sigma", [(F(1000), F(1)), (F(2), F(10) ** 400),
-                                              (2.0, F(10) ** 400), (1000.0, F(1))])
+                                              (2.0, F(10) ** 400), (1000.0, F(1)),
+                                              (F(2), F(10) ** -400), (2.0, F(10) ** -400)])
     def test_beyond_float_range_keeps_exact_form(self, q, deg_sigma):
         r = closed_form_degree(validate(6, 10, 3, 1, q=q, deg_sigma=deg_sigma))
         assert r.numeric is None

@@ -1,10 +1,13 @@
 """Fast paths against their general references.
 
-``residue`` takes a simple pole in one step; ``local_series`` writes the form
+``residue`` and ``local_series`` both read one Laurent expansion: the form
 as a lead form times one unit series per factor, each raised to its
-multiplicity by the power rule, and multiplies the truncated series out.  At
-a simple pole both must give the same canonical form, including when zeros
-and poles at the point partly cancel.
+multiplicity by the power rule, with the truncated series multiplied out.
+At a simple pole the residue must equal the closed formula written out here
+as a reference, including when zeros and poles at the point partly cancel.
+At a point affine in another variable it must equal the residue at u = 0
+after the substitution z := point + u, at simple poles and at poles of order
+two.
 
 ``AffineExponent`` keeps integers over one shared denominator; a plain
 model with Fraction parts checks its arithmetic, its reduced form, its
@@ -23,7 +26,7 @@ import hypothesis.strategies as st
 import pytest
 
 from qdegree.qform import (AffineExponent as AE, FactoredForm as FF, HigherOrderPoleError,
-                           SumForm, as_sum, local_series, residue)
+                           SumForm, as_exponent, as_sum, local_series, residue)
 from qdegree.resdata import iterated_residue
 
 
@@ -31,25 +34,43 @@ rationals = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
 nonzero_rationals = rationals.filter(bool)
 exponents = st.builds(lambda c, z, w: AE.make(c, {"z": z, "w": w}),
                       rationals, rationals, rationals)
+affine_points = st.builds(lambda c, w: AE.make(c, {"w": w}), rationals, nonzero_rationals)
 
 
-def _vanishing(slope: F, point: F) -> AE:
+def _vanishing(slope: F, point) -> AE:
     """slope * (z - point): the exponent of a binomial that vanishes at the point."""
-    return AE.make(-slope * point, {"z": slope})
+    return AE.variable("z", slope) - as_exponent(point).scale(slope)
+
+
+def _closed_simple_pole_residue(f: FF, name: str, point: F) -> FF:
+    """The residue at a simple pole in one step: every factor that does not
+    vanish at the point is evaluated there, the constant is multiplied by
+    (-s)^m for each vanishing binomial (1 - q^(s*w))^m, and the log grade
+    drops by one.
+    """
+    center = AE.constant(point)
+    constant, regular = f.constant, []
+    for e, m in f.binomials:
+        at = e.substitute(name, center)
+        if at.is_zero:
+            constant *= (-e.coeff(name)) ** m
+        else:
+            regular.append((at, m))
+    return FF.build(constant, f.log_grade - 1, f.monomial.substitute(name, center), regular)
 
 
 @st.composite
-def simple_pole_forms(draw):
-    """A form with net pole order one at a random rational point.
+def pole_forms(draw, points=rationals, order=1):
+    """A form with net pole order ``order`` at a random point of ``points``.
 
     Up to two vanishing numerator binomials of total multiplicity k are
     balanced by up to three vanishing denominators of total multiplicity
-    k + 1, with independent slopes; regular factors may involve a spectator
-    variable w.
+    k + order, with independent slopes; regular factors may involve a
+    spectator variable w, in which an affine point also moves.
     """
-    point = draw(rationals)
+    point = draw(points)
     zeros = draw(st.lists(st.tuples(nonzero_rationals, st.integers(1, 2)), max_size=2))
-    n_poles = sum(m for _, m in zeros) + 1
+    n_poles = sum(m for _, m in zeros) + order
     cuts = sorted(draw(st.sets(st.integers(1, n_poles - 1), max_size=2))) if n_poles > 1 else []
     poles = [(draw(nonzero_rationals), a - b) for a, b in zip([0] + cuts, cuts + [n_poles])]
     binomials = [(_vanishing(s, point), m) for s, m in zeros + poles]
@@ -62,14 +83,37 @@ def simple_pole_forms(draw):
 
 
 @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@hypothesis.given(simple_pole_forms())
+@hypothesis.given(pole_forms())
 def test_simple_pole_residue_matches_series(case):
     f, point = case
     assert f.pole_order("z", point) == 1
     got = residue(f, "z", point)
     assert got == local_series(f, "z", point, -1).coefficient(-1)
-    assert len(got.terms) == 1
+    assert got.single_term() == _closed_simple_pole_residue(f, "z", point)
     assert got.terms[0].log_grade == f.log_grade - 1
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_residue_at_affine_point_matches_recentring(order):
+    @hypothesis.settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(pole_forms(affine_points, order))
+    def check(case):
+        f, point = case
+        assert f.pole_order("z", point) == order
+        got = residue(f, "z", point)
+        want = residue(f.substitute("z", point + AE.variable("u")), "u", 0)
+        if order == 1:
+            assert got.single_term() == want.single_term()
+            return
+        # a sum of factored forms is not canonical: the recentred form may
+        # orient a regular binomial the other way, and q^x / (1 - q^x) =
+        # 1 / (1 - q^x) - 1 then splits the same coefficient into other terms
+        for w in (0.3137, -1.289):
+            size = sum(abs(t.eval_numeric(2.7, {"w": w})) for t in got.terms + want.terms)
+            assert abs(got.eval_numeric(2.7, {"w": w}) - want.eval_numeric(2.7, {"w": w})) \
+                <= 1e-12 * max(size, 1.0)
+
+    check()
 
 
 def test_zero_and_double_pole_cancel_to_simple_pole():

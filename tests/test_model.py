@@ -6,6 +6,8 @@ import pytest
 
 from qdegree.model import InvalidParamsError, validate
 
+NON_FINITE = (float("inf"), float("-inf"), float("nan"))
+
 
 class TestValidate:
     def test_basic(self):
@@ -34,10 +36,12 @@ class TestValidate:
         with pytest.raises(InvalidParamsError):
             validate(1, 1, 1, 0, q=0.5)
 
-    @pytest.mark.parametrize("q", [float("inf"), float("-inf"), float("nan")])
-    def test_rejects_non_finite_q(self, q):
+    @pytest.mark.parametrize("kwargs", [
+        *(pytest.param({"q": x}, id=str(x)) for x in NON_FINITE),
+        *(pytest.param({"deg_sigma": x}, id=f"deg_sigma={x}") for x in NON_FINITE)])
+    def test_rejects_non_finite_q(self, kwargs):
         with pytest.raises(InvalidParamsError, match="finite"):
-            validate(1, 1, 1, 0, q=q)
+            validate(1, 1, 1, 0, **kwargs)
 
     def test_rejects_nonpositive_deg_sigma(self):
         with pytest.raises(InvalidParamsError):
