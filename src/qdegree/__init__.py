@@ -8,8 +8,8 @@ degree assembly, and a numeric contour-quadrature cross-check.
 """
 
 from .checks import CheckReport
-from .coords import (Weight, alpha_tilde, discrete_series_point, generic_weight,
-                     pairing_coroot, residue_plan, z_to_s)
+from .coords import (Weight, discrete_series_point, generic_weight, pairing_coroot,
+                     residue_plan, z_to_s)
 from .degree import (DegreeResult, assemble_degree, closed_form_degree,
                      gamma_factor, gl_order, verify_theorem)
 from .model import InvalidParamsError, OutOfRangeError, SetupParams, validate
@@ -26,7 +26,7 @@ __all__ = [
     "AffineExponent", "CheckReport", "DegreeResult", "DivisionByZeroError",
     "FactoredForm", "HigherOrderPoleError", "InvalidParamsError",
     "LocalSeries", "OutOfRangeError", "PoleAtSubstitutionError", "SetupParams",
-    "SumForm", "Weight", "alpha_tilde", "assemble_degree",
+    "SumForm", "Weight", "assemble_degree",
     "closed_form_degree", "discrete_series_point", "gamma_factor",
     "generic_weight", "gl_order", "iterated_residue", "local_series",
     "mu_full", "mu_level_ratio_closed", "mu_level_ratio_telescoped", "mu_on_z",

@@ -8,9 +8,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from . import coords, model, mu
+from . import coords, model, mu, resdata
 from .qform import AffineExponent
 
 
@@ -32,11 +32,14 @@ class CheckReport:
         return self.status == "pass"
 
 
-def _report(name: str, ok: bool, detail_fail: str, start: float) -> CheckReport:
+def run_check(name: str, failure: Callable[..., str | None], *args) -> CheckReport:
+    """Time ``failure(*args)``, which returns None on a pass or the failure's detail."""
+    start = time.perf_counter()
+    detail = failure(*args)
     elapsed = int(1000 * (time.perf_counter() - start))
-    if ok:
+    if detail is None:
         return CheckReport(name, "pass", "1", elapsed)
-    return CheckReport(name, "fail", detail_fail, elapsed)
+    return CheckReport(name, "fail", detail, elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -71,61 +74,55 @@ def theorem_grid(d_max: int = DEFAULT_D_MAX,
 # Identity suites
 # ---------------------------------------------------------------------------
 
+def _pairing_failure(d: int, t: int) -> str | None:
+    p = model.validate(t, d, t, 0)
+    w = coords.generic_weight(p)
+    for l in range(1, d):
+        got = coords.pairing_coroot(p, l, w).scale(t)
+        want = AffineExponent.variable(coords.z_var(l))
+        if l + 1 < d:
+            want = want - AffineExponent.variable(
+                coords.z_var(l + 1), coeff=Fraction(d - l - 1, d - l))
+        if got != want:
+            return f"l={l}: {got} != {want}"
+    point = coords.discrete_series_point(p).as_fractions()
+    want_s = tuple(Fraction(d - 1, 2) - k for k in range(d))
+    return None if point == want_s else f"point {point} != {want_s}"
+
+
 def pairing_reports(d_max: int = 8, t_set: Iterable[int] = (1, 2, 3)) -> list[CheckReport]:
     """Coroot pairing identity and the nested specialization point.
 
     For every d and l:  t <alpha_l^vee, sum z_j atilde_j> = z_l - ((d-l-1)/(d-l)) z_(l+1),
     and the specialization point maps to s = ((d-1)/2, ..., (-d+1)/2).
     """
-    out = []
-    for d in range(2, d_max + 1):
-        for t in t_set:
-            start = time.perf_counter()
-            p = model.validate(t, d, t, 0)
-            w = coords.generic_weight(p)
-            ok = True
-            detail = "1"
-            for l in range(1, d):
-                got = coords.pairing_coroot(p, l, w).scale(t)
-                want = AffineExponent.variable(coords.z_var(l))
-                if l + 1 < d:
-                    want = want - AffineExponent.variable(
-                        coords.z_var(l + 1), coeff=Fraction(d - l - 1, d - l))
-                if got != want:
-                    ok = False
-                    detail = f"l={l}: {got} != {want}"
-                    break
-            if ok:
-                point = coords.discrete_series_point(p).as_fractions()
-                want_s = tuple(Fraction(d - 1, 2) - k for k in range(d))
-                if point != want_s:
-                    ok = False
-                    detail = f"point {point} != {want_s}"
-            out.append(_report(f"pairing d={d} t={t}", ok, detail, start))
-    return out
+    return [run_check(f"pairing d={d} t={t}", _pairing_failure, d, t)
+            for d in range(2, d_max + 1) for t in t_set]
+
+
+def _ratio_failure(d: int, t: int, a: int) -> str | None:
+    p = model.validate(t, d, t, a)
+    for l in range(2, d + 1):
+        quotient = mu.mu_level_ratio_telescoped(p, l) / mu.mu_level_ratio_closed(p, l)
+        if not quotient.is_one:
+            return f"l={l}: {quotient.render()}"
+    return None
 
 
 def ratio_reports(d_max: int = DEFAULT_D_MAX,
                   t_set: Iterable[int] = DEFAULT_T_SET,
                   a_set: Iterable[int] = DEFAULT_A_SET) -> list[CheckReport]:
     """Telescoped pair products equal the closed level ratios, canonically."""
-    out = []
-    for d in range(2, d_max + 1):
-        for t in t_set:
-            for a in a_set:
-                start = time.perf_counter()
-                p = model.validate(t, d, t, a)
-                ok = True
-                detail = "1"
-                for l in range(2, d + 1):
-                    quotient = (mu.mu_level_ratio_telescoped(p, l)
-                                / mu.mu_level_ratio_closed(p, l))
-                    if not quotient.is_one:
-                        ok = False
-                        detail = f"l={l}: {quotient.render()}"
-                        break
-                out.append(_report(f"ratio d={d} t={t} a={a}", ok, detail, start))
-    return out
+    return [run_check(f"ratio d={d} t={t} a={a}", _ratio_failure, d, t, a)
+            for d in range(2, d_max + 1) for t in t_set for a in a_set]
+
+
+def _residue_failure(p: model.SetupParams) -> str | None:
+    got = resdata.res_a1_mu(p)
+    quotient = got / resdata.residue_closed_form(p)
+    if quotient.is_one and got.log_grade == 0:
+        return None
+    return f"quotient {quotient.render()} log_grade {got.log_grade}"
 
 
 def residue_reports(d_max: int = DEFAULT_D_MAX,
@@ -133,17 +130,8 @@ def residue_reports(d_max: int = DEFAULT_D_MAX,
                     a_set: Iterable[int] = DEFAULT_A_SET,
                     t_set: Iterable[int] | None = None) -> list[CheckReport]:
     """The fully specialized residue datum equals its closed form, log grade 0."""
-    from .resdata import res_a1_mu, residue_closed_form
-
-    out = []
-    for p in theorem_grid(d_max, m_set, a_set, t_set):
-        start = time.perf_counter()
-        got = res_a1_mu(p)
-        quotient = got / residue_closed_form(p)
-        ok = quotient.is_one and got.log_grade == 0
-        detail = "1" if ok else f"quotient {quotient.render()} log_grade {got.log_grade}"
-        out.append(_report(f"residue m={p.m} d={p.d} t={p.t} a={p.a}", ok, detail, start))
-    return out
+    return [run_check(f"residue m={p.m} d={p.d} t={p.t} a={p.a}", _residue_failure, p)
+            for p in theorem_grid(d_max, m_set, a_set, t_set)]
 
 
 def theorem_reports(d_max: int = DEFAULT_D_MAX,

@@ -151,7 +151,7 @@ def _offchain_sum(p: SetupParams, f: FactoredForm) -> SumForm:
     in z_1 at the affine point itself.  ``f`` is mu_on_z(p).
     """
     return sum((residue(f, z_var(1), AffineExponent.make(p.t, {z_var(2): sign}))
-                for sign in (Fraction(1, 2), Fraction(-1, 2))), SumForm.zero())
+                for sign in (Fraction(1, 2), Fraction(-1, 2))), SumForm())
 
 
 @dataclass(frozen=True)

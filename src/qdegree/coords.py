@@ -25,27 +25,20 @@ def z_var(j: int) -> str:
 @dataclass(frozen=True)
 class Weight:
     """A point in s-coordinates; entries are affine expressions (constants
-    included) in the residue variables.  Only differences of entries matter;
-    fully numeric weights are normalized to sum zero.
+    included) in the residue variables.  Only differences of entries matter.
+    ``make`` takes the entries as given; every weight of ``z_to_s`` sums to
+    zero, because every rescaled root does.
     """
 
     s: tuple[AffineExponent, ...]
 
     @staticmethod
     def make(entries: Iterable[ExponentValue]) -> "Weight":
-        fixed = tuple(as_exponent(e) for e in entries)
-        if all(e.is_constant for e in fixed):
-            mean = sum((e.const for e in fixed), Fraction(0)) / len(fixed)
-            fixed = tuple(AffineExponent.constant(e.const - mean) for e in fixed)
-        return Weight(fixed)
+        return Weight(tuple(as_exponent(e) for e in entries))
 
     @property
     def dim(self) -> int:
         return len(self.s)
-
-    @property
-    def is_numeric(self) -> bool:
-        return all(e.is_constant for e in self.s)
 
     def difference(self, i: int, j: int) -> AffineExponent:
         """The pairing of the composite coroot joining blocks i < j: s_i - s_j."""
@@ -56,19 +49,9 @@ class Weight:
         return Weight(tuple(e + c for e in self.s))
 
     def as_fractions(self) -> tuple[Fraction, ...]:
-        if not self.is_numeric:
+        if not all(e.is_constant for e in self.s):
             raise ValueError("weight has symbolic entries")
         return tuple(e.const for e in self.s)
-
-
-def alpha_tilde(p: SetupParams, j: int) -> Weight:
-    """The rescaled simple root atilde_j in s-coordinates: ``z_to_s`` at the
-    j-th unit vector.  It sums to zero and is the unique multiple of
-    e_j - (e_(j+1) + ... + e_d)/(d-j) reproducing the coroot pairing.
-    """
-    if not 1 <= j <= p.d - 1:
-        raise OutOfRangeError(f"root index {j} outside [1, {p.d - 1}]")
-    return z_to_s(p, [int(k == j) for k in range(1, p.d)])
 
 
 def pairing_coroot(p: SetupParams, l: int, weight: Weight) -> AffineExponent:
@@ -89,7 +72,7 @@ def z_to_s(p: SetupParams, z_values: Sequence[ExponentValue]) -> Weight:
     if len(z_values) != p.d - 1:
         raise OutOfRangeError(f"expected {p.d - 1} z-values, got {len(z_values)}")
     entries = []
-    tail = AffineExponent.constant(0)
+    tail = as_exponent(0)
     for j, z in enumerate(z_values, start=1):
         zj = as_exponent(z)
         size = p.t * (p.d - j + 1)

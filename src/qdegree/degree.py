@@ -10,11 +10,10 @@ times deg(sigma)^d.
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .checks import CheckReport
+from .checks import CheckReport, run_check
 from .model import OutOfRangeError, SetupParams
 from .qform import FactoredForm, as_exponent
 from .resdata import res_a1_mu, residue_closed_form
@@ -42,36 +41,39 @@ class DegreeResult:
         return self.render()
 
 
+def _gl_parts(n: int, power: int = 1) -> tuple[int, list]:
+    """The monomial exponent and the binomials of |GL_n|^power, whose sign is
+    (-1)^(n power): |GL_n| = q^(n(n-1)/2) * prod_(k=1..n) (q^k - 1) over the
+    q-element field, and q^k - 1 = -(1 - q^k).
+    """
+    return power * n * (n - 1) // 2, [(as_exponent(k), power) for k in range(1, n + 1)]
+
+
 def gl_order(n: int) -> FactoredForm:
-    """|GL_n| over the q-element field: q^(n(n-1)/2) * prod_(k=1..n) (q^k - 1)."""
+    """|GL_n| over the q-element field, in one build of ``_gl_parts``."""
     if n < 1:
         raise OutOfRangeError(f"matrix size {n} must be positive")
-    # q^k - 1 = -(1 - q^k)
-    return FactoredForm.build((-1) ** n, 0, n * (n - 1) // 2,
-                              [(as_exponent(k), 1) for k in range(1, n + 1)])
+    monomial, binomials = _gl_parts(n)
+    return FactoredForm.build((-1) ** n, 0, monomial, binomials)
 
 
 def gamma_factor(p: SetupParams) -> FactoredForm:
-    """The induction constant |GL_n| / |GL_m|^d * q^(mn - n^2), in one build.
-
-    With gl_order's factors, the signs (-1)^n / (-1)^(md) cancel since n = md,
-    and the quotient is q^(n(n-1)/2 - d m(m-1)/2 + mn - n^2)
-    * prod_(k<=n) (1 - q^k) / prod_(k<=m) (1 - q^k)^d.
+    """The induction constant |GL_n| / |GL_m|^d * q^(mn - n^2), in one build
+    of gl_order's parts; the signs (-1)^n / (-1)^(md) cancel since n = md.
     """
-    n, m, d = p.n, p.m, p.d
-    binomials = [(as_exponent(k), 1) for k in range(1, n + 1)]
-    binomials += [(as_exponent(k), -d) for k in range(1, m + 1)]
-    return FactoredForm.build(1, 0, n * (n - 1) // 2 - d * m * (m - 1) // 2 + m * n - n * n,
-                              binomials)
+    top, numerator = _gl_parts(p.n)
+    bottom, denominator = _gl_parts(p.m, -p.d)
+    return FactoredForm.build(1, 0, top + bottom + p.m * p.n - p.n * p.n,
+                              numerator + denominator)
 
 
 def _numeric(factored: FactoredForm, q: Fraction | float) -> float | None:
-    """The value at q as a float, or None when it lies beyond the range of normal floats."""
+    """The value at q as a float, or None when it lies beyond the range of normal floats.
+
+    A float q is evaluated exactly too, at the rational it stands for.
+    """
     try:
-        if isinstance(q, Fraction):
-            value = float(factored.eval_exact(q))
-        else:
-            value = factored.eval_numeric(float(q)).real
+        value = float(factored.eval_exact(Fraction(q)))
     except OverflowError:
         return None
     return value if sys.float_info.min <= abs(value) <= sys.float_info.max else None
@@ -114,14 +116,15 @@ def assemble_degree(p: SetupParams) -> DegreeResult:
     return _finish(p, gamma_factor(p) * res_a1_mu(p))
 
 
-def verify_theorem(p: SetupParams) -> CheckReport:
-    """Check assemble_degree == closed_form_degree canonically."""
-    start = time.perf_counter()
+def _theorem_failure(p: SetupParams) -> str | None:
     lhs = assemble_degree(p)
     rhs = closed_form_degree(p)
     quotient = lhs.factored / rhs.factored
-    elapsed = int(1000 * (time.perf_counter() - start))
-    name = f"theorem m={p.m} d={p.d} t={p.t} a={p.a}"
     if quotient.is_one and lhs.deg_sigma_power == rhs.deg_sigma_power:
-        return CheckReport(name, "pass", "1", elapsed)
-    return CheckReport(name, "fail", quotient.render(), elapsed)
+        return None
+    return quotient.render()
+
+
+def verify_theorem(p: SetupParams) -> CheckReport:
+    """Check assemble_degree == closed_form_degree canonically."""
+    return run_check(f"theorem m={p.m} d={p.d} t={p.t} a={p.a}", _theorem_failure, p)

@@ -66,11 +66,11 @@ def mu_level_ratio_closed(p: SetupParams, l: int) -> FactoredForm:
     p.check_level(l, low=2)
     half = Fraction(p.t * (p.d - l), 2)
     z = AffineExponent.variable("z")
-    return (FactoredForm.q_power(AffineExponent.constant((p.d - l + 1) * p.a))
-            * FactoredForm.binomial(AffineExponent.constant(half) - z)
-            * FactoredForm.binomial(AffineExponent.constant(half) + z)
-            / FactoredForm.binomial(AffineExponent.constant(-half - p.t) - z)
-            / FactoredForm.binomial(AffineExponent.constant(-half - p.t) + z))
+    return (FactoredForm.q_power((p.d - l + 1) * p.a)
+            * FactoredForm.binomial(as_exponent(half) - z)
+            * FactoredForm.binomial(as_exponent(half) + z)
+            / FactoredForm.binomial(as_exponent(-half - p.t) - z)
+            / FactoredForm.binomial(as_exponent(-half - p.t) + z))
 
 
 def mu_level_ratio_telescoped(p: SetupParams, l: int) -> FactoredForm:

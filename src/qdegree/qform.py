@@ -4,6 +4,8 @@ Values are products  c * (log q)^g * q^(E0) * prod_k (1 - q^(E_k))^(m_k)
 where every exponent E is affine in a finite set of variables with rational
 coefficients.  q is treated as transcendental: a factor (1 - q^E) vanishes
 iff E is identically zero, so equality of canonical forms is structural.
+``FactoredForm.build`` alone applies that rule: a vanishing denominator
+factor raises PoleAtSubstitutionError, else a vanishing numerator one gives 0.
 log q is a formal grading symbol (the integer ``log_grade``) that is never
 expanded; residues decrement it, measure prefactors increment it.
 
@@ -190,7 +192,7 @@ class AffineExponent:
     operation is integer arithmetic followed by at most one gcd step.
     ``const``, ``coeffs`` and ``coeff`` give the parts as Fractions.
 
-    Build exponents with ``make``, ``constant`` or ``variable``; the
+    Build exponents with ``make``, ``variable`` or ``as_exponent``; the
     constructor takes an already reduced integer representation.  Instances
     are never mutated after construction.
     """
@@ -222,10 +224,6 @@ class AffineExponent:
             acc[name] = acc.get(name, 0) + n * (den // d)
         terms = tuple(sorted(((n, c) for n, c in acc.items() if c), key=_term_key))
         return _reduced(num, den, terms)
-
-    @staticmethod
-    def constant(c: Rational) -> "AffineExponent":
-        return AffineExponent(*_ratio(c))
 
     @staticmethod
     def variable(name: str, coeff: Rational = 1, const: Rational = 0) -> "AffineExponent":
@@ -450,21 +448,25 @@ class FactoredForm:
             return _ZERO_FORM
         monomial = as_exponent(monomial)
         merged: dict[AffineExponent, int] = {}
+        vanished = False  # a numerator factor is zero; a denominator one still raises
         for exponent, mult in binomials:
             if mult == 0:
                 continue
             sign = exponent.leading_sign()
             if sign == 0:
-                if mult > 0:
-                    return _ZERO_FORM
-                raise PoleAtSubstitutionError(
-                    "denominator factor (1 - q^0) is identically zero")
+                if mult < 0:
+                    raise PoleAtSubstitutionError(
+                        "denominator factor (1 - q^0) is identically zero")
+                vanished = True
+                continue
             if sign < 0:
                 if mult % 2:
                     constant = -constant
                 monomial = monomial + exponent.scale(mult)
                 exponent = -exponent
             merged[exponent] = merged.get(exponent, 0) + mult
+        if vanished:
+            return _ZERO_FORM
         fixed = [(e, m) for e, m in merged.items() if m]
         if len(fixed) > 1:
             den = lcm(*{e._den for e, _ in fixed})
@@ -477,12 +479,6 @@ class FactoredForm:
     def is_one(self) -> bool:
         return (not self.is_zero and self.constant == 1 and self.log_grade == 0
                 and self.monomial.is_zero and not self.binomials)
-
-    def variables(self) -> tuple[str, ...]:
-        seen = set(self.monomial.variables())
-        for e, _ in self.binomials:
-            seen.update(e.variables())
-        return tuple(sorted(seen, key=_var_key))
 
     # -- algebra ------------------------------------------------------------
 
@@ -510,42 +506,14 @@ class FactoredForm:
     def __truediv__(self, other: "FactoredForm") -> "FactoredForm":
         return self * other.inverse()
 
-    def __pow__(self, n: int) -> "FactoredForm":
-        """Integer power in one step: scaling every multiplicity by n keeps the
-        binomials oriented, distinct and sorted, so the result is canonical.
-        """
-        if n == 0:
-            return _ONE_FORM
-        base = self if n > 0 else self.inverse()
-        if base.is_zero:
-            return _ZERO_FORM
-        k = abs(n)
-        return FactoredForm(base.constant ** k, base.log_grade * k, base.monomial.scale(k),
-                            tuple((e, m * k) for e, m in base.binomials), False)
-
     def substitute(self, name: str, value: ExponentValue) -> "FactoredForm":
-        """Rewrite every exponent under  name := value.
-
-        A numerator binomial whose exponent becomes identically zero makes the
-        result zero; a denominator one raises PoleAtSubstitutionError.
+        """Rewrite every exponent under  name := value, in one ``build``: a
+        denominator binomial whose exponent becomes identically zero raises
+        PoleAtSubstitutionError, and a numerator one makes the result zero.
         """
-        if self.is_zero:
-            return _ZERO_FORM
-        new_binomials = []
-        vanished_numerator = False
-        for e, m in self.binomials:
-            e2 = e.substitute(name, value)
-            if e2.is_zero:
-                if m < 0:
-                    raise PoleAtSubstitutionError(
-                        f"denominator factor (1 - q^({e})) vanishes at {name} := {value}")
-                vanished_numerator = True
-            else:
-                new_binomials.append((e2, m))
-        if vanished_numerator:
-            return _ZERO_FORM
         return FactoredForm.build(self.constant, self.log_grade,
-                                  self.monomial.substitute(name, value), new_binomials)
+                                  self.monomial.substitute(name, value),
+                                  [(e.substitute(name, value), m) for e, m in self.binomials])
 
     def pole_order(self, name: str, point: ExponentValue) -> int:
         """Net pole order at name = point for generic other variables.
@@ -664,42 +632,20 @@ _ONE_FORM = FactoredForm(Fraction(1), 0, _ZERO_EXPONENT, (), False)
 class SumForm:
     """A finite sum of factored forms; the empty sum is zero.
 
-    ``residue`` returns one: a simple pole gives a single term, the lead
-    form of the Laurent expansion, and only a pole of order two or more can
-    give several.  The degree computation never builds one.
+    Build one with the constructor from a tuple of nonzero terms; ``as_sum``
+    wraps a single form.  ``residue`` returns one: a simple pole gives a single
+    term, the lead form of the Laurent expansion, and only a pole of order two
+    or more can give several.  The degree computation never builds one.
     """
 
     terms: tuple[FactoredForm, ...] = ()
-
-    @staticmethod
-    def make(terms: Iterable[FactoredForm]) -> "SumForm":
-        return SumForm(tuple(t for t in terms if not t.is_zero))
-
-    @staticmethod
-    def zero() -> "SumForm":
-        return SumForm()
-
-    @staticmethod
-    def of(term: FactoredForm) -> "SumForm":
-        return SumForm.make([term])
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def single_term(self) -> FactoredForm:
-        """The unique term of a one-term sum (zero form for the empty sum)."""
-        if not self.terms:
-            return FactoredForm.zero()
-        if len(self.terms) != 1:
-            raise ValueError(f"sum has {len(self.terms)} terms, expected one")
-        return self.terms[0]
-
     def __add__(self, other: "SumForm") -> "SumForm":
         return SumForm(self.terms + other.terms)
-
-    def scale(self, c: Rational) -> "SumForm":
-        return SumForm.make(t.scale(c) for t in self.terms)
 
     def eval_numeric(self, q: float, assignment: Mapping[str, complex] | None = None) -> complex:
         return sum((t.eval_numeric(q, assignment) for t in self.terms), 0j)
@@ -714,9 +660,7 @@ class SumForm:
 
 
 def as_sum(f: Union[FactoredForm, SumForm]) -> SumForm:
-    if isinstance(f, SumForm):
-        return f
-    return SumForm.of(f)
+    return f if isinstance(f, SumForm) else SumForm(() if f.is_zero else (f,))
 
 
 # ---------------------------------------------------------------------------
@@ -738,11 +682,7 @@ class LocalSeries:
     def coefficient(self, order: int) -> SumForm:
         if order > self.truncation_order:
             raise ValueError(f"order {order} beyond truncation {self.truncation_order}")
-        return self.coefficients.get(order, SumForm.zero())
-
-    @property
-    def min_order(self) -> int:
-        return min(self.coefficients) if self.coefficients else 0
+        return self.coefficients.get(order, SumForm())
 
 
 def _collect(terms: Iterable[FactoredForm]) -> SumForm:
@@ -758,7 +698,7 @@ def _unit_power(a: list[FactoredForm], m: int, n: int) -> list[SumForm]:
     """Coefficients b_0..b_n of (1 + a_1 w + a_2 w^2 + ...)^m for any integer m
     (a[0] is not read), by the power rule k b_k = sum_(j=1..k) ((m+1) j - k)
     a_j b_(k-j) (Knuth, TAOCP vol. 2, 4.7)."""
-    b = [SumForm.of(_ONE_FORM)]
+    b = [SumForm((_ONE_FORM,))]
     for k in range(1, n + 1):
         b.append(_collect(a[j].scale(Fraction((m + 1) * j - k, k)) * t
                           for j in range(1, k + 1) for t in b[k - j].terms))
@@ -800,7 +740,7 @@ def _form_series(f: FactoredForm, name: str, center: ExponentValue, order: int) 
     e = f.monomial.coeff(name)
     if e:
         units.insert(0, (1, e, 0, None))  # first: the order of the sums' terms follows units
-    product = [SumForm.of(_ONE_FORM)] + [SumForm.zero()] * n
+    product = [SumForm((_ONE_FORM,))] + [SumForm()] * n
     for m, s, offset, c in units:
         g = _ONE_FORM if c is None else FactoredForm.build(-1, 0, c, ((c, -1),))
         a = [FactoredForm(g.constant * s ** j / math.factorial(j + offset), j,
@@ -819,7 +759,7 @@ def local_series(f: Union[FactoredForm, SumForm], name: str, center: Rational,
     items: dict[int, SumForm] = {}
     for term in as_sum(f).terms:
         for n, s in _form_series(term, name, center, order).items():
-            items[n] = items.get(n, SumForm.zero()) + s
+            items[n] = items.get(n, SumForm()) + s
     return LocalSeries(name, center, items, order)
 
 
@@ -830,5 +770,5 @@ def residue(f: Union[FactoredForm, SumForm], name: str, point: ExponentValue) ->
     """
     terms: list[FactoredForm] = []
     for term in as_sum(f).terms:
-        terms.extend(_form_series(term, name, point, -1).get(-1, SumForm.zero()).terms)
+        terms.extend(_form_series(term, name, point, -1).get(-1, SumForm()).terms)
     return SumForm(tuple(terms))

@@ -43,7 +43,7 @@ class TestEvalGrid:
         checked = 0
         while checked < 12:
             q = rng.choice((1.5, 2.0, 3.0))
-            f = SumForm.make([_grid_term(rng, variables) for _ in range(rng.randint(1, 3))])
+            f = SumForm(tuple(_grid_term(rng, variables) for _ in range(rng.randint(1, 3))))
             axes = np.meshgrid(*[_axis(rng, n) for n in (5, 4, 3)[:dim]],
                                indexing="ij", sparse=True)
             arrays = dict(zip(variables, axes))

@@ -4,11 +4,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from qdegree.coords import (alpha_tilde, discrete_series_point, generic_weight,
-                            pairing_coroot, residue_plan, residue_point,
-                            z_to_s, z_var)
+from qdegree.coords import (discrete_series_point, generic_weight, pairing_coroot,
+                            residue_plan, residue_point, z_to_s, z_var)
 from qdegree.model import OutOfRangeError, validate
-from qdegree.qform import AffineExponent as AE
+from qdegree.qform import AffineExponent as AE, as_exponent
+
+
+def alpha_tilde(p, j: int):
+    """The rescaled root atilde_j: z_to_s at the j-th unit vector, which is
+    one entry too long for z_to_s to accept when j > d - 1."""
+    return z_to_s(p, [int(k == j) for k in range(1, max(p.d, j + 1))])
 
 
 class TestAlphaTilde:
@@ -77,9 +82,10 @@ class TestZToS:
     def test_pairing_relation_single_variable(self):
         p = validate(1, 2, 1, 0)
         s = z_to_s(p, [F(1)])
-        assert s.difference(1, 2) == AE.constant(1)
+        assert s.difference(1, 2) == as_exponent(1)
 
     def test_numeric_normalization_sums_to_zero(self):
+        # every rescaled root sums to zero, so z_to_s does at any numeric point
         p = validate(2, 3, 2, 0)
         s = z_to_s(p, [F(5), F(-7, 3)])
         assert sum(s.as_fractions()) == 0

@@ -124,6 +124,17 @@ class TestDegree:
         exact = closed_form_degree(validate(m, d, t, a, q=F(q), deg_sigma=1)).numeric
         assert got == pytest.approx(exact, rel=1e-12)
 
+    @pytest.mark.parametrize("m, d, t, a, q", [(1, 2, 1, 0, 3.0), (1, 4, 1, 0, 2.0),
+                                               (2, 3, 2, 1, 2.5), (6, 4, 3, 2, 1.1),
+                                               (3, 6, 3, 0, 1000.0)])
+    def test_float_q_is_evaluated_exactly(self, m, d, t, a, q):
+        # a float q stands for the rational F(q), so both give the same float;
+        # the first case is the Steinberg value (q - 1)/2 = 1
+        got = closed_form_degree(validate(m, d, t, a, q=q, deg_sigma=1)).numeric
+        assert got == closed_form_degree(validate(m, d, t, a, q=F(q), deg_sigma=1)).numeric
+        if (m, d, q) == (1, 2, 3.0):
+            assert got == 1.0
+
 
 class TestTheoremIdentity:
     def test_full_grid(self):

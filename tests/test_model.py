@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import qdegree
 from qdegree.model import InvalidParamsError, validate
 
 NON_FINITE = (float("inf"), float("-inf"), float("nan"))
@@ -46,3 +47,8 @@ class TestValidate:
     def test_rejects_nonpositive_deg_sigma(self):
         with pytest.raises(InvalidParamsError):
             validate(1, 1, 1, 0, deg_sigma=F(0))
+
+
+def test_public_names_resolve():
+    # a name left in __all__ after its definition is gone fails here
+    assert [name for name in qdegree.__all__ if not hasattr(qdegree, name)] == []
