@@ -67,13 +67,24 @@ def gamma_factor(p: SetupParams) -> FactoredForm:
                               numerator + denominator)
 
 
+_MARGIN_BITS = 64  # how far beyond the float range the bounds must lie, past their rounding
+
+
 def _numeric(factored: FactoredForm, q: Fraction | float) -> float | None:
     """The value at q as a float, or None when it lies beyond the range of normal floats.
 
-    A float q is evaluated exactly too, at the rational it stands for.
+    A float q is evaluated exactly too, at the rational it stands for.  A
+    value whose float bounds (``log2_bounds``) lie far beyond that range
+    returns None before the exact evaluation, whose big integers would take
+    seconds.
     """
+    q = Fraction(q)
+    bounds = factored.log2_bounds(q)
+    if bounds is not None and (bounds[0] > sys.float_info.max_exp + _MARGIN_BITS
+                               or bounds[1] < sys.float_info.min_exp - _MARGIN_BITS):
+        return None
     try:
-        value = float(factored.eval_exact(Fraction(q)))
+        value = float(factored.eval_exact(q))
     except OverflowError:
         return None
     return value if sys.float_info.min <= abs(value) <= sys.float_info.max else None
@@ -117,12 +128,16 @@ def assemble_degree(p: SetupParams) -> DegreeResult:
 
 
 def _theorem_failure(p: SetupParams) -> str | None:
+    """None when the two degrees agree, else the render of their quotient.
+
+    Canonical forms are equal exactly when the functions are, so the forms
+    are compared directly; the quotient is built only to show a failure.
+    """
     lhs = assemble_degree(p)
     rhs = closed_form_degree(p)
-    quotient = lhs.factored / rhs.factored
-    if quotient.is_one and lhs.deg_sigma_power == rhs.deg_sigma_power:
+    if lhs == rhs:
         return None
-    return quotient.render()
+    return (lhs.factored / rhs.factored).render()
 
 
 def verify_theorem(p: SetupParams) -> CheckReport:

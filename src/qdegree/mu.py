@@ -10,18 +10,17 @@ which telescopes to a closed two-over-two form.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 
 from .coords import Weight, generic_weight
 from .model import OutOfRangeError, SetupParams
-from .qform import AffineExponent, ExponentValue, FactoredForm, as_exponent
+from .qform import AffineExponent, ExponentValue, FactoredForm, as_exponent, running_sums
 
 
-def _rank_one_binomials(p: SetupParams, x: ExponentValue) -> list[tuple[AffineExponent, int]]:
-    """The binomials of the oriented pair factor at difference x, with multiplicities:
-    (1 - q^(tx))^2 (1 - q^(tx+t))^-1 (1 - q^(tx-t))^-1; its monomial is q^(a+t).
+def _rank_one_binomials(p: SetupParams, tx: AffineExponent) -> list[tuple[AffineExponent, int]]:
+    """The binomials of the oriented pair factor at difference x, given as tx = t x,
+    with multiplicities: (1 - q^(tx))^2 (1 - q^(tx+t))^-1 (1 - q^(tx-t))^-1; its
+    monomial is q^(a+t).
     """
-    tx = as_exponent(x).scale(p.t)
     return [(tx, 2), (tx + p.t, -1), (tx - p.t, -1)]
 
 
@@ -37,23 +36,25 @@ def rank_one_factor(p: SetupParams, x: ExponentValue) -> FactoredForm:
     of the generic weight, every exponent already leads with a positive
     coefficient, so a build only merges and sorts.
     """
-    return FactoredForm.build(1, 0, p.a + p.t, _rank_one_binomials(p, x))
+    return FactoredForm.build(1, 0, p.a + p.t, _rank_one_binomials(p, as_exponent(x).scale(p.t)))
 
 
 def mu_full(p: SetupParams, weight: Weight) -> FactoredForm:
     """Product of rank-one factors over all block pairs 1 <= i < j <= d.
 
-    Depends only on the differences s_i - s_j, each a running sum of adjacent
-    ones, so it is shift invariant.  All pair binomials go into one build, so
-    they are merged and sorted once.
+    Depends only on the differences s_i - s_j, so it is shift invariant.  The
+    adjacent differences are scaled by t once; each t(s_i - s_j) is then a
+    running sum of them (``running_sums``: integer rows over one denominator,
+    one gcd step per sum).  All pair binomials go into one build, so they are
+    merged and sorted once.
     """
     if weight.dim != p.d:
         raise OutOfRangeError(f"weight has {weight.dim} entries, expected {p.d}")
-    steps = [a - b for a, b in zip(weight.s, weight.s[1:])]
+    steps = [(a - b).scale(p.t) for a, b in zip(weight.s, weight.s[1:])]
     binomials = []
     for i in range(p.d - 1):
-        for x in accumulate(steps[i:]):
-            binomials += _rank_one_binomials(p, x)
+        for tx in running_sums(steps[i:]):
+            binomials += _rank_one_binomials(p, tx)
     return FactoredForm.build(1, 0, (p.a + p.t) * (p.d * (p.d - 1) // 2), binomials)
 
 
@@ -82,9 +83,8 @@ def mu_level_ratio_telescoped(p: SetupParams, l: int) -> FactoredForm:
     p.check_level(l, low=2)
     binomials = []
     for j in range(l, p.d + 1):
-        x = AffineExponent.variable("z", coeff=Fraction(1, p.t),
-                                    const=Fraction(-(p.d - l), 2) + (j - l))
-        binomials += _rank_one_binomials(p, x)
+        tx = AffineExponent.variable("z", const=p.t * (Fraction(-(p.d - l), 2) + (j - l)))
+        binomials += _rank_one_binomials(p, tx)
     return FactoredForm.build(1, 0, (p.a + p.t) * (p.d - l + 1), binomials)
 
 

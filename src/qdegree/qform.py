@@ -16,7 +16,14 @@ hash and compare as integer tuples, and sums, scalings and substitutions
 are integer arithmetic with one gcd step; no Fraction arithmetic runs while
 forms are built and merged.  ``FactoredForm.build`` sorts binomials by these
 integers scaled to the lcm of the denominators it sees, which is the order
-of their rational parts.  Numeric evaluation carries a separate power of two;
+of their rational parts; when they share one denominator it sorts them
+unscaled.  Two helpers run the theorem path's O(d^3) loops on integer rows
+and build one exponent per distinct result, not one per addition:
+``running_sums`` gives the pair differences of mu as partial sums of one row
+over the lcm of the steps' denominators, and ``split_at_point`` evaluates a
+form's binomials at a residue chain's point once per distinct variable part,
+files the ones that vanish under their step, and merges equal values.
+Numeric evaluation carries a separate power of two;
 exact evaluation multiplies every factor into one integer numerator and one
 integer denominator, so it reduces the quotient once.
 
@@ -39,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
 ExponentValue = Union[int, Fraction, "AffineExponent"]
@@ -247,9 +254,6 @@ class AffineExponent:
     def is_constant(self) -> bool:
         return not self._terms
 
-    def variables(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self._terms)
-
     def coeff(self, name: str) -> Fraction:
         for n, c in self._terms:
             if n == name:
@@ -279,9 +283,11 @@ class AffineExponent:
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: ExponentValue) -> "AffineExponent":
+        # adding an integer keeps the content coprime to the denominator
+        if type(other) is int:
+            return AffineExponent(self._num + other * self._den, self._den, self._terms)
         other = as_exponent(other)
         d1, d2 = self._den, other._den
-        # adding an integer keeps the content coprime to the denominator
         if d2 == 1 and not other._terms:
             return AffineExponent(self._num + other._num * d1, d1, self._terms)
         if d1 == 1 and not self._terms:
@@ -292,6 +298,8 @@ class AffineExponent:
                         _merge(self._terms, f1, other._terms, f2))
 
     def __sub__(self, other: ExponentValue) -> "AffineExponent":
+        if type(other) is int:
+            return self + -other
         return self + (-as_exponent(other))
 
     def __neg__(self) -> "AffineExponent":
@@ -325,37 +333,11 @@ class AffineExponent:
             rest = _merge(rest, 1, value._terms, c)
         return _reduced(self._num * vd + c * value._num, self._den * vd, rest)
 
-    def substitute_constants(self, nums: Mapping[str, int], den: int = 1) -> "AffineExponent":
-        """Every variable v named in ``nums`` replaced by the constant nums[v]/den.
-
-        One pass of integer arithmetic over the exponent's own denominator
-        times ``den``, then one gcd step; the other variables keep their
-        coefficients.
-        """
-        num = self._num * den
-        rest = []
-        for n, c in self._terms:
-            v = nums.get(n)
-            if v is None:
-                rest.append((n, c * den))
-            else:
-                num += c * v
-        return _reduced(num, self._den * den, tuple(rest))
-
     def leading_sign(self) -> int:
         """Sign of the first nonzero coefficient, variables first, constant last."""
         if self._terms:
             return 1 if self._terms[0][1] > 0 else -1
         return (self._num > 0) - (self._num < 0)
-
-    def _scaled_key(self, den: int) -> tuple:
-        """(const, coeffs) scaled by a positive multiple ``den`` of the
-        denominator: orders exponents exactly as the Fraction tuples would.
-        """
-        f = den // self._den
-        if f == 1:
-            return (self._num, self._terms)
-        return (self._num * f, tuple((n, c * f) for n, c in self._terms))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -395,6 +377,61 @@ def as_exponent(value: ExponentValue) -> AffineExponent:
 
 
 _ZERO_EXPONENT = AffineExponent()
+
+
+def running_sums(exponents: Sequence[AffineExponent]) -> list[AffineExponent]:
+    """The partial sums e_1, e_1 + e_2, ... as ``itertools.accumulate`` gives them.
+
+    Every exponent goes onto the lcm of their denominators as one integer
+    row, so each sum is a row addition and one gcd step, and one
+    ``AffineExponent`` is built per sum.
+    """
+    if not exponents:
+        return []
+    den = lcm(*(e._den for e in exponents))
+    names = sorted({n for e in exponents for n, _ in e._terms}, key=_var_key)
+    column = {n: k for k, n in enumerate(names)}
+    num, row = 0, [0] * len(names)
+    active: list[int] = []  # the columns some exponent has touched, in variable order
+    sums = []
+    for e in exponents:
+        f = den // e._den
+        num += e._num * f
+        for n, c in e._terms:
+            k = column[n]
+            if not row[k] and k not in active:
+                active.append(k)
+                active.sort()
+            row[k] += c * f
+        g = gcd(den, num, *[row[k] for k in active])
+        sums.append(AffineExponent(num // g, den // g,
+                                   tuple([(names[k], row[k] // g) for k in active if row[k]])))
+    return sums
+
+
+def _scaled_key(den: int):
+    """The sort key of a (binomial, multiplicity) pair: the exponent's
+    (num, terms) scaled to ``den``, a common multiple of the denominators,
+    which orders exponents exactly as their (const, coeffs) Fractions would.
+
+    An exponent over ``den`` itself, as every one is when they share one
+    denominator, is its own key.  Exponents that share one terms tuple
+    (those of a mu pair do) share its scaled copy; the tuples are alive for
+    the whole sort, so their ids are distinct.
+    """
+    scaled: dict[tuple[int, int], tuple] = {}
+
+    def key(item: tuple[AffineExponent, int]) -> tuple:
+        e = item[0]
+        f = den // e._den
+        if f == 1:
+            return (e._num, e._terms)
+        terms = scaled.get((id(e._terms), f))
+        if terms is None:
+            terms = scaled[id(e._terms), f] = tuple([(n, c * f) for n, c in e._terms])
+        return (e._num * f, terms)
+
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +506,7 @@ class FactoredForm:
             return _ZERO_FORM
         fixed = [(e, m) for e, m in merged.items() if m]
         if len(fixed) > 1:
-            den = lcm(*{e._den for e, _ in fixed})
-            fixed.sort(key=lambda item: item[0]._scaled_key(den))
+            fixed.sort(key=_scaled_key(lcm(*{e._den for e, _ in fixed})))
         return FactoredForm(constant, log_grade, monomial, tuple(fixed), False)
 
     # -- structure ----------------------------------------------------------
@@ -601,6 +637,32 @@ class FactoredForm:
             den *= bottom ** abs(m)
         return Fraction(num, den)
 
+    def log2_bounds(self, q: Fraction) -> tuple[float, float] | None:
+        """Bounds on log2 |value| at a rational q > 1 from float arithmetic
+        alone; None unless every exponent is a constant integer, the form is
+        nonzero and log_grade is 0.
+
+        For an integer k != 0, |1 - q^k| is q^max(k, 0) times a number in
+        [1 - 1/q, 1).  So log2 |value| is log2 |c| + log2 q * (E0 + the sum
+        of m k over k > 0), to within log2(q / (q - 1)) per unit of |m|.
+        """
+        mono = self.monomial
+        if self.is_zero or self.log_grade or mono._terms or mono._den != 1:
+            return None
+        power, weight = mono._num, 0
+        for e, m in self.binomials:
+            if e._terms or e._den != 1:
+                return None
+            if e._num > 0:
+                power += m * e._num
+            weight += abs(m)
+        n, d = _ratio(q)
+        c = self.constant
+        mid = (math.log2(abs(c.numerator)) - math.log2(c.denominator)
+               + power * (math.log2(n) - math.log2(d)))
+        spread = weight * (math.log2(n) - math.log2(n - d))
+        return mid - spread, mid + spread
+
     # -- rendering ----------------------------------------------------------
 
     def render(self) -> str:
@@ -622,6 +684,65 @@ class FactoredForm:
 
 _ZERO_FORM = FactoredForm(Fraction(0), 0, _ZERO_EXPONENT, (), True)
 _ONE_FORM = FactoredForm(Fraction(1), 0, _ZERO_EXPONENT, (), False)
+
+
+def _at_point(terms: tuple[tuple[str, int], ...], nums: Mapping[str, int], den: int
+              ) -> tuple[int, tuple[tuple[str, int], ...]]:
+    """The variable part ``terms`` at v = nums[v]/den for every v named in nums,
+    times den: the integer it adds to the numerator, and the other terms."""
+    value, rest = 0, []
+    for n, c in terms:
+        v = nums.get(n)
+        if v is None:
+            rest.append((n, c * den))
+        else:
+            value += c * v
+    return value, tuple(rest)
+
+
+def split_at_point(f: FactoredForm, steps: Sequence[tuple[str, Fraction]]
+                   ) -> tuple[AffineExponent, list[list[tuple[AffineExponent, int]]],
+                              list[tuple[AffineExponent, int]]]:
+    """f's monomial at the point of ``steps`` (pairs (variable, value)), its
+    binomials that vanish there, and the others evaluated there.
+
+    A binomial vanishes at exactly one step, the one that substitutes the
+    last of its variables; it is filed under that step as its restriction
+    s (z - r) to the step's variable z and value r, the one-variable form
+    whose residue the step takes.  The others are evaluated with integer
+    arithmetic over the exponent's denominator times the lcm of the point's,
+    once per distinct variable part (the three binomials of a mu pair share
+    one), with one gcd step each; equal values are merged, so a factor that
+    becomes one of a few constants is built once.  Variables not in
+    ``steps`` stay free.
+    """
+    den = lcm(*(point.denominator for _, point in steps))
+    nums = {name: point.numerator * (den // point.denominator) for name, point in steps}
+    position = {name: k for k, (name, _) in enumerate(steps)}
+    levels: list[list[tuple[AffineExponent, int]]] = [[] for _ in steps]
+    parts: dict = {}
+    regular: dict = {}  # reduced (num, den, terms) -> multiplicity
+    for e, m in f.binomials:
+        key = (e._den, e._terms)
+        part = parts.get(key)
+        if part is None:
+            part = parts[key] = _at_point(e._terms, nums, den)
+        value, rest = part
+        num = e._num * den + value
+        if not num and not rest:
+            name, c = max(e._terms, key=lambda term: position[term[0]])
+            levels[position[name]].append((_reduced(-c * nums[name], e._den * den,
+                                                    ((name, c * den),)), m))
+            continue
+        whole = e._den * den
+        g = gcd(num, whole, *[c for _, c in rest])
+        if g != 1:
+            num, whole, rest = num // g, whole // g, tuple((n, c // g) for n, c in rest)
+        key = (num, whole, rest)
+        regular[key] = regular.get(key, 0) + m
+    value, rest = _at_point(f.monomial._terms, nums, den)
+    monomial = _reduced(f.monomial._num * den + value, f.monomial._den * den, rest)
+    return monomial, levels, [(AffineExponent(*key), m) for key, m in regular.items()]
 
 
 # ---------------------------------------------------------------------------

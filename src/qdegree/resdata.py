@@ -15,32 +15,36 @@ constant for one variable never changes the coefficient of another, so a
 binomial whose exponent is zero at the full point vanishes at exactly one
 level, the one that substitutes the last of its variables; every other
 binomial is regular along the whole chain and is simply evaluated at the
-point.  Each level's pole is then a residue of a one-variable form made of
-the binomials filed under it, and the result is one build of the regular
-part times those pieces.  A level with pole order <= 0 makes the result zero.
-At order >= 2 the derivatives of the regular part would enter; the chain
-never meets such a level on mu, so it raises ``HigherOrderPoleError`` there.
+point.  ``qform.split_at_point`` does both in integer rows: it evaluates
+each distinct variable part once (a mu pair's three binomials share one),
+files each vanishing binomial under its level as a one-variable form, and
+merges the regular values, which at the discrete-series point are a few
+integers (187 binomials give 12 values at d = 12).  Each level's pole is
+then a residue of the one-variable form filed under it, and the result is
+one build of the regular part times those pieces.  A level with pole order
+<= 0 makes the result zero.  At order >= 2 the derivatives of the regular
+part would enter; the chain never meets such a level on mu, so it raises
+``HigherOrderPoleError`` there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .coords import residue_plan
 from .model import SetupParams
 from .mu import mu_on_z
-from .qform import AffineExponent, FactoredForm, HigherOrderPoleError, as_exponent, residue
+from .qform import FactoredForm, HigherOrderPoleError, as_exponent, residue, split_at_point
 
 
 def iterated_residue(f: FactoredForm, plan: tuple[tuple[str, Fraction], ...],
                      stop_at: int = 1) -> FactoredForm:
     """Apply residues at (z_k, r_k) for k = d-1 down to stop_at, innermost first.
 
-    One pass (see the module docstring): every binomial exponent is
-    evaluated at the whole plan once, the binomials vanishing there are
-    filed under their level, and each level's simple pole is taken by
-    ``residue`` on a one-variable form of its binomials alone.  A level of
+    One pass (see the module docstring): ``split_at_point`` evaluates the
+    binomials at the whole plan and files those vanishing there under their
+    level, and each level's simple pole is taken by ``residue`` on the
+    one-variable form of its binomials alone.  A level of
     pole order >= 2 raises ``HigherOrderPoleError``; this is checked before
     any level of order <= 0 makes the result zero, since the orders of the
     later levels are only known after such a pole is taken.  Variables
@@ -53,18 +57,7 @@ def iterated_residue(f: FactoredForm, plan: tuple[tuple[str, Fraction], ...],
         steps.append((name, point))
     if not steps:
         return f
-    den = lcm(*(point.denominator for _, point in steps))
-    nums = {name: point.numerator * (den // point.denominator) for name, point in steps}
-    position = {name: k for k, (name, _) in enumerate(steps)}
-    levels: list[list] = [[] for _ in steps]
-    regular = []
-    for e, m in f.binomials:
-        at_point = e.substitute_constants(nums, den)
-        if at_point.is_zero:
-            # it vanishes at the step that substitutes the last of its variables
-            levels[max(position[v] for v in e.variables())].append((e, m))
-        else:
-            regular.append((at_point, m))
+    monomial, levels, regular = split_at_point(f, steps)
     orders = [-sum(m for _, m in level) for level in levels]
     for (name, point), order in zip(steps, orders):
         if order >= 2:
@@ -72,13 +65,8 @@ def iterated_residue(f: FactoredForm, plan: tuple[tuple[str, Fraction], ...],
     if any(order != 1 for order in orders):
         return FactoredForm.zero()
     constant, log_grade = f.constant, f.log_grade
-    monomial = f.monomial.substitute_constants(nums, den)
     for (name, point), level in zip(steps, levels):
-        vanishing = []
-        for e, m in level:
-            s = e.coeff(name)  # along the chain, e is s * (name - point) at this level
-            vanishing.append((AffineExponent.variable(name, s, -s * point), m))
-        (pole,) = residue(FactoredForm.build(1, 0, 0, vanishing), name, point).terms
+        (pole,) = residue(FactoredForm.build(1, 0, 0, level), name, point).terms
         constant *= pole.constant
         log_grade += pole.log_grade
         monomial = monomial + pole.monomial

@@ -115,6 +115,24 @@ class TestDegree:
         symbolic_q = closed_form_degree(validate(6, 10, 3, 1, deg_sigma=deg_sigma))
         assert r.factored == symbolic_q.factored
 
+    # a magnitude estimate settles these before the exact evaluation, whose
+    # big integers took seconds (18 s for the first case)
+    @pytest.mark.parametrize("d, q, deg_sigma", [(12, F(10) ** 300, 1), (10, F(1000), 1),
+                                                 (10, F(2), F(10) ** -400),
+                                                 (10, F(1000001, 1000000), F(10) ** -400)])
+    def test_far_beyond_float_range_skips_exact_evaluation(self, monkeypatch, d, q, deg_sigma):
+        def refuse(self, q):
+            raise AssertionError("exact evaluation ran")
+
+        monkeypatch.setattr(FF, "eval_exact", refuse)
+        assert closed_form_degree(validate(6, d, 3, 1, q=q, deg_sigma=deg_sigma)).numeric is None
+
+    # the Steinberg degree of GL_2 at q = 21 is 10 deg(sigma)^2
+    @pytest.mark.parametrize("deg_sigma, want", [(F(10) ** 153, 1e307), (F(10) ** -154, 1e-307)])
+    def test_near_the_float_limits_still_evaluated(self, deg_sigma, want):
+        got = closed_form_degree(validate(1, 2, 1, 0, q=F(21), deg_sigma=deg_sigma)).numeric
+        assert got == pytest.approx(want, rel=1e-15)
+
     @pytest.mark.parametrize("m, d, t, a, q", [(3, 6, 3, 0, 1000.0), (6, 8, 1, 1, 2.0),
                                                (6, 8, 2, 0, 2.0)])
     def test_float_q_with_factors_beyond_range(self, m, d, t, a, q):

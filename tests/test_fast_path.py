@@ -16,17 +16,24 @@ hashing, its text, and the order ``FactoredForm.build`` sorts by.
 ``iterated_residue`` takes the whole chain in one pass; the level-by-level
 chain of ``residue`` calls is its reference wherever every pole is simple,
 and elsewhere it must refuse with ``HigherOrderPoleError``.
+
+The integer-row helpers have references too: ``running_sums`` must give
+``itertools.accumulate`` over ``AffineExponent.__add__``, and
+``split_at_point`` must give what ``substitute`` one variable at a time
+gives, with the vanishing binomials filed under the right step.
 """
 
 import math
 from fractions import Fraction as F
+from itertools import accumulate
 
 import hypothesis
 import hypothesis.strategies as st
 import pytest
 
 from qdegree.qform import (AffineExponent as AE, FactoredForm as FF, HigherOrderPoleError,
-                           SumForm, as_exponent, as_sum, local_series, residue)
+                           SumForm, as_exponent, as_sum, local_series, residue, running_sums,
+                           split_at_point)
 from qdegree.resdata import iterated_residue
 
 
@@ -167,7 +174,8 @@ def _check_reduced(e: AE) -> None:
     cs = [c for _, c in e._terms]
     assert e._den > 0 and math.gcd(e._den, e._num, *cs) == 1
     assert all(cs)
-    assert list(e.variables()) == [n for n in NAMES if n in e.variables()]
+    names = [n for n, _ in e._terms]
+    assert names == [n for n in NAMES if n in names]
 
 
 @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -196,11 +204,11 @@ def test_exponent_operations_match_fraction_model(c1, t1, c2, t2, r):
     for e in (a, b, total, a - b, a.scale(r), a.substitute("z1", b)):
         _check_reduced(e)
         const, coeffs = _model_of(e)
-        lead = [coeffs[n] for n in e.variables()] + [const]
+        lead = [coeffs[n] for n, _ in e.coeffs] + [const]
         assert e.leading_sign() == next(((x > 0) - (x < 0) for x in lead if x), 0)
         assert e.render() == _model_render(const, coeffs)
         value = complex(const)
-        for n in e.variables():
+        for n, _ in e.coeffs:
             value += float(coeffs[n]) * 0.5
         assert e.evaluate({n: 0.5 for n in NAMES}) == value
 
@@ -327,3 +335,64 @@ def test_one_pass_chain_matches_level_by_level():
     check()
     # simple poles, regular levels, the refusal at order two, and a free z1
     assert {-1, 0, 1, 2, "free variables"} <= seen
+
+
+# -- the integer-row helpers against their one-operation references --------
+
+@hypothesis.settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@hypothesis.given(st.lists(st.tuples(wide_rationals, coeff_lists), max_size=8))
+def test_running_sums_match_accumulate(parts):
+    exponents = [AE.make(c, t) for c, t in parts]
+    got = running_sums(exponents)
+    assert got == list(accumulate(exponents))
+    for e in got:
+        _check_reduced(e)
+
+
+def _split_reference(f: FF, steps):
+    """``split_at_point`` one variable at a time: a binomial that vanishes at
+    the whole point goes under the step of its last variable, restricted to
+    that step's variable; the rest meet in one build."""
+    position = {name: k for k, (name, _) in enumerate(steps)}
+
+    def at(e: AE, skip=None) -> AE:
+        for name, point in steps:
+            if name != skip:
+                e = e.substitute(name, point)
+        return e
+
+    levels = [[] for _ in steps]
+    regular = []
+    for e, m in f.binomials:
+        if at(e).is_zero:
+            k = max(position[n] for n, _ in e.coeffs)
+            levels[k].append((at(e, skip=steps[k][0]), m))
+        else:
+            regular.append((at(e), m))
+    return at(f.monomial), levels, FF.build(1, 0, 0, regular)
+
+
+def test_split_at_point_matches_substitution():
+    seen = set()
+
+    @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(chain_cases(), st.integers(-2, 2))
+    def check(case, shift):
+        f, plan, stop_at, _ = case
+        steps = [(name, point) for name, point in plan if int(name[1:]) >= stop_at]
+        # binomials that share a variable part with another, as a mu pair's three do
+        shifted = [(e + shift, 1) for e, _ in f.binomials if not e.is_constant]
+        f = f * FF.build(1, 0, 0, shifted)
+        monomial, levels, regular = split_at_point(f, steps)
+        want_monomial, want_levels, want_regular = _split_reference(f, steps)
+        assert monomial == want_monomial
+        assert levels == want_levels
+        assert FF.build(1, 0, 0, regular) == want_regular
+        assert len(regular) == len({e for e, _ in regular})
+        seen.update(k for k, level in enumerate(levels) if level)
+        if any(not e.is_constant for e, _ in regular):
+            seen.add("free variables")
+
+    check()
+    # vanishing binomials under three different steps, and symbolic remainders
+    assert {0, 1, 2, "free variables"} <= seen

@@ -37,7 +37,7 @@ class TestIteratedResidue:
         p = validate(1, 4, 1, 0)
         out = res_al(p, mu_on_z(p), 2)
         exponents = [out.monomial] + [e for e, _ in out.binomials]
-        assert {v for e in exponents for v in e.variables()} == {"z1"}
+        assert {v for e in exponents for v, _ in e.coeffs} == {"z1"}
 
 
 class TestResAl:
