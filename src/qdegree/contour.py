@@ -19,10 +19,13 @@ term:
 At that chamber point these are exactly the crossed poles for d <= 3, and
 the two sides agree to machine precision.
 
-Both sides evaluate forms on a sparse meshgrid of nodes (``_eval_grid``).
-Exponents are affine, so q^E splits into a constant times one factor per
-variable; each such factor is one exponential over a single axis, shared by
-every binomial of the form, and only multiplications run over the full grid.
+Both sides evaluate forms at the torus nodes themselves (``_eval_grid``).
+The trapezoidal nodes are equispaced on each circle, so q^E at a node
+depends on it only through one integer index linear in the node indices.
+The monomial and binomials that share a variable part multiply into one
+short table over that index, and a strided view lays the table over the
+grid, so a term costs one full-grid multiply per variable part.
+A torus of more than MAX_GRID_NODES nodes is refused before it is built.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .checks import CheckReport
 from .coords import residue_point, z_var
@@ -43,6 +47,9 @@ from .mu import mu_on_z
 from .qform import (AffineExponent, DivisionByZeroError, FactoredForm,
                     SumForm, as_sum, residue)
 from .resdata import res_al
+
+# the largest torus the quadrature evaluates, in nodes
+MAX_GRID_NODES = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -70,68 +77,114 @@ def default_shift(p: SetupParams) -> tuple[float, ...]:
     return tuple(float(residue_point(p, l)) + p.t / 2 + 0.25 for l in range(1, p.d))
 
 
-def _eval_grid(f: Union[FactoredForm, SumForm], q: float,
-               arrays: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Vectorized eval_numeric over the nodes of a sparse meshgrid.
+def _check_grid_size(p: SetupParams, spec: QuadratureSpec) -> None:
+    """Refuse a quadrature whose largest torus, the d - 1 circles of the left
+    side and of the level-d chain term, has more than MAX_GRID_NODES nodes."""
+    if spec.nodes ** (p.d - 1) > MAX_GRID_NODES:
+        raise InvalidParamsError(
+            f"nodes^(d-1) = {spec.nodes}^{p.d - 1} exceeds the limit of "
+            f"2^{MAX_GRID_NODES.bit_length() - 1} = {MAX_GRID_NODES} grid nodes")
 
-    Every exponent is affine, so q^E = q^(c_0) * prod_v exp(lnq c_v z_v).  Each
-    axis factor exp(lnq c_v z_v) is one exponential over the nodes of that
-    axis alone, computed once per (variable, coefficient) pair in this call
-    and shared by the monomial and every binomial of every term.  q^(c_0) is
-    a numpy complex scalar, so it overflows to inf, with numpy's warning, as
-    a full-grid exponential does; broadcasting the product then costs one
-    full-grid multiply per factor.  Multiplicities are repeated
-    multiplications into one numerator and one denominator per term, divided
-    once; before that division each denominator factor is checked for nodes
-    where it vanishes.  Returns an array of the broadcast shape of ``arrays``.
+
+def _eval_grid(f: Union[FactoredForm, SumForm], q: float,
+               shifts: Mapping[str, float], nodes: int) -> np.ndarray:
+    """Vectorized eval_numeric at the nodes of the torus Re(v) = shifts[v]:
+    node k_v = 0..nodes-1 of axis v is z_v = shifts[v] + i P k_v / nodes with
+    P = 2pi/logq.  Returns the array of shape (nodes,) * len(shifts).
+
+    An exponent E = (c + sum_v a_v z_v)/D with integers c, a_v, D gives at a
+    node q^E = q^((c + sum_v a_v R_v)/D) exp(2pi i M/(D nodes)), which
+    depends on the node only through the integer M = sum_v a_v k_v.  The
+    monomial and the binomials of a term are grouped by their variable part
+    (D, a); each group's whole product -- numerator times factors, divided by
+    the denominator factors once -- is one 1-D table over M in [lo, hi], the
+    least and greatest values the nodes reach, with each phase taken from
+    M mod (D nodes).  A zero-copy strided view with stride a_v on axis v
+    (negative for a_v < 0, zero off the group's variables) lays the table
+    over the grid, so the term costs one full-grid multiply per group with
+    variables; a group without variables is a scalar factor.  q^((c+aR)/D)
+    is a numpy float, so it overflows to inf, with numpy's warning, and the
+    inf or nan reaches the result.
+
+    Each denominator factor 1 - q^E is checked on the whole table for a
+    value of size < 1e-12.  That matches checking the nodes alone: with
+    q^E = r e^(i theta), |1 - q^E| >= |sin theta|, and >= 1 when
+    cos theta <= 0, so on the phases 2pi j/(D nodes) it comes that close to
+    zero only where theta = 0 (mod 2pi); every such entry has the value of
+    M = 0, which the node k = 0 reaches.
     """
     lnq = math.log(q)
-    shape = np.broadcast_shapes(*(a.shape for a in arrays.values())) if arrays else ()
-    axis_powers: dict[tuple[str, Fraction], np.ndarray] = {}
-
-    def q_power(e: AffineExponent) -> np.ndarray:
-        """q^e as a new array over the axes of e's variables."""
-        value = np.array(np.exp(complex(lnq * float(e.const))))
-        for v, c in e.coeffs:
-            power = axis_powers.get((v, c))
-            if power is None:
-                power = axis_powers[v, c] = np.exp(lnq * float(c) * arrays[v])
-            value = value * power
-        return value
-
+    axis = {v: i for i, v in enumerate(shifts)}
+    shape = (nodes,) * len(shifts)
+    terms = as_sum(f).terms
     total = np.zeros(shape, dtype=complex)
-    for term in as_sum(f).terms:
-        numerator = np.full(shape, complex(term.constant) * lnq ** term.log_grade)
-        numerator *= q_power(term.monomial)
-        denominator = np.ones(shape, dtype=complex)
-        for e, mult in term.binomials:
-            factor = q_power(e)
-            np.subtract(1.0, factor, out=factor)
-            if mult < 0 and np.abs(factor).min() < 1e-12:
-                raise DivisionByZeroError(
-                    f"denominator factor (1 - q^({e})) vanishes on the contour")
-            product = numerator if mult > 0 else denominator
-            for _ in range(abs(mult)):
-                product *= factor
-        numerator /= denominator
-        total += numerator
+    buf = np.empty(shape, dtype=complex) if len(terms) > 1 else total
+    for term in terms:
+        # the integer representation (num + terms)/den of AffineExponent
+        groups: dict[tuple, list[tuple[AffineExponent, int]]] = {}
+        for e, mult in ((term.monomial, 0), *term.binomials):
+            groups.setdefault((e._den, e._terms), []).append((e, mult))
+        scale = complex(term.constant) * lnq ** term.log_grade
+        views = []
+        # the groups without variables first: they are scalar factors, and
+        # the first table takes the whole scale before its view is made
+        for (den, coeffs), members in sorted(groups.items(), key=lambda g: bool(g[0][1])):
+            table, lo = _group_table(members, den, coeffs, lnq, shifts, nodes)
+            if not coeffs:
+                scale *= table[0]
+                continue
+            if not views:
+                table *= scale
+            strides = [0] * len(shape)
+            for v, a in coeffs:
+                strides[axis[v]] = a * table.itemsize
+            # element 0 of table[-lo:] is M = 0, the node k = 0
+            views.append(as_strided(table[-lo:], shape, strides, writeable=False))
+        if len(views) < 2:
+            buf[...] = views[0] if views else scale
+        else:
+            np.multiply(views[0], views[1], out=buf)
+        for view in views[2:]:
+            buf *= view
+        if buf is not total:
+            total += buf
     return total
 
 
-def _unitary_nodes(q: float, nodes: int) -> np.ndarray:
-    period = 2 * math.pi / math.log(q)
-    return 1j * period * np.arange(nodes) / nodes
+def _group_table(members: list[tuple[AffineExponent, int]], den: int,
+                 coeffs: tuple[tuple[str, int], ...], lnq: float,
+                 shifts: Mapping[str, float], nodes: int) -> tuple[np.ndarray, int]:
+    """The product of one variable part's monomial (multiplicity 0) and
+    binomials over M = lo..hi, and lo; see ``_eval_grid``."""
+    lo = (nodes - 1) * sum(min(a, 0) for _, a in coeffs)
+    hi = (nodes - 1) * sum(max(a, 0) for _, a in coeffs)
+    period = den * nodes
+    phase = np.exp((2j * math.pi / period) * (np.arange(lo, hi + 1) % period))
+    real = sum(a * shifts[v] for v, a in coeffs)
+    numerator = np.ones(hi - lo + 1, dtype=complex)
+    denominator = np.ones(hi - lo + 1, dtype=complex)
+    for e, mult in members:
+        value = np.exp(lnq * (e._num + real) / den) * phase
+        if not mult:
+            numerator *= value
+            continue
+        factor = np.subtract(1.0, value, out=value)
+        if mult < 0 and np.abs(factor).min() < 1e-12:
+            raise DivisionByZeroError(
+                f"denominator factor (1 - q^({e})) vanishes on the contour")
+        product = numerator if mult > 0 else denominator
+        for _ in range(abs(mult)):
+            product *= factor
+    numerator /= denominator
+    return numerator, lo
 
 
 def _torus_mean(f: Union[FactoredForm, SumForm], spec: QuadratureSpec,
                 shifts: Mapping[str, float]) -> complex:
     """Node mean of f over the circles Re(v) = shifts[v], ``spec.nodes`` per
-    circle, on a sparse meshgrid; over no circles it is f's constant value.
+    circle; over no circles it is f's constant value.
     """
-    nodes = _unitary_nodes(spec.q, spec.nodes)
-    axes = np.meshgrid(*[nodes] * len(shifts), indexing="ij", sparse=True)
-    arrays = {v: shift + axis for (v, shift), axis in zip(shifts.items(), axes)}
-    return complex(_eval_grid(f, spec.q, arrays).mean())
+    return complex(_eval_grid(f, spec.q, shifts, spec.nodes).mean())
 
 
 def lhs_contour(p: SetupParams, spec: QuadratureSpec) -> complex:
@@ -139,6 +192,7 @@ def lhs_contour(p: SetupParams, spec: QuadratureSpec) -> complex:
     over the circles Re(z_l) = R_l of ``default_shift``; equals (m/t)^(d-1)
     times the node mean.
     """
+    _check_grid_size(p, spec)
     shifts = {z_var(j): r for j, r in enumerate(default_shift(p), start=1)}
     return (Fraction(p.m, p.t) ** (p.d - 1)) * _torus_mean(mu_on_z(p), spec, shifts)
 
@@ -170,6 +224,7 @@ def residue_terms(p: SetupParams, spec: QuadratureSpec) -> tuple[tuple[complex, 
     """Per-level chain terms and the off-chain term of the unfolded right side."""
     if p.d > 3:
         raise OutOfRangeError("residue decomposition is implemented for d <= 3")
+    _check_grid_size(p, spec)
     ratio = Fraction(p.m, p.t)
     f = mu_on_z(p)
     chain = []

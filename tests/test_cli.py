@@ -6,7 +6,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from qdegree import degree
+from qdegree import contour, degree
 from qdegree.cli import emit_json, main
 
 
@@ -143,6 +143,18 @@ class TestContourCommand:
                                       "--a", "0", "--nodes", "16", "--tol", "nan"])
         assert result.exit_code == 2
         assert "tolerance must be positive" in result.stderr
+
+    def test_oversized_grid_exits_2(self, runner, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("a grid was evaluated before the size check")
+
+        monkeypatch.setattr(contour, "_eval_grid", no_grid)
+        result = runner.invoke(main, ["contour", "--d", "3", "--q", "2", "--t", "1", "--m", "1",
+                                      "--a", "0", "--nodes", "16384"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert "limit of 2^24" in result.stderr
 
     # the left side overflows to nan; the residue terms overflow in eval_numeric
     @pytest.mark.parametrize("args", [

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import random_exponent, random_rational
 from qdegree import contour
-from qdegree.contour import (QuadratureSpec, _eval_grid, _unitary_nodes, default_shift,
+from qdegree.contour import (QuadratureSpec, _eval_grid, default_shift,
                              decomposition_report, lhs_contour, residue_terms,
                              verify_residue_decomposition)
 from qdegree.model import InvalidParamsError, OutOfRangeError, validate
@@ -31,44 +31,70 @@ def _grid_term(rng: random.Random, variables) -> FactoredForm:
     return out
 
 
-def _axis(rng: random.Random, n: int) -> np.ndarray:
-    return np.array([complex(rng.uniform(-1, 1), rng.uniform(-3, 3)) for _ in range(n)])
+def _torus_nodes(q: float, shifts, nodes: int) -> dict:
+    """Index -> assignment at every node z_v = R_v + i P k_v / nodes, P = 2pi/logq."""
+    period = 2 * math.pi / math.log(q)
+    return {k: {v: complex(r, period * kv / nodes) for (v, r), kv in zip(shifts.items(), k)}
+            for k in np.ndindex((nodes,) * len(shifts))}
+
+
+def _nearly_vanishes(f: SumForm, q: float, at: dict) -> bool:
+    """Whether some 1 - q^E of f comes within 0.05 of zero at some node."""
+    z = {v: np.array([node[v] for node in at.values()]) for v in next(iter(at.values()))}
+    for term in f.terms:
+        for e, _ in term.binomials:
+            w = float(e.const) + sum(float(c) * z[v] for v, c in e.coeffs)
+            if np.abs(1 - np.exp(math.log(q) * w)).min() < 0.05:
+                return True
+    return False
 
 
 class TestEvalGrid:
-    @pytest.mark.parametrize("dim", (1, 2, 3))
+    @pytest.mark.parametrize("dim", (0, 1, 2, 3))
     def test_matches_eval_numeric_at_every_node(self, dim):
         rng = random.Random(500 + dim)
         variables = [f"z{j}" for j in range(1, dim + 1)]
-        checked = 0
-        while checked < 12:
-            q = rng.choice((1.5, 2.0, 3.0))
-            f = SumForm(tuple(_grid_term(rng, variables) for _ in range(rng.randint(1, 3))))
-            axes = np.meshgrid(*[_axis(rng, n) for n in (5, 4, 3)[:dim]],
-                               indexing="ij", sparse=True)
-            arrays = dict(zip(variables, axes))
-            shape = np.broadcast_shapes(*(a.shape for a in axes))
-            full = {v: np.broadcast_to(a, shape) for v, a in arrays.items()}
-            nodes = [{v: complex(a[i]) for v, a in full.items()} for i in np.ndindex(shape)]
-            # 1 - q^E near zero turns last-bit differences in q^E into large
-            # relative ones in either evaluation, so such draws are skipped
-            if any(abs(1 - FactoredForm.q_power(e).eval_numeric(q, node)) < 0.05
-                   for term in f.terms for e, _ in term.binomials for node in nodes):
-                continue
-            got = _eval_grid(f, q, arrays)
-            assert got.shape == shape
-            for i, node in zip(np.ndindex(shape), nodes):
-                # relative to the sum of the terms' sizes, as terms may cancel
-                scale = sum(abs(term.eval_numeric(q, node)) for term in f.terms)
-                assert abs(got[i] - f.eval_numeric(q, node)) <= 1e-13 * scale
-            checked += 1
+        seen = set()
+        for nodes in (16, 32) if dim < 3 else (16,):
+            checked = 0
+            while checked < (12 if dim < 3 else 3):
+                q = rng.choice((1.5, 2.0, 3.0))
+                f = SumForm(tuple(_grid_term(rng, variables) for _ in range(rng.randint(1, 3))))
+                shifts = {v: rng.uniform(-1, 1) for v in variables}
+                at = _torus_nodes(q, shifts, nodes)
+                # 1 - q^E near zero turns last-bit differences in q^E into large
+                # relative ones in either evaluation, so such draws are skipped
+                if _nearly_vanishes(f, q, at):
+                    continue
+                got = _eval_grid(f, q, shifts, nodes)
+                assert got.shape == (nodes,) * dim
+                for k, node in at.items():
+                    values = [term.eval_numeric(q, node) for term in f.terms]
+                    # relative to the sum of the terms' sizes, as terms may cancel
+                    assert abs(got[k] - sum(values)) <= 1e-13 * sum(map(abs, values))
+                checked += 1
+                for term in f.terms:
+                    for e in (term.monomial, *(e for e, _ in term.binomials)):
+                        coeffs = [c for _, c in e.coeffs]
+                        seen.add(("denominator 3", e.const.denominator == 3
+                                  or any(c.denominator == 3 for c in coeffs)))
+                        seen.add(("no variables", not coeffs and e is not term.monomial))
+                        seen.add(("monomial variables", bool(coeffs) and e is term.monomial))
+                        # a negative stride, and a stride sharing a factor with
+                        # the nodes, which leaves table entries no node reaches
+                        seen.add(("negative", any(c < 0 for c in coeffs)))
+                        seen.add(("shared factor", any(math.gcd(c.numerator, nodes) > 1
+                                                       for c in coeffs)))
+        wanted = {"denominator 3", "no variables"}
+        if dim:
+            wanted |= {"monomial variables", "negative", "shared factor"}
+        assert {name for name, hit in seen if hit} >= wanted
 
     def test_vanishing_denominator_raises(self):
-        # (1 - q^z1)^-1 on the unitary nodes, which start at z1 = 0
+        # (1 - q^z1)^-1 on the unitary torus, whose nodes start at z1 = 0
         f = FactoredForm.binomial(AffineExponent.variable("z1"), -1)
         with pytest.raises(DivisionByZeroError):
-            _eval_grid(f, 2.0, {"z1": _unitary_nodes(2.0, 16)})
-
+            _eval_grid(f, 2.0, {"z1": 0.0}, 16)
 
 
 class TestQuadratureSpec:
@@ -114,7 +140,7 @@ class TestLhsContour:
         assert abs(coarse.imag) < 1e-12
         assert abs(coarse - fine) < 1e-10
 
-    @pytest.mark.parametrize("d, nodes", ((2, 256), (3, 64)))
+    @pytest.mark.parametrize("d, nodes", ((2, 256), (3, 64), (4, 128)))
     @pytest.mark.parametrize("m, t, a, q", ((1, 1, 0, 2.0), (2, 1, 1, 3.0), (2, 2, 0, 2.0),
                                             (3, 3, 2, 1.5), (6, 2, 1, 2.0)))
     def test_equals_deep_chamber_limit(self, m, t, a, q, d, nodes):
@@ -183,6 +209,29 @@ class TestDecomposition:
         monkeypatch.setattr(contour, "lhs_contour", no_quadrature)
         with pytest.raises(ValueError, match="d <= 3"):
             decomposition_report(validate(1, 4, 1, 0), QuadratureSpec(q=2.0))
+
+    @pytest.mark.parametrize("d, nodes, reached", ((3, 4096, True), (3, 8192, False),
+                                                   (4, 256, True), (4, 512, False),
+                                                   (2, 2 ** 24, True)))
+    def test_oversized_grid_rejected_before_quadrature(self, monkeypatch, d, nodes, reached):
+        """nodes^(d-1) up to MAX_GRID_NODES = 2^24 reaches the grid evaluator;
+        beyond it both sides refuse before any grid is evaluated."""
+        class ReachedGrid(Exception):
+            pass
+
+        def no_grid(*args):
+            raise ReachedGrid
+
+        monkeypatch.setattr(contour, "_eval_grid", no_grid)
+        p = validate(1, d, 1, 0)
+        spec = QuadratureSpec(q=2.0, nodes=nodes)
+        sides = [lambda: lhs_contour(p, spec)]
+        if d <= 3:
+            sides.append(lambda: residue_terms(p, spec))
+        for side in sides:
+            with pytest.raises(ReachedGrid if reached else InvalidParamsError,
+                               match=None if reached else r"limit of 2\^24 = 16777216 grid nodes"):
+                side()
 
     def test_real_values_on_real_parameters(self):
         report = decomposition_report(validate(2, 3, 2, 1), QuadratureSpec(q=2.0, nodes=128))
