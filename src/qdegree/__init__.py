@@ -16,8 +16,8 @@ from .model import InvalidParamsError, OutOfRangeError, SetupParams, validate
 from .mu import (mu_full, mu_level_ratio_closed, mu_level_ratio_telescoped,
                  mu_on_z, rank_one_factor)
 from .qform import (AffineExponent, DivisionByZeroError, FactoredForm,
-                    HigherOrderPoleError, LocalSeries, PoleAtSubstitutionError,
-                    SumForm, local_series, residue)
+                    HigherOrderPoleError, PoleAtSubstitutionError, SumForm,
+                    residue)
 from .resdata import iterated_residue, res_a1_mu, res_al, residue_closed_form
 
 __version__ = "0.1.0"
@@ -25,10 +25,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineExponent", "CheckReport", "DegreeResult", "DivisionByZeroError",
     "FactoredForm", "HigherOrderPoleError", "InvalidParamsError",
-    "LocalSeries", "OutOfRangeError", "PoleAtSubstitutionError", "SetupParams",
+    "OutOfRangeError", "PoleAtSubstitutionError", "SetupParams",
     "SumForm", "Weight", "assemble_degree",
     "closed_form_degree", "discrete_series_point", "gamma_factor",
-    "generic_weight", "gl_order", "iterated_residue", "local_series",
+    "generic_weight", "gl_order", "iterated_residue",
     "mu_full", "mu_level_ratio_closed", "mu_level_ratio_telescoped", "mu_on_z",
     "pairing_coroot", "rank_one_factor", "res_a1_mu", "res_al", "residue",
     "residue_closed_form", "residue_plan", "validate", "verify_theorem",

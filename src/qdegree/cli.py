@@ -322,6 +322,8 @@ def cmd_verify(kind, d_max, m_set, t_set, a_set, as_json):
     kwargs = {key: _parse_int_set(text, minimum=0 if key == "a_set" else 1)
               for key, text in given.items() if text is not None}
     reports = sorted(suite(d_max=d_max, **kwargs), key=lambda r: r.name)
+    if not reports:
+        raise click.UsageError(f"verify {kind} has no case on this grid")
     if as_json:
         _emit_doc({"kind": kind, "d_max": d_max}, None, reports)
     else:

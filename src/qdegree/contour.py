@@ -70,6 +70,8 @@ class QuadratureSpec:
             raise InvalidParamsError(f"nodes must be a power of two >= 16, got {self.nodes}")
         if not self.tolerance > 0:
             raise InvalidParamsError(f"tolerance must be positive, got {self.tolerance}")
+        if math.isinf(self.tolerance):
+            raise InvalidParamsError(f"tolerance must be finite, got {self.tolerance}")
 
 
 def default_shift(p: SetupParams) -> tuple[float, ...]:
@@ -187,14 +189,14 @@ def _torus_mean(f: Union[FactoredForm, SumForm], spec: QuadratureSpec,
     return complex(_eval_grid(f, spec.q, shifts, spec.nodes).mean())
 
 
-def lhs_contour(p: SetupParams, spec: QuadratureSpec) -> complex:
-    """(logq/2pi)^(d-1) (m/t)^(d-1) times the iterated box integral of mu
-    over the circles Re(z_l) = R_l of ``default_shift``; equals (m/t)^(d-1)
-    times the node mean.
+def lhs_contour(p: SetupParams, spec: QuadratureSpec, f: FactoredForm) -> complex:
+    """(logq/2pi)^(d-1) (m/t)^(d-1) times the iterated box integral of
+    f = mu_on_z(p) over the circles Re(z_l) = R_l of ``default_shift``;
+    equals (m/t)^(d-1) times the node mean.
     """
     _check_grid_size(p, spec)
     shifts = {z_var(j): r for j, r in enumerate(default_shift(p), start=1)}
-    return (Fraction(p.m, p.t) ** (p.d - 1)) * _torus_mean(mu_on_z(p), spec, shifts)
+    return (Fraction(p.m, p.t) ** (p.d - 1)) * _torus_mean(f, spec, shifts)
 
 
 def _offchain_sum(p: SetupParams, f: FactoredForm) -> SumForm:
@@ -220,20 +222,23 @@ class DecompositionReport:
     status: str  # pass iff relative_error <= the spec's tolerance, else fail
 
 
-def residue_terms(p: SetupParams, spec: QuadratureSpec) -> tuple[tuple[complex, ...], complex]:
-    """Per-level chain terms and the off-chain term of the unfolded right side."""
+def _check_decomposition(p: SetupParams, spec: QuadratureSpec) -> None:
+    """Refuse a depth beyond 3 and an oversized torus, before mu is built."""
     if p.d > 3:
         raise OutOfRangeError("residue decomposition is implemented for d <= 3")
     _check_grid_size(p, spec)
+
+
+def residue_terms(p: SetupParams, spec: QuadratureSpec,
+                  f: FactoredForm) -> tuple[tuple[complex, ...], complex]:
+    """Per-level chain terms and the off-chain term of the unfolded right
+    side of f = mu_on_z(p).  Each is a weight times a node mean; at level 1
+    the mean is over no circles."""
+    _check_decomposition(p, spec)
     ratio = Fraction(p.m, p.t)
-    f = mu_on_z(p)
     chain = []
     for l in range(1, p.d + 1):
-        datum = res_al(p, f, l)
-        if l == 1:
-            mean = complex(datum.eval_numeric(spec.q))
-        else:
-            mean = _torus_mean(datum, spec, {z_var(j): 0.0 for j in range(1, l)})
+        mean = _torus_mean(res_al(p, f, l), spec, {z_var(j): 0.0 for j in range(1, l)})
         chain.append((p.d - l + 1) * (ratio ** (l - 1)) * mean)
     offchain = 0j
     if p.d == 3:
@@ -243,17 +248,18 @@ def residue_terms(p: SetupParams, spec: QuadratureSpec) -> tuple[tuple[complex, 
 
 
 def decomposition_report(p: SetupParams, spec: QuadratureSpec) -> DecompositionReport:
-    """Both sides and the per-term breakdown.
+    """Both sides and the per-term breakdown, from one build of mu.
 
     Raises OverflowError when a side does not fit in a complex float: an
     overflowed node value turns the node mean into inf or nan, and numpy's
-    warnings about it are silenced in favour of that one error.
+    warnings about it are silenced in favour of that one error.  An
+    unsupported depth or an oversized torus is refused before mu is built.
     """
+    _check_decomposition(p, spec)
+    f = mu_on_z(p)
     with np.errstate(over="ignore", invalid="ignore"):
-        # residue_terms first: it rejects an unsupported depth before the
-        # quadrature allocates its nodes^(d-1) grid
-        chain, offchain = residue_terms(p, spec)
-        lhs = lhs_contour(p, spec)
+        chain, offchain = residue_terms(p, spec, f)
+        lhs = lhs_contour(p, spec, f)
     rhs = sum(chain, 0j) + offchain
     if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
         raise OverflowError(f"lhs = {lhs}, rhs = {rhs} at q = {spec.q}")

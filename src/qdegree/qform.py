@@ -42,7 +42,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -785,26 +785,8 @@ def as_sum(f: Union[FactoredForm, SumForm]) -> SumForm:
 
 
 # ---------------------------------------------------------------------------
-# Local series and residues
+# Residues
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LocalSeries:
-    """Truncated Laurent expansion in w = (variable - center), exact coefficients.
-
-    ``coefficients`` maps order -> SumForm up to ``truncation_order``; zero ones are absent.
-    """
-
-    variable: str
-    center: Fraction
-    coefficients: dict[int, SumForm] = field(default_factory=dict)
-    truncation_order: int = 0
-
-    def coefficient(self, order: int) -> SumForm:
-        if order > self.truncation_order:
-            raise ValueError(f"order {order} beyond truncation {self.truncation_order}")
-        return self.coefficients.get(order, SumForm())
-
 
 def _collect(terms: Iterable[FactoredForm]) -> SumForm:
     """The sum of the terms with like terms merged and zeros dropped."""
@@ -826,8 +808,8 @@ def _unit_power(a: list[FactoredForm], m: int, n: int) -> list[SumForm]:
     return b
 
 
-def _form_series(f: FactoredForm, name: str, center: ExponentValue, order: int) -> dict[int, SumForm]:
-    """Laurent coefficients of f in w = name - center up to w^order; zero ones are absent.
+def _form_series(f: FactoredForm, name: str, center: ExponentValue) -> SumForm:
+    """The w^(-1) Laurent coefficient of f in w = name - center.
 
     The center is rational or affine in the other variables.  With
     u = w log q, f is a lead form times w^p times one unit series
@@ -852,12 +834,12 @@ def _form_series(f: FactoredForm, name: str, center: ExponentValue, order: int) 
             regular.append((c, m))
             if s:
                 units.append((m, s, 0, c))
-    n = order - p
+    n = -1 - p
     if n < 0:
-        return {}
+        return SumForm()
     lead = FactoredForm.build(constant, log_grade, f.monomial.substitute(name, at), regular)
     if n == 0:  # only the constant 1 of each unit series enters
-        return {p: SumForm((lead,))}
+        return SumForm((lead,))
     e = f.monomial.coeff(name)
     if e:
         units.insert(0, (1, e, 0, None))  # first: the order of the sums' terms follows units
@@ -869,19 +851,7 @@ def _form_series(f: FactoredForm, name: str, center: ExponentValue, order: int) 
         power = _unit_power(a, m, n)
         product = [_collect(x * y for i in range(k + 1) for x in product[i].terms
                             for y in power[k - i].terms) for k in range(n + 1)]
-    return {p + k: SumForm(tuple(lead * t for t in c.terms))
-            for k, c in enumerate(product) if not c.is_zero}
-
-
-def local_series(f: Union[FactoredForm, SumForm], name: str, center: Rational,
-                 order: int) -> LocalSeries:
-    """Exact Laurent expansion of f around name = center, up to the given order."""
-    center = _as_fraction(center)
-    items: dict[int, SumForm] = {}
-    for term in as_sum(f).terms:
-        for n, s in _form_series(term, name, center, order).items():
-            items[n] = items.get(n, SumForm()) + s
-    return LocalSeries(name, center, items, order)
+    return SumForm(tuple(lead * t for t in product[n].terms))
 
 
 def residue(f: Union[FactoredForm, SumForm], name: str, point: ExponentValue) -> SumForm:
@@ -889,7 +859,5 @@ def residue(f: Union[FactoredForm, SumForm], name: str, point: ExponentValue) ->
     variables: the w^(-1) coefficients of ``_form_series`` of f's terms.  A
     simple pole gives one factored form per term; regular points give zero.
     """
-    terms: list[FactoredForm] = []
-    for term in as_sum(f).terms:
-        terms.extend(_form_series(term, name, point, -1).get(-1, SumForm()).terms)
-    return SumForm(tuple(terms))
+    return SumForm(tuple(t for term in as_sum(f).terms
+                         for t in _form_series(term, name, point).terms))

@@ -37,26 +37,18 @@ from .mu import mu_on_z
 from .qform import FactoredForm, HigherOrderPoleError, as_exponent, residue, split_at_point
 
 
-def iterated_residue(f: FactoredForm, plan: tuple[tuple[str, Fraction], ...],
-                     stop_at: int = 1) -> FactoredForm:
-    """Apply residues at (z_k, r_k) for k = d-1 down to stop_at, innermost first.
+def iterated_residue(f: FactoredForm, steps: tuple[tuple[str, Fraction], ...]) -> FactoredForm:
+    """Apply the residues at (z_k, r_k) of ``steps`` in order, innermost first.
 
     One pass (see the module docstring): ``split_at_point`` evaluates the
-    binomials at the whole plan and files those vanishing there under their
-    level, and each level's simple pole is taken by ``residue`` on the
-    one-variable form of its binomials alone.  A level of
+    binomials at the whole point of the steps and files those vanishing there
+    under their level, and each level's simple pole is taken by ``residue``
+    on the one-variable form of its binomials alone.  A level of
     pole order >= 2 raises ``HigherOrderPoleError``; this is checked before
     any level of order <= 0 makes the result zero, since the orders of the
     later levels are only known after such a pole is taken.  Variables
-    below stop_at stay free.
+    without a step stay free; no steps give f itself.
     """
-    steps = []
-    for name, point in plan:
-        if int(name[1:]) < stop_at:
-            break
-        steps.append((name, point))
-    if not steps:
-        return f
     monomial, levels, regular = split_at_point(f, steps)
     orders = [-sum(m for _, m in level) for level in levels]
     for (name, point), order in zip(steps, orders):
@@ -79,7 +71,7 @@ def res_al(p: SetupParams, psi: FactoredForm, l: int) -> FactoredForm:
     the surviving variables z_1..z_(l-1); its prefactor carries log grade d-l.
     """
     p.check_level(l)
-    inner = iterated_residue(psi, residue_plan(p), stop_at=l)
+    inner = iterated_residue(psi, residue_plan(p)[:p.d - l])
     scale = Fraction(p.m, p.t) ** (p.d - l) / (p.d - l + 1)
     return inner * FactoredForm.from_constant(scale, log_grade=p.d - l)
 

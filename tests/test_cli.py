@@ -144,6 +144,14 @@ class TestContourCommand:
         assert result.exit_code == 2
         assert "tolerance must be positive" in result.stderr
 
+    def test_infinite_tolerance_exits_2(self, runner):
+        # an infinite tolerance would pass any error
+        result = runner.invoke(main, ["contour", "--d", "2", "--q", "2", "--t", "1", "--m", "1",
+                                      "--a", "0", "--nodes", "16", "--tol", "inf"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "Error: tolerance must be finite, got inf\n"
+
     def test_oversized_grid_exits_2(self, runner, monkeypatch):
         def no_grid(*args):
             raise AssertionError("a grid was evaluated before the size check")
@@ -156,7 +164,8 @@ class TestContourCommand:
         assert len(result.stderr.splitlines()) == 1
         assert "limit of 2^24" in result.stderr
 
-    # the left side overflows to nan; the residue terms overflow in eval_numeric
+    # both sides overflow to nan in the grid evaluator; the finite check in
+    # decomposition_report turns that into exit 3
     @pytest.mark.parametrize("args", [
         ["--d", "2", "--q", "1e300", "--t", "1", "--m", "1", "--a", "0", "--nodes", "16"],
         ["--d", "3", "--q", "1e30", "--t", "3", "--m", "3", "--a", "2", "--nodes", "16",

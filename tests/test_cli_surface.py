@@ -234,6 +234,17 @@ def test_contour_q_usage_errors(files, q, message):
     assert _run([*CONTOUR, "--q", q], files) == (2, "", f"Error: {message}\n")
 
 
+@pytest.mark.parametrize("args", [
+    ["theorem", "--t-set", "5"],
+    ["residue", "--m-set", "1", "--t-set", "2"],
+    ["ratio", "--d-max", "1"],
+    ["pairing", "--d-max", "1"],
+])
+def test_verify_empty_grid_is_a_usage_error(files, args):
+    assert _run(["verify", *args], files) == (
+        2, "", f"Error: verify {args[0]} has no case on this grid\n")
+
+
 def test_parameter_warning_on_stderr(files):
     # stdout as before the warnings were shown
     assert _run(["degree", "--m", "3", "--d", "2", "--t", "2", "--a", "0"], files) == (

@@ -3,6 +3,7 @@ vs residue-term sums, the exact chamber limit, convergence, and fault injection.
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from qdegree.contour import (QuadratureSpec, _eval_grid, default_shift,
                              decomposition_report, lhs_contour, residue_terms,
                              verify_residue_decomposition)
 from qdegree.model import InvalidParamsError, OutOfRangeError, validate
+from qdegree.mu import mu_on_z
 from qdegree.qform import AffineExponent, DivisionByZeroError, FactoredForm, SumForm
+from qdegree.resdata import residue_closed_form
 
 
 def _grid_term(rng: random.Random, variables) -> FactoredForm:
@@ -111,10 +114,12 @@ class TestQuadratureSpec:
 
     def test_rejections_are_typed(self):
         # the CLI maps both to a usage error; both stay ValueErrors for callers
-        with pytest.raises(InvalidParamsError):
-            QuadratureSpec(q=2.0, tolerance=0)
+        for tolerance in (0, float("inf")):
+            with pytest.raises(InvalidParamsError):
+                QuadratureSpec(q=2.0, tolerance=tolerance)
+        p = validate(1, 4, 1, 0)
         with pytest.raises(OutOfRangeError):
-            residue_terms(validate(1, 4, 1, 0), QuadratureSpec(q=2.0))
+            residue_terms(p, QuadratureSpec(q=2.0), mu_on_z(p))
 
     def test_default_shift_beyond_residue_points(self):
         p = validate(2, 3, 2, 0)
@@ -124,19 +129,21 @@ class TestQuadratureSpec:
 
 class TestLhsContour:
     def test_single_block_trivial(self):
-        assert lhs_contour(validate(1, 1, 1, 0), QuadratureSpec(q=2.0)) == 1
+        p = validate(1, 1, 1, 0)
+        assert lhs_contour(p, QuadratureSpec(q=2.0), mu_on_z(p)) == 1
 
     def test_stable_under_node_doubling(self):
         p = validate(1, 2, 1, 0)
-        values = [lhs_contour(p, QuadratureSpec(q=2.0, nodes=n)) for n in (16, 32, 64, 256)]
+        values = [lhs_contour(p, QuadratureSpec(q=2.0, nodes=n), mu_on_z(p))
+                  for n in (16, 32, 64, 256)]
         assert abs(values[-1] - values[-2]) < 1e-10
         errors = [abs(v - values[-1]) for v in values[:-1]]
         assert errors[0] > errors[1] > errors[2] or errors[2] < 1e-14
 
     def test_finite_real_value_inside_chamber(self):
         p = validate(1, 2, 1, 0)
-        coarse = lhs_contour(p, QuadratureSpec(q=2.0, nodes=256))
-        fine = lhs_contour(p, QuadratureSpec(q=2.0, nodes=512))
+        coarse = lhs_contour(p, QuadratureSpec(q=2.0, nodes=256), mu_on_z(p))
+        fine = lhs_contour(p, QuadratureSpec(q=2.0, nodes=512), mu_on_z(p))
         assert abs(coarse.imag) < 1e-12
         assert abs(coarse - fine) < 1e-10
 
@@ -147,7 +154,7 @@ class TestLhsContour:
         """Deep in the chamber each pair factor tends to q^(a+t), and the torus
         mean of mu is that limit: (m/t)^(d-1) q^((a+t) d(d-1)/2)."""
         p = validate(m, d, t, a)
-        got = lhs_contour(p, QuadratureSpec(q=q, nodes=nodes))
+        got = lhs_contour(p, QuadratureSpec(q=q, nodes=nodes), mu_on_z(p))
         limit = (m / t) ** (d - 1) * q ** ((a + t) * d * (d - 1) / 2)
         assert abs(got - limit) <= 1e-12 * limit
 
@@ -176,7 +183,7 @@ class TestDecomposition:
 
     def test_two_block_terms_structure(self):
         p = validate(1, 2, 1, 0)
-        chain, offchain = residue_terms(p, QuadratureSpec(q=2.0, nodes=512))
+        chain, offchain = residue_terms(p, QuadratureSpec(q=2.0, nodes=512), mu_on_z(p))
         assert len(chain) == 2
         assert offchain == 0
 
@@ -199,14 +206,19 @@ class TestDecomposition:
         assert report.status == "fail"
 
     def test_unsupported_depth(self):
+        p = validate(1, 4, 1, 0)
         with pytest.raises(ValueError):
-            residue_terms(validate(1, 4, 1, 0), QuadratureSpec(q=2.0))
+            residue_terms(p, QuadratureSpec(q=2.0), mu_on_z(p))
 
     def test_unsupported_depth_rejected_before_quadrature(self, monkeypatch):
-        def no_quadrature(p, spec):
+        def no_quadrature(p, spec, f):
             raise AssertionError("lhs_contour ran before the depth check")
 
+        def no_mu(p):
+            raise AssertionError("mu was built before the depth check")
+
         monkeypatch.setattr(contour, "lhs_contour", no_quadrature)
+        monkeypatch.setattr(contour, "mu_on_z", no_mu)
         with pytest.raises(ValueError, match="d <= 3"):
             decomposition_report(validate(1, 4, 1, 0), QuadratureSpec(q=2.0))
 
@@ -224,10 +236,11 @@ class TestDecomposition:
 
         monkeypatch.setattr(contour, "_eval_grid", no_grid)
         p = validate(1, d, 1, 0)
+        f = mu_on_z(p)
         spec = QuadratureSpec(q=2.0, nodes=nodes)
-        sides = [lambda: lhs_contour(p, spec)]
+        sides = [lambda: lhs_contour(p, spec, f)]
         if d <= 3:
-            sides.append(lambda: residue_terms(p, spec))
+            sides.append(lambda: residue_terms(p, spec, f))
         for side in sides:
             with pytest.raises(ReachedGrid if reached else InvalidParamsError,
                                match=None if reached else r"limit of 2\^24 = 16777216 grid nodes"):
@@ -237,3 +250,31 @@ class TestDecomposition:
         report = decomposition_report(validate(2, 3, 2, 1), QuadratureSpec(q=2.0, nodes=128))
         assert abs(report.lhs.imag) < 1e-10 * max(1, abs(report.lhs))
         assert abs(report.rhs.imag) < 1e-10 * max(1, abs(report.rhs))
+
+
+# the acceptance set: d = 2 at 512 nodes per circle, d = 3 at 256
+ACCEPTANCE = [(d, nodes, tol, q, t, a) for d, nodes, tol in ((2, 512, 1e-8), (3, 256, 1e-6))
+              for q in (2.0, 3.0) for t in (1, 2) for a in (0, 1)]
+
+
+class TestOneBuildOfMu:
+    @pytest.mark.parametrize("d, nodes, tol, q, t, a", ACCEPTANCE)
+    def test_level_one_term_is_d_times_closed_scalar(self, d, nodes, tol, q, t, a):
+        """The level-1 term is the node mean over no circles of the fully
+        specialized datum, weighted by d."""
+        p = validate(t, d, t, a)
+        report = decomposition_report(p, QuadratureSpec(q=q, nodes=nodes, tolerance=tol))
+        want = d * float(residue_closed_form(p).eval_exact(Fraction(q)))
+        assert abs(report.chain_terms[0] - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    def test_one_mu_per_report(self, monkeypatch, d):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return mu_on_z(p)
+
+        monkeypatch.setattr(contour, "mu_on_z", counted)
+        decomposition_report(validate(1, d, 1, 0), QuadratureSpec(q=2.0, nodes=64))
+        assert len(calls) == 1

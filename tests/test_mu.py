@@ -163,7 +163,7 @@ class TestLevelRatios:
         from qdegree.resdata import iterated_residue
 
         p = validate(2, d, 2, 1)
-        chain = iterated_residue(mu_on_z(p), residue_plan(p), 1)
+        chain = iterated_residue(mu_on_z(p), residue_plan(p))
         via_ratios = FF.one()
         for l in range(2, d + 1):
             ratio = mu_level_ratio_closed(p, l)

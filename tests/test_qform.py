@@ -1,5 +1,5 @@
-"""Kernel tests: canonical forms, substitution, residues, local series,
-numeric evaluation, and the randomized property suites."""
+"""Kernel tests: canonical forms, substitution, residues, numeric
+evaluation, and the randomized property suites."""
 
 import cmath
 import math
@@ -17,7 +17,7 @@ from conftest import (circle_integral, pole_distance_bound, random_form,
 from qdegree.degree import gl_order
 from qdegree.qform import (AffineExponent as AE, DivisionByZeroError,
                            FactoredForm as FF, PoleAtSubstitutionError,
-                           as_exponent, local_series, residue)
+                           as_exponent, residue)
 
 
 class TestAffineExponent:
@@ -160,6 +160,16 @@ class TestResidue:
         num = circle_integral(f, 2.0, "z", 0.0, 0.3)
         assert abs(sym.eval_numeric(2.0) - num) < 1e-10
 
+    def test_double_pole_with_monomial_matches_circle_integral(self):
+        # every kind of unit series enters: the vanishing pair, a regular
+        # binomial and a monomial in z
+        f = (FF.binomial(AE.variable("z", 1, F(-1, 2)), -2)
+             * FF.binomial(AE.make(1, {"z": 1})) * FF.q_power(AE.variable("z", F(1, 3))))
+        assert f.pole_order("z", F(1, 2)) == 2
+        sym = residue(f, "z", F(1, 2)).eval_numeric(2.0)
+        num = circle_integral(f, 2.0, "z", 0.5, 0.3, nodes=512)
+        assert abs(sym - num) < 1e-8 * max(1, abs(num))
+
     def test_triple_pole_with_zero(self):
         f = FF.binomial(AE.variable("z", 1, -1), -3) * FF.binomial(AE.variable("z", 2, -2))
         sym = residue(f, "z", 1)
@@ -200,36 +210,6 @@ class TestResidue:
         f = FF.from_constant(3, 2) * FF.binomial(AE.variable("z"), -1)
         (got,) = residue(f, "z", 0).terms
         assert got.log_grade == 1
-
-
-class TestLocalSeries:
-    def test_series_orders_of_simple_pole(self):
-        f = FF.binomial(AE.variable("z"), -1)
-        s = local_series(f, "z", 0, 2)
-        assert min(s.coefficients) == -1
-        lnq = math.log(2.0)
-        assert abs(s.coefficient(-1).eval_numeric(2.0) + 1 / lnq) < 1e-12
-
-    def test_series_numeric_laurent_coefficients(self):
-        f = (FF.binomial(AE.variable("z", 1, F(-1, 2)), -2)
-             * FF.binomial(AE.make(1, {"z": 1})) * FF.q_power(AE.variable("z", F(1, 3))))
-        s = local_series(f, "z", F(1, 2), 2)
-        q = 2.0
-        center, radius = 0.5, 0.3
-        for n in range(min(s.coefficients), 3):
-            total = 0j
-            nodes = 512
-            for k in range(nodes):
-                w = cmath.exp(2j * math.pi * k / nodes)
-                zv = center + radius * w
-                total += f.eval_numeric(q, {"z": zv}) * (radius * w) ** (-n)
-            num = total / nodes
-            assert abs(s.coefficient(n).eval_numeric(q) - num) < 1e-8 * max(1, abs(num))
-
-    def test_truncation_error(self):
-        s = local_series(FF.binomial(AE.variable("z"), -1), "z", 0, 1)
-        with pytest.raises(ValueError):
-            s.coefficient(2)
 
 
 class TestEvalNumeric:
