@@ -24,7 +24,9 @@ The trapezoidal nodes are equispaced on each circle, so q^E at a node
 depends on it only through one integer index linear in the node indices.
 The monomial and binomials that share a variable part multiply into one
 short table over that index, and a strided view lays the table over the
-grid, so a term costs one full-grid multiply per variable part.
+grid, so a term costs one full-grid multiply per variable part.  Sizes
+are taken out as one log per term, so a side overflows (and ``contour``
+exits 3) only where its value itself lies beyond the float range.
 A torus of more than MAX_GRID_NODES nodes is refused before it is built.
 """
 
@@ -66,6 +68,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if not self.q > 1:
             raise InvalidParamsError(f"q must exceed 1, got {self.q}")
+        if math.isinf(self.q):
+            raise InvalidParamsError(f"q must be finite, got {self.q}")
         if self.nodes < 16 or self.nodes & (self.nodes - 1):
             raise InvalidParamsError(f"nodes must be a power of two >= 16, got {self.nodes}")
         if not self.tolerance > 0:
@@ -88,105 +92,100 @@ def _check_grid_size(p: SetupParams, spec: QuadratureSpec) -> None:
             f"2^{MAX_GRID_NODES.bit_length() - 1} = {MAX_GRID_NODES} grid nodes")
 
 
-def _eval_grid(f: Union[FactoredForm, SumForm], q: float,
+def _eval_grid(f: FactoredForm, q: float,
                shifts: Mapping[str, float], nodes: int) -> np.ndarray:
-    """Vectorized eval_numeric at the nodes of the torus Re(v) = shifts[v]:
-    node k_v = 0..nodes-1 of axis v is z_v = shifts[v] + i P k_v / nodes with
-    P = 2pi/logq.  Returns the array of shape (nodes,) * len(shifts).
+    """Vectorized eval_numeric of one term at the nodes of the torus
+    Re(v) = shifts[v]: node k_v = 0..nodes-1 of axis v is
+    z_v = shifts[v] + i P k_v / nodes with P = 2pi/logq.  Returns the array
+    of shape (nodes,) * len(shifts).
 
     An exponent E = (c + sum_v a_v z_v)/D with integers c, a_v, D gives at a
-    node q^E = q^((c + sum_v a_v R_v)/D) exp(2pi i M/(D nodes)), which
-    depends on the node only through the integer M = sum_v a_v k_v.  The
-    monomial and the binomials of a term are grouped by their variable part
-    (D, a); each group's whole product -- numerator times factors, divided by
-    the denominator factors once -- is one 1-D table over M in [lo, hi], the
-    least and greatest values the nodes reach, with each phase taken from
-    M mod (D nodes).  A zero-copy strided view with stride a_v on axis v
-    (negative for a_v < 0, zero off the group's variables) lays the table
-    over the grid, so the term costs one full-grid multiply per group with
-    variables; a group without variables is a scalar factor.  q^((c+aR)/D)
-    is a numpy float, so it overflows to inf, with numpy's warning, and the
-    inf or nan reaches the result.
-
-    Each denominator factor 1 - q^E is checked on the whole table for a
-    value of size < 1e-12.  That matches checking the nodes alone: with
-    q^E = r e^(i theta), |1 - q^E| >= |sin theta|, and >= 1 when
-    cos theta <= 0, so on the phases 2pi j/(D nodes) it comes that close to
-    zero only where theta = 0 (mod 2pi); every such entry has the value of
-    M = 0, which the node k = 0 reaches.
+    node q^E = e^x w, with x = logq (c + sum_v a_v R_v)/D and the phase
+    w = exp(2pi i M/(D nodes)) of the integer M = sum_v a_v k_v.  The
+    monomial and the binomials are grouped by their variable part (D, a);
+    each group's product is e^size times one 1-D table over M in [lo, hi],
+    the least and greatest values the nodes reach (``_group_table``).  A
+    zero-copy strided view with stride a_v on axis v (negative for a_v < 0,
+    zero off the group's variables) lays the table over the grid, so the
+    term costs one full-grid multiply per group with variables; a group
+    without variables is a scalar factor.  The sizes are added and taken out
+    as one exp, a numpy float: it overflows to inf, with numpy's warning,
+    only where the term's size lies beyond the float range.
     """
     lnq = math.log(q)
     axis = {v: i for i, v in enumerate(shifts)}
     shape = (nodes,) * len(shifts)
-    terms = as_sum(f).terms
-    total = np.zeros(shape, dtype=complex)
-    buf = np.empty(shape, dtype=complex) if len(terms) > 1 else total
-    for term in terms:
-        # the integer representation (num + terms)/den of AffineExponent
-        groups: dict[tuple, list[tuple[AffineExponent, int]]] = {}
-        for e, mult in ((term.monomial, 0), *term.binomials):
-            groups.setdefault((e._den, e._terms), []).append((e, mult))
-        scale = complex(term.constant) * lnq ** term.log_grade
-        views = []
-        # the groups without variables first: they are scalar factors, and
-        # the first table takes the whole scale before its view is made
-        for (den, coeffs), members in sorted(groups.items(), key=lambda g: bool(g[0][1])):
-            table, lo = _group_table(members, den, coeffs, lnq, shifts, nodes)
-            if not coeffs:
-                scale *= table[0]
-                continue
-            if not views:
-                table *= scale
-            strides = [0] * len(shape)
-            for v, a in coeffs:
-                strides[axis[v]] = a * table.itemsize
-            # element 0 of table[-lo:] is M = 0, the node k = 0
-            views.append(as_strided(table[-lo:], shape, strides, writeable=False))
-        if len(views) < 2:
-            buf[...] = views[0] if views else scale
-        else:
-            np.multiply(views[0], views[1], out=buf)
-        for view in views[2:]:
-            buf *= view
-        if buf is not total:
-            total += buf
-    return total
+    # the integer representation (num + terms)/den of AffineExponent
+    groups: dict[tuple, list[tuple[AffineExponent, int]]] = {}
+    for e, mult in ((f.monomial, 0), *f.binomials):
+        groups.setdefault((e._den, e._terms), []).append((e, mult))
+    size, scale, views = 0.0, complex(f.constant) * lnq ** f.log_grade, []
+    for (den, coeffs), members in groups.items():
+        table, lo, part = _group_table(members, den, coeffs, lnq, shifts, nodes)
+        size += part
+        if not coeffs:
+            scale *= table[0]
+            continue
+        strides = [0] * len(shape)
+        for v, a in coeffs:
+            strides[axis[v]] = a * table.itemsize
+        # element 0 of table[-lo:] is M = 0, the node k = 0
+        views.append(as_strided(table[-lo:], shape, strides, writeable=False))
+    scale *= np.exp(size)
+    out = np.multiply(views[0], scale) if views else np.full(shape, scale)
+    for view in views[1:]:
+        out *= view
+    return out
 
 
 def _group_table(members: list[tuple[AffineExponent, int]], den: int,
-                 coeffs: tuple[tuple[str, int], ...], lnq: float,
-                 shifts: Mapping[str, float], nodes: int) -> tuple[np.ndarray, int]:
-    """The product of one variable part's monomial (multiplicity 0) and
-    binomials over M = lo..hi, and lo; see ``_eval_grid``."""
+                 coeffs: tuple[tuple[str, int], ...], lnq: float, shifts: Mapping[str, float],
+                 nodes: int) -> tuple[np.ndarray, int, float]:
+    """One variable part's monomial (multiplicity 0) and binomials over
+    M = lo..hi as (table, lo, size), their product being e^size times the
+    table; see ``_eval_grid``.  Every member is q^E = e^x w, with one phase
+    table w.  The monomial adds x to size and w to the table.  A binomial
+    (1 - q^E)^m with x > 0 is e^(m x) (e^-x - w)^m: it adds m x to size and
+    e^-x - w, of modulus at most 2, to the table; with x <= 0, 1 - e^x w.
+
+    Each denominator factor is checked on the whole table for a value of
+    modulus < 1e-12.  With w = e^(i theta) both forms are 1 - r e^(+-i theta)
+    times a unit, r = e^-|x|, and |1 - r e^(i theta)| >= |sin theta|, and
+    >= 1 when cos theta <= 0.  So on the phases 2pi j/(D nodes) it comes
+    that close to zero only where theta = 0 (mod 2pi); every such entry has
+    the value of M = 0, which the node k = 0 reaches, so the check matches
+    checking the nodes alone.
+    """
     lo = (nodes - 1) * sum(min(a, 0) for _, a in coeffs)
     hi = (nodes - 1) * sum(max(a, 0) for _, a in coeffs)
     period = den * nodes
-    phase = np.exp((2j * math.pi / period) * (np.arange(lo, hi + 1) % period))
+    w = np.exp((2j * math.pi / period) * (np.arange(lo, hi + 1) % period))
     real = sum(a * shifts[v] for v, a in coeffs)
-    numerator = np.ones(hi - lo + 1, dtype=complex)
-    denominator = np.ones(hi - lo + 1, dtype=complex)
+    table, size = np.ones_like(w), 0.0
     for e, mult in members:
-        value = np.exp(lnq * (e._num + real) / den) * phase
+        x = lnq * (e._num + real) / den
         if not mult:
-            numerator *= value
+            size += x
+            table *= w
             continue
-        factor = np.subtract(1.0, value, out=value)
+        factor = math.exp(-x) - w if x > 0 else 1 - math.exp(x) * w
+        size += mult * max(x, 0.0)
         if mult < 0 and np.abs(factor).min() < 1e-12:
             raise DivisionByZeroError(
                 f"denominator factor (1 - q^({e})) vanishes on the contour")
-        product = numerator if mult > 0 else denominator
+        apply = np.multiply if mult > 0 else np.divide
         for _ in range(abs(mult)):
-            product *= factor
-    numerator /= denominator
-    return numerator, lo
+            apply(table, factor, out=table)
+    return table, lo, size
 
 
 def _torus_mean(f: Union[FactoredForm, SumForm], spec: QuadratureSpec,
                 shifts: Mapping[str, float]) -> complex:
     """Node mean of f over the circles Re(v) = shifts[v], ``spec.nodes`` per
-    circle; over no circles it is f's constant value.
+    circle, summed over f's terms; over no circles it is f's constant value.
     """
-    return complex(_eval_grid(f, spec.q, shifts, spec.nodes).mean())
+    return sum((complex(_eval_grid(term, spec.q, shifts, spec.nodes).mean())
+                for term in as_sum(f).terms), 0j)
 
 
 def lhs_contour(p: SetupParams, spec: QuadratureSpec, f: FactoredForm) -> complex:
@@ -250,9 +249,9 @@ def residue_terms(p: SetupParams, spec: QuadratureSpec,
 def decomposition_report(p: SetupParams, spec: QuadratureSpec) -> DecompositionReport:
     """Both sides and the per-term breakdown, from one build of mu.
 
-    Raises OverflowError when a side does not fit in a complex float: an
-    overflowed node value turns the node mean into inf or nan, and numpy's
-    warnings about it are silenced in favour of that one error.  An
+    Raises OverflowError when a side does not fit in a complex float: a
+    term's size beyond the float range turns its node mean into inf or nan,
+    and numpy's warnings about it are silenced in favour of that one error.  An
     unsupported depth or an oversized torus is refused before mu is built.
     """
     _check_decomposition(p, spec)

@@ -164,10 +164,21 @@ class TestContourCommand:
         assert len(result.stderr.splitlines()) == 1
         assert "limit of 2^24" in result.stderr
 
-    # both sides overflow to nan in the grid evaluator; the finite check in
-    # decomposition_report turns that into exit 3
     @pytest.mark.parametrize("args", [
         ["--d", "2", "--q", "1e300", "--t", "1", "--m", "1", "--a", "0", "--nodes", "16"],
+        ["--d", "3", "--q", "1e100", "--t", "1", "--m", "1", "--a", "0", "--tol", "1e-6"],
+    ])
+    def test_large_q_inside_float_range_passes(self, runner, args):
+        # both sides are about q^((a+t)d(d-1)/2): 1e300 and 1e300
+        result = runner.invoke(main, ["contour", *args])
+        assert result.exit_code == 0
+        assert "[pass]" in result.output
+
+    # both sides are about q^((a+t)d(d-1)/2), here 1e600 and 1e450, beyond the
+    # float range; the grid evaluator's one exp of size overflows, and the
+    # finite check in decomposition_report turns that into exit 3
+    @pytest.mark.parametrize("args", [
+        ["--d", "2", "--q", "1e300", "--t", "1", "--m", "1", "--a", "1", "--nodes", "16"],
         ["--d", "3", "--q", "1e30", "--t", "3", "--m", "3", "--a", "2", "--nodes", "16",
          "--json"],
     ])

@@ -117,8 +117,10 @@ CONTOUR_CASES = (
      "--json"],
     ["contour", "--d", "1", "--q", "2.5", "--t", "1", "--m", "1", "--a", "0", "--json"],
     ["contour", "--config", "{cfg}", "--nodes", "64", "--tol", "1e-6", "--json"],
-    # exit 3: one line on stderr, nothing on stdout
+    # near the float range: about 1e300 exits 0; beyond it, exit 3 with one
+    # line on stderr and nothing on stdout
     ["contour", "--d", "2", "--q", "1e300", "--t", "1", "--m", "1", "--a", "0", "--nodes", "16"],
+    ["contour", "--d", "2", "--q", "1e300", "--t", "1", "--m", "1", "--a", "1", "--nodes", "16"],
     ["contour", "--d", "3", "--q", "1e30", "--t", "3", "--m", "3", "--a", "2", "--nodes", "16",
      "--json"],
     # usage errors
@@ -135,7 +137,7 @@ CONTOUR_CASES = (
 )
 
 CLI_SHA256 = "f59f4148b90962789f354d7361492965cfc5ffc7b0b7cf592c5ac6404f9851cd"
-CONTOUR_SHA256 = "209d0d46436e2fe3411c0c22cd853bb269387ef9f13dc7eab6dd3e07029139f1"
+CONTOUR_SHA256 = "b5ea539b90e88069f4069e89cfc103b3aa1ac2df14fd050cde8be13b08494c90"
 
 
 @pytest.fixture()

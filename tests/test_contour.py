@@ -69,7 +69,7 @@ class TestEvalGrid:
                 # relative ones in either evaluation, so such draws are skipped
                 if _nearly_vanishes(f, q, at):
                     continue
-                got = _eval_grid(f, q, shifts, nodes)
+                got = sum(_eval_grid(term, q, shifts, nodes) for term in f.terms)
                 assert got.shape == (nodes,) * dim
                 for k, node in at.items():
                     values = [term.eval_numeric(q, node) for term in f.terms]
@@ -93,6 +93,18 @@ class TestEvalGrid:
             wanted |= {"monomial variables", "negative", "shared factor"}
         assert {name for name, hit in seen if hit} >= wanted
 
+    @pytest.mark.parametrize("q", (1e90, 1e200))
+    def test_large_q_inside_float_range(self, q):
+        """mu at d = 2 is about q on its contour; its numerator factors alone
+        are about q^3.5, so no table may hold them before the division."""
+        p = validate(1, 2, 1, 0)
+        f = mu_on_z(p)
+        shifts = {"z1": default_shift(p)[0]}
+        got = _eval_grid(f, q, shifts, 16)
+        for k, node in _torus_nodes(q, shifts, 16).items():
+            want = f.eval_numeric(q, node)
+            assert abs(got[k] - want) <= 1e-12 * abs(want)
+
     def test_vanishing_denominator_raises(self):
         # (1 - q^z1)^-1 on the unitary torus, whose nodes start at z1 = 0
         f = FactoredForm.binomial(AffineExponent.variable("z1"), -1)
@@ -108,7 +120,7 @@ class TestQuadratureSpec:
             QuadratureSpec(q=2.0, nodes=8)
 
     def test_rejects_bad_q(self):
-        for q in (1.0, float("nan")):
+        for q in (1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 QuadratureSpec(q=q)
 
@@ -117,6 +129,8 @@ class TestQuadratureSpec:
         for tolerance in (0, float("inf")):
             with pytest.raises(InvalidParamsError):
                 QuadratureSpec(q=2.0, tolerance=tolerance)
+        with pytest.raises(InvalidParamsError, match="q must be finite, got inf"):
+            QuadratureSpec(q=float("inf"))
         p = validate(1, 4, 1, 0)
         with pytest.raises(OutOfRangeError):
             residue_terms(p, QuadratureSpec(q=2.0), mu_on_z(p))
@@ -153,6 +167,17 @@ class TestLhsContour:
     def test_equals_deep_chamber_limit(self, m, t, a, q, d, nodes):
         """Deep in the chamber each pair factor tends to q^(a+t), and the torus
         mean of mu is that limit: (m/t)^(d-1) q^((a+t) d(d-1)/2)."""
+        p = validate(m, d, t, a)
+        got = lhs_contour(p, QuadratureSpec(q=q, nodes=nodes), mu_on_z(p))
+        limit = (m / t) ** (d - 1) * q ** ((a + t) * d * (d - 1) / 2)
+        assert abs(got - limit) <= 1e-12 * limit
+
+    @pytest.mark.parametrize("m, t, a, q, d, nodes", ((1, 1, 0, 1e300, 2, 256),
+                                                      (1, 1, 0, 1e100, 3, 64),
+                                                      (2, 2, 1, 1e30, 3, 64)))
+    def test_equals_deep_chamber_limit_at_large_q(self, m, t, a, q, d, nodes):
+        """The limit is inside the float range, although single factors of mu
+        on the contour are not."""
         p = validate(m, d, t, a)
         got = lhs_contour(p, QuadratureSpec(q=q, nodes=nodes), mu_on_z(p))
         limit = (m / t) ** (d - 1) * q ** ((a + t) * d * (d - 1) / 2)
