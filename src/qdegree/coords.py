@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .model import OutOfRangeError, SetupParams
-from .qform import AffineExponent, ExponentValue, as_exponent
+from .qform import AffineExponent, ExponentValue, RowSum, as_exponent
 
 
 def z_var(j: int) -> str:
@@ -44,6 +44,18 @@ class Weight:
         """The pairing of the composite coroot joining blocks i < j: s_i - s_j."""
         return self.s[i - 1] - self.s[j - 1]
 
+    def steps(self, scale: int) -> list[AffineExponent]:
+        """The adjacent differences scale * (s_i - s_(i+1)): each a difference
+        of two of the entries' integer rows (``RowSum``), with one gcd step."""
+        rows = RowSum([(e, scale) for e in self.s])
+        steps = []
+        for i in range(self.dim - 1):
+            rows.add(i)
+            rows.add(i + 1, -1)
+            steps.append(rows.exponent())
+            rows.clear()
+        return steps
+
     def shift(self, c: ExponentValue) -> "Weight":
         c = as_exponent(c)
         return Weight(tuple(e + c for e in self.s))
@@ -66,25 +78,29 @@ def z_to_s(p: SetupParams, z_values: Sequence[ExponentValue]) -> Weight:
 
     The rescaled root atilde_j has entry j equal to the head (d-j)/(t(d-j+1)),
     entries after j equal to the tail -1/(t(d-j+1)), and earlier entries 0.
-    So entry k is z_k times the head of atilde_k plus the running sum of
-    z_j times the tails of the earlier roots j < k.
+    Since head - tail = 1/t, entry k is sum_(j<=k) z_j tail_j + z_k / t, and
+    z_k / t = -(d-k+1) z_k tail_k.  So one pass over the rows z_j tail_j on the
+    lcm of their denominators (``RowSum``) gives every entry, each with one
+    gcd step: entry k is the running sum of rows 1..k-1 minus (d-k) times row
+    k, and the last entry is the sum of all rows.
     """
     if len(z_values) != p.d - 1:
         raise OutOfRangeError(f"expected {p.d - 1} z-values, got {len(z_values)}")
+    rows = RowSum([(as_exponent(z), Fraction(-1, p.t * (p.d - j)))
+                   for j, z in enumerate(z_values)])
     entries = []
-    tail = as_exponent(0)
-    for j, z in enumerate(z_values, start=1):
-        zj = as_exponent(z)
-        size = p.t * (p.d - j + 1)
-        entries.append(tail + zj.scale(Fraction(p.d - j, size)))
-        tail = tail + zj.scale(Fraction(-1, size))
-    entries.append(tail)
-    return Weight.make(entries)
+    for j in range(p.d - 1):  # row j is z_(j+1) times its tail
+        rows.add(j, j + 1 - p.d)
+        entries.append(rows.exponent())
+        rows.add(j, p.d - j)
+    entries.append(rows.exponent())
+    return Weight(tuple(entries))
 
 
 def generic_weight(p: SetupParams) -> Weight:
     """The symbolic weight sum_j z_j * atilde_j in the variables z1..z(d-1)."""
-    return z_to_s(p, [AffineExponent.variable(z_var(j)) for j in range(1, p.d)])
+    # the exponent z_j, given in its reduced integer form: numerator 0 over 1
+    return z_to_s(p, [AffineExponent(0, 1, ((z_var(j), 1),)) for j in range(1, p.d)])
 
 
 def residue_point(p: SetupParams, l: int) -> Fraction:

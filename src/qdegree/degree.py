@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .checks import CheckReport, run_check
 from .model import OutOfRangeError, SetupParams
-from .qform import FactoredForm, as_exponent
+from .qform import AffineExponent, FactoredForm
 from .resdata import res_a1_mu, residue_closed_form
 
 
@@ -41,30 +41,27 @@ class DegreeResult:
         return self.render()
 
 
-def _gl_parts(n: int, power: int = 1) -> tuple[int, list]:
-    """The monomial exponent and the binomials of |GL_n|^power, whose sign is
-    (-1)^(n power): |GL_n| = q^(n(n-1)/2) * prod_(k=1..n) (q^k - 1) over the
-    q-element field, and q^k - 1 = -(1 - q^k).
-    """
-    return power * n * (n - 1) // 2, [(as_exponent(k), power) for k in range(1, n + 1)]
-
-
 def gl_order(n: int) -> FactoredForm:
-    """|GL_n| over the q-element field, in one build of ``_gl_parts``."""
+    """|GL_n| over the q-element field, in one build: |GL_n| =
+    q^(n(n-1)/2) * prod_(k=1..n) (q^k - 1), and q^k - 1 = -(1 - q^k).
+    """
     if n < 1:
         raise OutOfRangeError(f"matrix size {n} must be positive")
-    monomial, binomials = _gl_parts(n)
-    return FactoredForm.build((-1) ** n, 0, monomial, binomials)
+    return FactoredForm.build((-1) ** n, 0, n * (n - 1) // 2,
+                              [(AffineExponent(k), 1) for k in range(1, n + 1)])
 
 
 def gamma_factor(p: SetupParams) -> FactoredForm:
-    """The induction constant |GL_n| / |GL_m|^d * q^(mn - n^2), in one build
-    of gl_order's parts; the signs (-1)^n / (-1)^(md) cancel since n = md.
+    """The induction constant |GL_n| / |GL_m|^d * q^(mn - n^2), in one build.
+
+    The factors (1 - q^k) of |GL_m|^d cancel those of |GL_n| for k <= m, which
+    leaves multiplicity 1 - d there (0 at d = 1, so the build drops them) and
+    1 for m < k <= n; the signs (-1)^n / (-1)^(md) cancel since n = md.
     """
-    top, numerator = _gl_parts(p.n)
-    bottom, denominator = _gl_parts(p.m, -p.d)
-    return FactoredForm.build(1, 0, top + bottom + p.m * p.n - p.n * p.n,
-                              numerator + denominator)
+    m, n, d = p.m, p.n, p.d
+    return FactoredForm.build(1, 0, n * (n - 1) // 2 - d * (m * (m - 1) // 2) + m * n - n * n,
+                              [(AffineExponent(k), 1 - d if k <= m else 1)
+                               for k in range(1, n + 1)])
 
 
 _MARGIN_BITS = 64  # how far beyond the float range the bounds must lie, past their rounding

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .coords import Weight, generic_weight
 from .model import OutOfRangeError, SetupParams
-from .qform import AffineExponent, ExponentValue, FactoredForm, as_exponent, running_sums
+from .qform import AffineExponent, ExponentValue, FactoredForm, RowSum, as_exponent
 
 
 def _rank_one_binomials(p: SetupParams, tx: AffineExponent) -> list[tuple[AffineExponent, int]]:
@@ -43,17 +43,17 @@ def mu_full(p: SetupParams, weight: Weight) -> FactoredForm:
     """Product of rank-one factors over all block pairs 1 <= i < j <= d.
 
     Depends only on the differences s_i - s_j, so it is shift invariant.  The
-    adjacent differences are scaled by t once; each t(s_i - s_j) is then a
-    running sum of them (``running_sums``: integer rows over one denominator,
-    one gcd step per sum).  All pair binomials go into one build, so they are
-    merged and sorted once.
+    adjacent steps t(s_i - s_(i+1)) come from the entries' integer rows
+    (``Weight.steps``), and each t(s_i - s_j) is a running sum of the steps'
+    rows (``RowSum.running_sums``): a row addition and one gcd step per pair.
+    All pair binomials go into one build, so they are merged and sorted once.
     """
     if weight.dim != p.d:
         raise OutOfRangeError(f"weight has {weight.dim} entries, expected {p.d}")
-    steps = [(a - b).scale(p.t) for a, b in zip(weight.s, weight.s[1:])]
+    steps = RowSum([(step, 1) for step in weight.steps(p.t)])
     binomials = []
     for i in range(p.d - 1):
-        for tx in running_sums(steps[i:]):
+        for tx in steps.running_sums(i):
             binomials += _rank_one_binomials(p, tx)
     return FactoredForm.build(1, 0, (p.a + p.t) * (p.d * (p.d - 1) // 2), binomials)
 

@@ -14,15 +14,21 @@ Each exponent is stored as Python integers over one shared denominator,
 gcd(den, num, c_1, ...) = 1.  The representation is unique, so exponents
 hash and compare as integer tuples, and sums, scalings and substitutions
 are integer arithmetic with one gcd step; no Fraction arithmetic runs while
-forms are built and merged.  ``FactoredForm.build`` sorts binomials by these
-integers scaled to the lcm of the denominators it sees, which is the order
-of their rational parts; when they share one denominator it sorts them
-unscaled.  Two helpers run the theorem path's O(d^3) loops on integer rows
-and build one exponent per distinct result, not one per addition:
-``running_sums`` gives the pair differences of mu as partial sums of one row
-over the lcm of the steps' denominators, and ``split_at_point`` evaluates a
-form's binomials at a residue chain's point once per distinct variable part,
-files the ones that vanish under their step, and merges equal values.
+forms are built and merged.  ``FactoredForm.build`` sorts the merged
+exponents by two keys, both the order of their (const, coeffs) Fractions:
+when the exponents share one denominator, as the integer exponents of gamma,
+of the closed form and of the residue chain's result do, by their (num,
+terms) integers through a C-level ``attrgetter``; otherwise, as in mu, by
+those integers scaled to the lcm of the denominators.  The theorem path's loops
+over whole rows of exponents run on integers: ``RowSum`` puts exponents,
+each times a rational scale, onto one denominator as integer rows and
+builds one exponent per sum of rows with one gcd step, not one per
+addition.  ``coords.z_to_s`` forms each entry of a weight that way, mu takes
+its adjacent steps from the weight's rows, and ``RowSum.running_sums`` gives
+mu's pair differences as partial sums of the steps' rows.  ``split_at_point``
+evaluates a form's binomials at a residue chain's point once per distinct
+variable part, files the ones that vanish under their step, and merges
+equal values.
 Numeric evaluation carries a separate power of two;
 exact evaluation multiplies every factor into one integer numerator and one
 integer denominator, so it reduces the quotient once.
@@ -34,7 +40,9 @@ power rule.  At a simple pole, the only kind the degree computation meets,
 that coefficient is the lead form alone; at a pole of order two or more it is
 a sum of factored forms (``SumForm``).
 
-All objects are immutable and hashable; all operations are pure functions.
+Exponents and forms are immutable and hashable, and their operations are
+pure functions; a ``RowSum`` is a scratch accumulator owned by the one call
+that makes it.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -353,6 +362,8 @@ class AffineExponent:
     def render(self) -> str:
         """Deterministic text form; constant term first, then variables in order."""
         den = self._den
+        if den == 1 and not self._terms:
+            return str(self._num)
         pieces: list[tuple[int, str]] = []
         if self._num or not self._terms:
             pieces.append((1 if self._num >= 0 else -1, _ratio_str(abs(self._num), den)))
@@ -379,50 +390,99 @@ def as_exponent(value: ExponentValue) -> AffineExponent:
 _ZERO_EXPONENT = AffineExponent()
 
 
-def running_sums(exponents: Sequence[AffineExponent]) -> list[AffineExponent]:
-    """The partial sums e_1, e_1 + e_2, ... as ``itertools.accumulate`` gives them.
+def _row_exponent(num: int, den: int, names: Sequence[str], row: list[int], lo: int, hi: int
+                  ) -> AffineExponent:
+    """The exponent (num + sum_k row[k] names[k]) / den, with row zero outside
+    [lo, hi), reduced by one gcd step."""
+    cs = row[lo:hi]
+    g = gcd(den, num, *cs)
+    return AffineExponent(num // g, den // g,
+                          tuple([(names[k], c // g) for k, c in enumerate(cs, lo) if c]))
 
-    Every exponent goes onto the lcm of their denominators as one integer
-    row, so each sum is a row addition and one gcd step, and one
-    ``AffineExponent`` is built per sum.
+
+class RowSum:
+    """Exponents as integer rows over one denominator, summed with integer factors.
+
+    Each given exponent, times its given rational scale, is a row of integers
+    over ``den``, the lcm of the scaled exponents' denominators, with one
+    column per variable in natural order.  ``add`` adds a multiple of one row
+    to a running sum, and ``exponent`` builds that sum with one gcd step.  A
+    sum touches only the columns its rows name, and is read between the first
+    and the last of them, so a sum of rows in few variables stays cheap
+    however many variables the others name.
     """
-    if not exponents:
-        return []
-    den = lcm(*(e._den for e in exponents))
-    names = sorted({n for e in exponents for n, _ in e._terms}, key=_var_key)
-    column = {n: k for k, n in enumerate(names)}
-    num, row = 0, [0] * len(names)
-    active: list[int] = []  # the columns some exponent has touched, in variable order
-    sums = []
-    for e in exponents:
-        f = den // e._den
-        num += e._num * f
-        for n, c in e._terms:
-            k = column[n]
-            if not row[k] and k not in active:
-                active.append(k)
-                active.sort()
-            row[k] += c * f
-        g = gcd(den, num, *[row[k] for k in active])
-        sums.append(AffineExponent(num // g, den // g,
-                                   tuple([(names[k], row[k] // g) for k in active if row[k]])))
-    return sums
+
+    __slots__ = ("parts", "den", "names", "column", "num", "row", "lo", "hi")
+
+    def __init__(self, scaled: Sequence[tuple[AffineExponent, Rational]]):
+        self.parts = []  # (exponent, numerator of its scale, denominator of the product)
+        for e, r in scaled:
+            top, bottom = (r, 1) if type(r) is int else (r.numerator, r.denominator)
+            self.parts.append((e, top, e._den * bottom))
+        self.den = lcm(*[bottom for _, _, bottom in self.parts])
+        self.names = sorted({n for e, _, _ in self.parts for n, _ in e._terms}, key=_var_key)
+        self.column = {n: k for k, n in enumerate(self.names)}
+        self.num, self.row, self.lo, self.hi = 0, [0] * len(self.names), len(self.names), 0
+
+    def add(self, i: int, factor: int = 1) -> None:
+        """Add ``factor`` times row i to the sum."""
+        e, top, bottom = self.parts[i]
+        f = self.den // bottom * top * factor
+        self.num += e._num * f
+        terms = e._terms
+        if terms:
+            row, column = self.row, self.column
+            for n, c in terms:
+                row[column[n]] += c * f
+            self.lo = min(self.lo, column[terms[0][0]])
+            self.hi = max(self.hi, column[terms[-1][0]] + 1)
+
+    def exponent(self) -> AffineExponent:
+        """The sum as a reduced exponent."""
+        return _row_exponent(self.num, self.den, self.names, self.row, self.lo, self.hi)
+
+    def clear(self) -> None:
+        """Set the sum back to zero."""
+        self.row[self.lo:self.hi] = [0] * (self.hi - self.lo)
+        self.num, self.lo, self.hi = 0, len(self.names), 0
+
+    def running_sums(self, start: int = 0) -> list[AffineExponent]:
+        """The sums of rows start..i for i = start, start + 1, ..., as
+        ``itertools.accumulate`` gives them, apart from the running sum.
+
+        They are taken over the lcm of the denominators of rows start.. only,
+        so that sums of the later rows stay over small integers.
+        """
+        parts = self.parts[start:]
+        den = lcm(*[bottom for _, _, bottom in parts])
+        names, column = self.names, self.column
+        num, row, lo, hi = 0, [0] * len(names), len(names), 0
+        sums = []
+        for e, top, bottom in parts:
+            f = den // bottom * top
+            num += e._num * f
+            terms = e._terms
+            if terms:
+                for n, c in terms:
+                    row[column[n]] += c * f
+                lo = min(lo, column[terms[0][0]])
+                hi = max(hi, column[terms[-1][0]] + 1)
+            sums.append(_row_exponent(num, den, names, row, lo, hi))
+        return sums
 
 
 def _scaled_key(den: int):
-    """The sort key of a (binomial, multiplicity) pair: the exponent's
-    (num, terms) scaled to ``den``, a common multiple of the denominators,
-    which orders exponents exactly as their (const, coeffs) Fractions would.
+    """The sort key of an exponent: its (num, terms) scaled to ``den``, a
+    common multiple of the denominators, which orders exponents exactly as
+    their (const, coeffs) Fractions would.
 
-    An exponent over ``den`` itself, as every one is when they share one
-    denominator, is its own key.  Exponents that share one terms tuple
-    (those of a mu pair do) share its scaled copy; the tuples are alive for
-    the whole sort, so their ids are distinct.
+    Exponents that share one terms tuple (those of a mu pair do) share its
+    scaled copy; the tuples are alive for the whole sort, so their ids are
+    distinct.
     """
     scaled: dict[tuple[int, int], tuple] = {}
 
-    def key(item: tuple[AffineExponent, int]) -> tuple:
-        e = item[0]
+    def key(e: AffineExponent) -> tuple:
         f = den // e._den
         if f == 1:
             return (e._num, e._terms)
@@ -432,6 +492,10 @@ def _scaled_key(den: int):
         return (e._num * f, terms)
 
     return key
+
+
+# over one shared denominator an exponent's (num, terms) is its sort key
+_unscaled_key = attrgetter("_num", "_terms")
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +544,14 @@ class FactoredForm:
     @staticmethod
     def build(constant: Rational, log_grade: int, monomial: ExponentValue,
               binomials: Iterable[tuple[AffineExponent, int]]) -> "FactoredForm":
+        """The canonical form of c * logq^g * q^(monomial) * prod (1 - q^e)^m.
+
+        Each binomial is oriented to a positive leading coefficient, equal
+        exponents are merged and multiplicity 0 is dropped.  The exponents are
+        sorted in the order of their (const, coeffs) Fractions: by their
+        (num, terms) integers when they share one denominator, else by those
+        integers scaled to the lcm of the denominators (``_scaled_key``).
+        """
         constant = _as_fraction(constant)
         if not constant:
             return _ZERO_FORM
@@ -489,25 +561,29 @@ class FactoredForm:
         for exponent, mult in binomials:
             if mult == 0:
                 continue
-            sign = exponent.leading_sign()
-            if sign == 0:
+            # the leading coefficient: variables first, constant last; no term's is zero
+            terms = exponent._terms
+            lead = terms[0][1] if terms else exponent._num
+            if lead < 0:
+                if mult % 2:
+                    constant = -constant
+                monomial = monomial + exponent.scale(mult)
+                exponent = -exponent
+            elif not lead:
                 if mult < 0:
                     raise PoleAtSubstitutionError(
                         "denominator factor (1 - q^0) is identically zero")
                 vanished = True
                 continue
-            if sign < 0:
-                if mult % 2:
-                    constant = -constant
-                monomial = monomial + exponent.scale(mult)
-                exponent = -exponent
             merged[exponent] = merged.get(exponent, 0) + mult
         if vanished:
             return _ZERO_FORM
-        fixed = [(e, m) for e, m in merged.items() if m]
-        if len(fixed) > 1:
-            fixed.sort(key=_scaled_key(lcm(*{e._den for e, _ in fixed})))
-        return FactoredForm(constant, log_grade, monomial, tuple(fixed), False)
+        exponents = [e for e, m in merged.items() if m]
+        if len(exponents) > 1:
+            dens = {e._den for e in exponents}
+            exponents.sort(key=_unscaled_key if len(dens) == 1 else _scaled_key(lcm(*dens)))
+        return FactoredForm(constant, log_grade, monomial,
+                            tuple([(e, merged[e]) for e in exponents]), False)
 
     # -- structure ----------------------------------------------------------
 

@@ -69,11 +69,18 @@ def iterated_residue(f: FactoredForm, steps: tuple[tuple[str, Fraction], ...]) -
 def res_al(p: SetupParams, psi: FactoredForm, l: int) -> FactoredForm:
     """The level-l residue datum of psi (given in the z-variables), a form in
     the surviving variables z_1..z_(l-1); its prefactor carries log grade d-l.
+
+    The prefactor (m/t)^(d-l)/(d-l+1) * logq^(d-l) is a constant and a log
+    grade, so it goes straight into the canonical residue's constant and
+    log grade, with no build.
     """
     p.check_level(l)
     inner = iterated_residue(psi, residue_plan(p)[:p.d - l])
+    if inner.is_zero:
+        return inner
     scale = Fraction(p.m, p.t) ** (p.d - l) / (p.d - l + 1)
-    return inner * FactoredForm.from_constant(scale, log_grade=p.d - l)
+    return FactoredForm(inner.constant * scale, inner.log_grade + p.d - l, inner.monomial,
+                        inner.binomials, False)
 
 
 def res_a1_mu(p: SetupParams) -> FactoredForm:

@@ -69,6 +69,17 @@ class TestGammaFactor:
         got = gamma_factor(validate(2, 2, 1, 0)).eval_exact(F(2))
         assert got == F(20160, 36 * 256)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 6])
+    def test_equals_group_orders(self, m):
+        # d = 1 leaves every factor k <= m with multiplicity 0, which must be dropped
+        for d in range(1, 17):
+            n = m * d
+            want = gl_order(n)
+            for _ in range(d):
+                want = want / gl_order(m)
+            want = want * FF.q_power(m * n - n * n)
+            assert gamma_factor(validate(m, d, m, 0)) == want, (m, d)
+
 
 class TestDegree:
     def test_single_block_is_cuspidal_degree(self):

@@ -11,14 +11,18 @@ two.
 
 ``AffineExponent`` keeps integers over one shared denominator; a plain
 model with Fraction parts checks its arithmetic, its reduced form, its
-hashing, its text, and the order ``FactoredForm.build`` sorts by.
+hashing, its text, and the order ``FactoredForm.build`` sorts by, which must
+not depend on the order the binomials arrive in, whether they share one
+denominator or not.
 
 ``iterated_residue`` takes the whole chain in one pass; the level-by-level
 chain of ``residue`` calls is its reference wherever every pole is simple,
 and elsewhere it must refuse with ``HigherOrderPoleError``.
 
-The integer-row helpers have references too: ``running_sums`` must give
-``itertools.accumulate`` over ``AffineExponent.__add__``, and
+The integer-row helpers have references too: ``RowSum.running_sums`` must
+give ``itertools.accumulate`` over ``AffineExponent.__add__``; ``z_to_s``
+must give the weight that heads and tails give through ``scale`` and ``+``,
+and ``Weight.steps`` the differences ``(a - b).scale(t)``; and
 ``split_at_point`` must give what ``substitute`` one variable at a time
 gives, with the vanishing binomials filed under the right step.
 """
@@ -31,9 +35,10 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
+from qdegree.coords import Weight, z_to_s
+from qdegree.model import validate
 from qdegree.qform import (AffineExponent as AE, FactoredForm as FF, HigherOrderPoleError,
-                           SumForm, as_exponent, as_sum, residue, running_sums,
-                           split_at_point)
+                           RowSum, SumForm, as_exponent, as_sum, residue, split_at_point)
 from qdegree.resdata import iterated_residue
 
 
@@ -251,6 +256,52 @@ def test_build_orders_binomials_as_fractions_do(factors):
     assert list(f.binomials) == want
 
 
+def _reference_order(binomials) -> list:
+    """Orient, merge, and sort by (const, ((name, coeff), ...)) as Fractions,
+    written out from the exponents' Fraction views."""
+    merged = {}
+    for e, m in binomials:
+        const, coeffs = e.const, e.coeffs
+        lead = next((c for _, c in coeffs), const)
+        if lead < 0:
+            e = -e
+        merged[e] = merged.get(e, 0) + m
+    return sorted(((e, m) for e, m in merged.items() if m),
+                  key=lambda em: (em[0].const, em[0].coeffs))
+
+
+one_denominator_sets = st.integers(1, 12).flatmap(lambda den: st.lists(
+    st.tuples(st.integers(-30, 30).filter(lambda n: math.gcd(n, den) == 1),
+              st.lists(st.tuples(st.sampled_from(NAMES), st.integers(-30, 30)), max_size=4),
+              st.sampled_from((-2, -1, 1, 2)))
+    .map(lambda f: (AE.make(F(f[0], den), [(n, F(c, den)) for n, c in f[1]]), f[2])),
+    min_size=2, max_size=8))
+mixed_denominator_sets = st.lists(
+    st.tuples(wide_rationals, coeff_lists, st.sampled_from((-2, -1, 1, 2)))
+    .map(lambda f: (AE.make(f[0], f[1]), f[2])), min_size=2, max_size=8)
+
+
+def test_build_order_ignores_the_order_of_its_binomials():
+    seen = set()
+
+    @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(st.one_of(one_denominator_sets, mixed_denominator_sets)
+                      .map(lambda b: [(e, m) for e, m in b if not e.is_zero])
+                      .flatmap(lambda b: st.tuples(st.just(b), st.permutations(b))))
+    def check(case):
+        binomials, permuted = case
+        f = FF.build(1, 0, 0, binomials)
+        assert FF.build(1, 0, 0, permuted) == f
+        assert list(f.binomials) == _reference_order(binomials)
+        dens = {e._den for e, _ in f.binomials}
+        if len(f.binomials) > 1:
+            seen.add("one denominator" if len(dens) == 1 else "mixed denominators")
+
+    check()
+    # both sort keys of build ran on sets of several binomials
+    assert seen == {"one denominator", "mixed denominators"}
+
+
 # -- the one-pass residue chain against residues taken level by level -------
 
 def _level_by_level(f, steps) -> SumForm:
@@ -338,13 +389,54 @@ def test_one_pass_chain_matches_level_by_level():
 # -- the integer-row helpers against their one-operation references --------
 
 @hypothesis.settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@hypothesis.given(st.lists(st.tuples(wide_rationals, coeff_lists), max_size=8))
-def test_running_sums_match_accumulate(parts):
+@hypothesis.given(st.lists(st.tuples(wide_rationals, coeff_lists), max_size=8), st.integers(0, 8))
+def test_running_sums_match_accumulate(parts, start):
     exponents = [AE.make(c, t) for c, t in parts]
-    got = running_sums(exponents)
+    rows = RowSum([(e, 1) for e in exponents])
+    got = rows.running_sums()
     assert got == list(accumulate(exponents))
     for e in got:
         _check_reduced(e)
+    # the sum is back at zero, so the same rows give the sums from any start
+    assert rows.running_sums(start) == list(accumulate(exponents[start:]))
+
+
+def _z_to_s_reference(p, z_values) -> list:
+    """The weight sum_j z_j atilde_j as the Fraction formula builds it: entry
+    k is the running sum of z_j times the tails of the roots j < k plus z_k
+    times the head of atilde_k, through ``scale`` and ``+``."""
+    entries, tail = [], as_exponent(0)
+    for j, z in enumerate(z_values, start=1):
+        z = as_exponent(z)
+        size = p.t * (p.d - j + 1)
+        entries.append(tail + z.scale(F(p.d - j, size)))
+        tail = tail + z.scale(F(-1, size))
+    return entries + [tail]
+
+
+z_values = st.one_of(
+    st.integers(-20, 20),
+    wide_rationals,
+    st.builds(lambda c, t: AE.make(c, t), wide_rationals,
+              st.lists(st.tuples(st.sampled_from(NAMES), wide_rationals), max_size=3)))
+blocks = st.sampled_from([(m, t) for m in (1, 2, 3, 6) for t in (1, 2, 3, 6) if m % t == 0])
+
+
+@hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@hypothesis.given(blocks, st.integers(1, 8).flatmap(
+    lambda d: st.lists(z_values, min_size=d - 1, max_size=d - 1)))
+def test_weight_rows_match_fraction_formulas(block, zs):
+    m, t = block
+    p = validate(m, len(zs) + 1, t, 0)
+    w = z_to_s(p, zs)
+    assert list(w.s) == _z_to_s_reference(p, zs)
+    steps = w.steps(t)
+    assert steps == [(a - b).scale(t) for a, b in zip(w.s, w.s[1:])]
+    for e in list(w.s) + steps:
+        _check_reduced(e)
+    # any weight, not only one of z_to_s: entries with unrelated denominators
+    other = Weight.make(list(zs) + [F(1, 7)])
+    assert other.steps(t) == [(a - b).scale(t) for a, b in zip(other.s, other.s[1:])]
 
 
 def _split_reference(f: FF, steps):
