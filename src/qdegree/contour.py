@@ -205,8 +205,8 @@ def _offchain_sum(p: SetupParams, f: FactoredForm) -> SumForm:
     crossed when z_1 is shifted to the unitary axis.  Each residue is taken
     in z_1 at the affine point itself.  ``f`` is mu_on_z(p).
     """
-    return sum((residue(f, z_var(1), AffineExponent.make(p.t, {z_var(2): sign}))
-                for sign in (Fraction(1, 2), Fraction(-1, 2))), SumForm())
+    points = [AffineExponent.make(p.t, {z_var(2): s}) for s in (Fraction(1, 2), Fraction(-1, 2))]
+    return SumForm(tuple(term for at in points for term in residue(f, z_var(1), at).terms))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .model import OutOfRangeError, SetupParams
 from .qform import AffineExponent, ExponentValue, RowSum, as_exponent
@@ -25,24 +25,16 @@ def z_var(j: int) -> str:
 @dataclass(frozen=True)
 class Weight:
     """A point in s-coordinates; entries are affine expressions (constants
-    included) in the residue variables.  Only differences of entries matter.
-    ``make`` takes the entries as given; every weight of ``z_to_s`` sums to
-    zero, because every rescaled root does.
+    included) in the residue variables.  Only differences of entries matter:
+    the composite coroot joining blocks i < j pairs to s[i - 1] - s[j - 1].
+    Every weight of ``z_to_s`` sums to zero, because every rescaled root does.
     """
 
     s: tuple[AffineExponent, ...]
 
-    @staticmethod
-    def make(entries: Iterable[ExponentValue]) -> "Weight":
-        return Weight(tuple(as_exponent(e) for e in entries))
-
     @property
     def dim(self) -> int:
         return len(self.s)
-
-    def difference(self, i: int, j: int) -> AffineExponent:
-        """The pairing of the composite coroot joining blocks i < j: s_i - s_j."""
-        return self.s[i - 1] - self.s[j - 1]
 
     def steps(self, scale: int) -> list[AffineExponent]:
         """The adjacent differences scale * (s_i - s_(i+1)): each a difference
@@ -70,7 +62,7 @@ def pairing_coroot(p: SetupParams, l: int, weight: Weight) -> AffineExponent:
     """<alpha_l^vee, lambda> = s_l - s_(l+1) for 1 <= l <= d-1."""
     if not 1 <= l <= p.d - 1:
         raise OutOfRangeError(f"coroot index {l} outside [1, {p.d - 1}]")
-    return weight.difference(l, l + 1)
+    return weight.s[l - 1] - weight.s[l]
 
 
 def z_to_s(p: SetupParams, z_values: Sequence[ExponentValue]) -> Weight:

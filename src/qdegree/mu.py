@@ -59,19 +59,16 @@ def mu_full(p: SetupParams, weight: Weight) -> FactoredForm:
 
 
 def mu_level_ratio_closed(p: SetupParams, l: int) -> FactoredForm:
-    """The level ratio joining block l-1 to the merged block l..d, closed form:
+    """The level ratio joining block l-1 to the merged block l..d, closed form, in one build:
 
         q^((d-l+1)a) (1-q^(t(d-l)/2 - z))(1-q^(t(d-l)/2 + z))
                    / ((1-q^(-t(d-l)/2 - t - z))(1-q^(-t(d-l)/2 - t + z)))
     """
     p.check_level(l, low=2)
     half = Fraction(p.t * (p.d - l), 2)
-    z = AffineExponent.variable("z")
-    return (FactoredForm.q_power((p.d - l + 1) * p.a)
-            * FactoredForm.binomial(as_exponent(half) - z)
-            * FactoredForm.binomial(as_exponent(half) + z)
-            / FactoredForm.binomial(as_exponent(-half - p.t) - z)
-            / FactoredForm.binomial(as_exponent(-half - p.t) + z))
+    return FactoredForm.build(1, 0, (p.d - l + 1) * p.a,
+                              [(AffineExponent.variable("z", sign, c), m)
+                               for c, m in ((half, 1), (-half - p.t, -1)) for sign in (-1, 1)])
 
 
 def mu_level_ratio_telescoped(p: SetupParams, l: int) -> FactoredForm:

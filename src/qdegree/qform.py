@@ -29,9 +29,10 @@ mu's pair differences as partial sums of the steps' rows.  ``split_at_point``
 evaluates a form's binomials at a residue chain's point once per distinct
 variable part, files the ones that vanish under their step, and merges
 equal values.
-Numeric evaluation carries a separate power of two;
-exact evaluation multiplies every factor into one integer numerator and one
-integer denominator, so it reduces the quotient once.
+Numeric evaluation carries a separate power of two and raises each factor to
+its multiplicity with ``**`` in steps of at most 100, which CPython takes by
+repeated squaring; exact evaluation multiplies every factor into one integer
+numerator and one integer denominator, so it reduces the quotient once.
 
 ``residue``, at a rational point or at a point affine in the other variables,
 reads the w^(-1) coefficient of one Laurent expansion: a lead form times w^p
@@ -114,25 +115,6 @@ def _scaled_exp(w: complex) -> tuple[complex, int]:
         return cmath.exp(w), 0
     k = int(w.real / _LN2)
     return cmath.exp(complex(w.real - k * _LN2, w.imag)), k
-
-
-def _int_power(z: complex, n: int) -> complex:
-    """z ** n for a nonzero int n without a detour through a logarithm.
-
-    CPython raises a complex to an integer power beyond 100 through a
-    logarithm, which gives a real base a spurious imaginary part.  A real z
-    takes float ``**``; any other z takes repeated squaring, CPython's own
-    method for powers up to 100.
-    """
-    if not z.imag:
-        return complex(z.real ** n)
-    result, base, k = 1 + 0j, z, abs(n)
-    while k:
-        if k & 1:
-            result *= base
-        base *= base
-        k >>= 1
-    return result if n > 0 else 1 / result
 
 
 def _scaled_rational(x: Fraction) -> tuple[float, int]:
@@ -342,12 +324,6 @@ class AffineExponent:
             rest = _merge(rest, 1, value._terms, c)
         return _reduced(self._num * vd + c * value._num, self._den * vd, rest)
 
-    def leading_sign(self) -> int:
-        """Sign of the first nonzero coefficient, variables first, constant last."""
-        if self._terms:
-            return 1 if self._terms[0][1] > 0 else -1
-        return (self._num > 0) - (self._num < 0)
-
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, assignment: Mapping[str, complex]) -> complex:
@@ -521,14 +497,6 @@ class FactoredForm:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def zero() -> "FactoredForm":
-        return _ZERO_FORM
-
-    @staticmethod
-    def one() -> "FactoredForm":
-        return _ONE_FORM
-
-    @staticmethod
     def from_constant(c: Rational, log_grade: int = 0) -> "FactoredForm":
         return FactoredForm.build(c, log_grade, _ZERO_EXPONENT, ())
 
@@ -633,16 +601,12 @@ class FactoredForm:
         Counted as denominator-minus-numerator multiplicity over the binomials
         whose exponent vanishes identically at the point; positive means pole.
         """
-        order = 0
-        for e, m in self.binomials:
-            if e.substitute(name, point).is_zero:
-                order -= m
-        return order
+        return -sum(m for e, m in self.binomials if e.substitute(name, point).is_zero)
 
     # -- evaluation ---------------------------------------------------------
 
     def eval_numeric(self, q: float, assignment: Mapping[str, complex] | None = None) -> complex:
-        """Floating-point value at a numeric q > 1, with (log q)^log_grade applied.
+        """Floating-point value at a finite numeric q > 1, with (log q)^log_grade applied.
 
         The product is carried as a mantissa times a separate power of two,
         so no intermediate factor over- or underflows; scaling by powers of two
@@ -650,8 +614,8 @@ class FactoredForm:
         plain product would give them.  A nonzero value whose magnitude lies
         beyond the range of normal floats raises OverflowError.
         """
-        if q <= 1:
-            raise ValueError("eval_numeric requires q > 1")
+        if not 1 < q < math.inf:  # also refuses nan, which fails every comparison
+            raise ValueError(f"eval_numeric requires a finite q > 1, got {q}")
         if self.is_zero:
             return 0.0
         assignment = assignment or {}
@@ -672,9 +636,10 @@ class FactoredForm:
                 mant, k = _scaled_exp(w)
                 factor, k = _normalized(-mant, k)
             while m:
-                # |factor| lies in [0.5, 1.5), so a power of at most 512 stays a normal float
-                step = max(-512, min(512, m))
-                value, shift = _normalized(value * _int_power(factor, step), shift + k * step)
+                # |factor| lies in [0.5, 1.5), so a power of at most 100 stays a normal float;
+                # beyond 100 CPython's ** takes a logarithm, giving a real base an imaginary part
+                step = max(-100, min(100, m))
+                value, shift = _normalized(value * factor ** step, shift + k * step)
                 m -= step
         # the larger part of value lies in [0.5, 1), so shift is the result's binary exponent
         if value and not sys.float_info.min_exp <= shift <= sys.float_info.max_exp:
@@ -715,15 +680,15 @@ class FactoredForm:
 
     def log2_bounds(self, q: Fraction) -> tuple[float, float] | None:
         """Bounds on log2 |value| at a rational q > 1 from float arithmetic
-        alone; None unless every exponent is a constant integer, the form is
-        nonzero and log_grade is 0.
+        alone; None unless q > 1, every exponent is a constant integer, the
+        form is nonzero and log_grade is 0.
 
         For an integer k != 0, |1 - q^k| is q^max(k, 0) times a number in
         [1 - 1/q, 1).  So log2 |value| is log2 |c| + log2 q * (E0 + the sum
         of m k over k > 0), to within log2(q / (q - 1)) per unit of |m|.
         """
         mono = self.monomial
-        if self.is_zero or self.log_grade or mono._terms or mono._den != 1:
+        if not q > 1 or self.is_zero or self.log_grade or mono._terms or mono._den != 1:
             return None
         power, weight = mono._num, 0
         for e, m in self.binomials:
@@ -840,9 +805,6 @@ class SumForm:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __add__(self, other: "SumForm") -> "SumForm":
-        return SumForm(self.terms + other.terms)
 
     def eval_numeric(self, q: float, assignment: Mapping[str, complex] | None = None) -> complex:
         return sum((t.eval_numeric(q, assignment) for t in self.terms), 0j)

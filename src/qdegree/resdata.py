@@ -55,7 +55,7 @@ def iterated_residue(f: FactoredForm, steps: tuple[tuple[str, Fraction], ...]) -
         if order >= 2:
             raise HigherOrderPoleError(f"pole of order {order} at {name} = {point}")
     if any(order != 1 for order in orders):
-        return FactoredForm.zero()
+        return FactoredForm.from_constant(0)
     constant, log_grade = f.constant, f.log_grade
     for (name, point), level in zip(steps, levels):
         (pole,) = residue(FactoredForm.build(1, 0, 0, level), name, point).terms

@@ -11,7 +11,8 @@ two.
 
 ``AffineExponent`` keeps integers over one shared denominator; a plain
 model with Fraction parts checks its arithmetic, its reduced form, its
-hashing, its text, and the order ``FactoredForm.build`` sorts by, which must
+hashing, its text, the orientation ``FactoredForm.build`` gives it by its
+leading coefficient, and the order ``FactoredForm.build`` sorts by, which must
 not depend on the order the binomials arrive in, whether they share one
 denominator or not.
 
@@ -207,8 +208,12 @@ def test_exponent_operations_match_fraction_model(c1, t1, c2, t2, r):
     for e in (a, b, total, a - b, a.scale(r), a.substitute("z1", b)):
         _check_reduced(e)
         const, coeffs = _model_of(e)
-        lead = [coeffs[n] for n, _ in e.coeffs] + [const]
-        assert e.leading_sign() == next(((x > 0) - (x < 0) for x in lead if x), 0)
+        # build orients a binomial by its model's lead: variables first, constant last
+        lead = next((x for x in [coeffs[n] for n, _ in e.coeffs] + [const] if x), 0)
+        if lead:
+            assert FF.binomial(e).binomials == ((e if lead > 0 else -e, 1),)
+        else:
+            assert FF.binomial(e).is_zero
         assert e.render() == _model_render(const, coeffs)
         value = complex(const)
         for n, _ in e.coeffs:
@@ -249,7 +254,7 @@ def test_build_orders_binomials_as_fractions_do(factors):
     # the reference: orient, merge, sort by the (const, coeffs) Fraction tuples
     merged = {}
     for e, m in binomials:
-        e = -e if e.leading_sign() < 0 else e
+        e = -e if next((c for _, c in e.coeffs), e.const) < 0 else e
         merged[e] = merged.get(e, 0) + m
     want = sorted(((e, m) for e, m in merged.items() if m),
                   key=lambda em: (em[0].const, em[0].coeffs))
@@ -435,7 +440,7 @@ def test_weight_rows_match_fraction_formulas(block, zs):
     for e in list(w.s) + steps:
         _check_reduced(e)
     # any weight, not only one of z_to_s: entries with unrelated denominators
-    other = Weight.make(list(zs) + [F(1, 7)])
+    other = Weight(tuple(as_exponent(z) for z in list(zs) + [F(1, 7)]))
     assert other.steps(t) == [(a - b).scale(t) for a, b in zip(other.s, other.s[1:])]
 
 

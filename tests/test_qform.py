@@ -1,5 +1,6 @@
 """Kernel tests: canonical forms, substitution, residues, numeric
-evaluation, and the randomized property suites."""
+evaluation, the float bounds on exact values, and the randomized property
+suites."""
 
 import cmath
 import math
@@ -10,6 +11,8 @@ import subprocess
 import sys
 from fractions import Fraction as F
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
 from conftest import (circle_integral, pole_distance_bound, random_form,
@@ -89,15 +92,15 @@ class TestCanonicalForm:
 
     def test_division_by_zero_form(self):
         with pytest.raises(DivisionByZeroError):
-            FF.zero().inverse()
+            FF.from_constant(0).inverse()
 
     def test_render_golden(self):
         p = FF.from_constant(F(-1, 2), -1) * FF.q_power(AE.make(F(3, 2), {"z1": 1}))
         p = p * FF.binomial(AE.make(-1, {"z1": 1}), -1) * FF.binomial(AE.variable("z1"), 2)
         assert p.render() == ("-1/2 * logq^-1 * q^(3/2 + z1) * "
                               "(1 - q^(-1 + z1))^-1 * (1 - q^(z1))^2")
-        assert FF.one().render() == "1"
-        assert FF.zero().render() == "0"
+        assert FF.from_constant(1).render() == "1"
+        assert FF.from_constant(0).render() == "0"
 
 
 class TestSubstitute:
@@ -231,6 +234,12 @@ class TestEvalNumeric:
         with pytest.raises(ValueError):
             FF.q_power(AE.variable("z")).eval_numeric(2.0, {})
 
+    @pytest.mark.parametrize("q", [math.nan, math.inf])
+    def test_non_finite_q_raises(self, q):
+        # refused like q <= 1, not returned as a silent (nan+nanj)
+        with pytest.raises(ValueError):
+            FF.binomial(1).eval_numeric(q)
+
     def test_matches_plain_product_in_range(self):
         # where every factor is an ordinary float, carrying a separate power of
         # two must not change the value of the plain factor-by-factor product
@@ -280,6 +289,27 @@ class TestEvalNumeric:
         assert f.eval_exact(F(2)) == F(8, 3)
         with pytest.raises(ValueError):
             FF.q_power(F(1, 2)).eval_exact(F(2))
+
+
+class TestLog2Bounds:
+    @pytest.mark.parametrize("q", [F(1), F(1, 2), F(0), F(-3)])
+    def test_none_unless_q_above_one(self, q):
+        assert FF.binomial(2, 3).log2_bounds(q) is None
+
+    @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(
+        st.builds(F, st.integers(-60, 60).filter(bool), st.integers(1, 60)),
+        st.integers(-20, 20),
+        st.lists(st.tuples(st.integers(-12, 12).filter(bool), st.integers(-3, 3)), max_size=8),
+        st.builds(F, st.integers(2, 40), st.integers(1, 20)).filter(lambda q: q > 1))
+    def test_bounds_hold_at_rational_q(self, constant, monomial, binomials, q):
+        f = FF.build(constant, 0, monomial, [(as_exponent(k), m) for k, m in binomials])
+        low, high = f.log2_bounds(q)
+        value = abs(f.eval_exact(q))
+        got = math.log2(value.numerator) - math.log2(value.denominator)
+        # a factor 1 - q^(+-1) meets a bound exactly, up to the rounding of the floats
+        slack = 1e-9 * (1 + abs(got))
+        assert low - slack <= got <= high + slack
 
 
 def fraction_loop_eval(f: FF, q) -> F:

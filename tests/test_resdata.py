@@ -59,7 +59,7 @@ class TestResAl:
 
     def test_prefactor_rational_part(self):
         p = validate(6, 3, 2, 0)
-        assert res_al(p, FF.one(), 3) == FF.one()
+        assert res_al(p, FF.from_constant(1), 3) == FF.from_constant(1)
         # (m/t)^(d-l) / (d-l+1) = 3/2
         term = res_al(p, mu_on_z(p), 2)
         plain = res_al(validate(2, 3, 2, 0), mu_on_z(p), 2)
