@@ -25,7 +25,7 @@ from pathlib import Path
 import click
 from click.utils import PacifyFlushWrapper
 
-from . import __version__, checks, contour, degree, model, mu
+from . import __version__, checks, degree, model, mu
 from .qform import FactoredForm
 
 
@@ -253,6 +253,8 @@ def cmd_mu(p, level, as_json):
     click.option("--tol", type=float, default=1e-8, show_default=True)])
 def cmd_contour(p, nodes, tol, as_json):
     """Check the contour integral against the residue-term sum numerically."""
+    from . import contour  # numpy loads only for the command that uses it
+
     report = contour.decomposition_report(p, contour.QuadratureSpec(p.q, nodes, tol))
     status = report.status
     if as_json:

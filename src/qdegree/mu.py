@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from .coords import Weight, generic_weight
 from .model import OutOfRangeError, SetupParams
-from .qform import AffineExponent, ExponentValue, FactoredForm, RowSum, as_exponent
+from .qform import (AffineExponent, ExponentValue, FactoredForm, RowSum, as_exponent,
+                    sort_exponents)
 
 
 def _rank_one_binomials(p: SetupParams, tx: AffineExponent) -> list[tuple[AffineExponent, int]]:
@@ -44,18 +45,45 @@ def mu_full(p: SetupParams, weight: Weight) -> FactoredForm:
 
     Depends only on the differences s_i - s_j, so it is shift invariant.  The
     adjacent steps t(s_i - s_(i+1)) come from the entries' integer rows
-    (``Weight.steps``), and each t(s_i - s_j) is a running sum of the steps'
-    rows (``RowSum.running_sums``): a row addition and one gcd step per pair.
-    All pair binomials go into one build, so they are merged and sorted once.
+    (``Weight.steps``), and each part tx = t(s_i - s_j) is a running sum of
+    the steps' rows (``RowSum.running_sums``): a row addition and one gcd
+    step per pair.
+
+    When no part has a constant term, as for every weight ``z_to_s`` makes
+    from symbolic z, the canonical binomials are laid out here, once per
+    distinct part, with no build.  The pair factor is even in x, so a part
+    and its negative give the same three canonical binomials and the same
+    constant and monomial: each part is taken with a positive leading
+    coefficient.  Equal parts merge into a multiplicity k, and a zero part
+    makes mu zero.  The distinct parts are sorted once in build's order
+    (``sort_exponents``); the constants -t < 0 < t of tx - t, tx and tx + t
+    then order the binomials as three runs in that order of the parts:
+    (tx - t)^(-k), (tx)^(2k), (tx + t)^(-k).  A weight whose differences
+    carry a constant, which only tests pass, takes the one general build of
+    all pair binomials instead.
     """
     if weight.dim != p.d:
         raise OutOfRangeError(f"weight has {weight.dim} entries, expected {p.d}")
-    steps = RowSum([(step, 1) for step in weight.steps(p.t)])
-    binomials = []
-    for i in range(p.d - 1):
-        for tx in steps.running_sums(i):
-            binomials += _rank_one_binomials(p, tx)
-    return FactoredForm.build(1, 0, (p.a + p.t) * (p.d * (p.d - 1) // 2), binomials)
+    steps = weight.steps(p.t)
+    rows = RowSum([(step, 1) for step in steps])
+    parts = [tx for i in range(p.d - 1) for tx in rows.running_sums(i)]
+    monomial = (p.a + p.t) * (p.d * (p.d - 1) // 2)
+    if any(step._num for step in steps):  # the parts carry constants
+        return FactoredForm.build(1, 0, monomial,
+                                  [b for tx in parts for b in _rank_one_binomials(p, tx)])
+    counts: dict[AffineExponent, int] = {}
+    for tx in parts:
+        if tx.is_zero:
+            return FactoredForm.from_constant(0)
+        if tx._terms[0][1] < 0:
+            tx = -tx
+        counts[tx] = counts.get(tx, 0) + 1
+    order = list(counts)
+    sort_exponents(order)
+    t = p.t
+    binomials = ([(tx - t, -counts[tx]) for tx in order] + [(tx, 2 * counts[tx]) for tx in order]
+                 + [(tx + t, -counts[tx]) for tx in order])
+    return FactoredForm(Fraction(1), 0, as_exponent(monomial), tuple(binomials), False)
 
 
 def mu_level_ratio_closed(p: SetupParams, l: int) -> FactoredForm:

@@ -14,21 +14,25 @@ Each exponent is stored as Python integers over one shared denominator,
 gcd(den, num, c_1, ...) = 1.  The representation is unique, so exponents
 hash and compare as integer tuples, and sums, scalings and substitutions
 are integer arithmetic with one gcd step; no Fraction arithmetic runs while
-forms are built and merged.  ``FactoredForm.build`` sorts the merged
-exponents by two keys, both the order of their (const, coeffs) Fractions:
-when the exponents share one denominator, as the integer exponents of gamma,
-of the closed form and of the residue chain's result do, by their (num,
-terms) integers through a C-level ``attrgetter``; otherwise, as in mu, by
-those integers scaled to the lcm of the denominators.  The theorem path's loops
-over whole rows of exponents run on integers: ``RowSum`` puts exponents,
-each times a rational scale, onto one denominator as integer rows and
-builds one exponent per sum of rows with one gcd step, not one per
-addition.  ``coords.z_to_s`` forms each entry of a weight that way, mu takes
-its adjacent steps from the weight's rows, and ``RowSum.running_sums`` gives
-mu's pair differences as partial sums of the steps' rows.  ``split_at_point``
-evaluates a form's binomials at a residue chain's point once per distinct
-variable part, files the ones that vanish under their step, and merges
-equal values.
+forms are built and merged.  A canonical form's binomials are sorted in the
+order of their (const, coeffs) Fractions (``sort_exponents``): when the
+exponents share one denominator, as the integer exponents of gamma, of the
+closed form and of the residue chain's result do, by their (num, terms)
+integers through a C-level ``attrgetter``; otherwise by those integers
+scaled to the lcm of the denominators.  ``FactoredForm.build`` orients,
+merges and sorts any binomials; ``mu.mu_full`` lays out mu's own canonical
+binomials, sorting its distinct pair parts once with the same key.
+
+The theorem path's loops over whole rows of exponents run on integers:
+``RowSum`` puts exponents, each times a rational scale, onto one
+denominator as integer rows and builds one exponent per sum of rows with
+one gcd step, not one per addition.  ``coords.z_to_s`` forms each entry of
+a weight that way, mu takes its adjacent steps from the weight's rows, and
+``RowSum.running_sums`` gives mu's pair differences as partial sums of the
+steps' rows.  ``split_at_point`` evaluates a form's binomials at a residue
+chain's point once per variable part, keyed by the identity of its terms
+tuple, files the ones that vanish under their step, reduces each distinct
+value once and merges equal values.
 Numeric evaluation carries a separate power of two and raises each factor to
 its multiplicity with ``**`` in steps of at most 100, which CPython takes by
 repeated squaring; exact evaluation multiplies every factor into one integer
@@ -52,6 +56,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -94,6 +99,11 @@ def _ratio(x: Rational) -> tuple[int, int]:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _check_numeric_q(q: float) -> None:
+    if not 1 < q < math.inf:  # also refuses nan, which fails every comparison
+        raise ValueError(f"eval_numeric requires a finite q > 1, got {q}")
+
+
 _EXP_SAFE = 708.0  # |Re w| up to which exp(w) is a normal float
 _LN2 = math.log(2.0)
 
@@ -132,6 +142,23 @@ def _ratio_str(n: int, d: int) -> str:
     g = gcd(n, d)
     n, d = n // g, d // g
     return str(n) if d == 1 else f"{n}/{d}"
+
+
+# below 2000 bits an integer has fewer digits than the lowest limit that
+# sys.set_int_max_str_digits accepts (640), so str() never refuses it
+_STR_SAFE_BITS = 2000
+
+
+def _int_text(n: int) -> str:
+    """The decimal digits of n; past the int-to-str digit limit through
+    ``Decimal``, whose conversion has no limit."""
+    return str(n) if n.bit_length() <= _STR_SAFE_BITS else str(Decimal(n))
+
+
+def _rational_text(x: Fraction) -> str:
+    """``str(x)``, for any size of numerator and denominator."""
+    num = _int_text(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_int_text(x.denominator)}"
 
 
 @lru_cache(maxsize=4096)
@@ -225,7 +252,15 @@ class AffineExponent:
 
     @staticmethod
     def variable(name: str, coeff: Rational = 1, const: Rational = 0) -> "AffineExponent":
-        return AffineExponent.make(const, {name: coeff})
+        """const + coeff * name.  Both parts are in lowest terms, so over the
+        lcm of their denominators no prime divides the numerator, the
+        coefficient and the denominator at once: the lcm is the one gcd step."""
+        n, d = _ratio(coeff)
+        num, den = _ratio(const)
+        if not n:
+            return AffineExponent(num, den)
+        common = den // gcd(den, d) * d
+        return AffineExponent(num * (common // den), common, ((name, n * (common // d)),))
 
     # -- views --------------------------------------------------------------
 
@@ -474,6 +509,16 @@ def _scaled_key(den: int):
 _unscaled_key = attrgetter("_num", "_terms")
 
 
+def sort_exponents(exponents: list[AffineExponent]) -> None:
+    """Sort distinct exponents in place in the order of their (const, coeffs)
+    Fractions, the order of a canonical form's binomials: by their (num,
+    terms) integers when they share one denominator, else by those integers
+    scaled to the lcm of the denominators (``_scaled_key``)."""
+    if len(exponents) > 1:
+        dens = {e._den for e in exponents}
+        exponents.sort(key=_unscaled_key if len(dens) == 1 else _scaled_key(lcm(*dens)))
+
+
 # ---------------------------------------------------------------------------
 # Factored forms
 # ---------------------------------------------------------------------------
@@ -516,9 +561,8 @@ class FactoredForm:
 
         Each binomial is oriented to a positive leading coefficient, equal
         exponents are merged and multiplicity 0 is dropped.  The exponents are
-        sorted in the order of their (const, coeffs) Fractions: by their
-        (num, terms) integers when they share one denominator, else by those
-        integers scaled to the lcm of the denominators (``_scaled_key``).
+        sorted in the order of their (const, coeffs) Fractions
+        (``sort_exponents``).
         """
         constant = _as_fraction(constant)
         if not constant:
@@ -547,9 +591,7 @@ class FactoredForm:
         if vanished:
             return _ZERO_FORM
         exponents = [e for e, m in merged.items() if m]
-        if len(exponents) > 1:
-            dens = {e._den for e in exponents}
-            exponents.sort(key=_unscaled_key if len(dens) == 1 else _scaled_key(lcm(*dens)))
+        sort_exponents(exponents)
         return FactoredForm(constant, log_grade, monomial,
                             tuple([(e, merged[e]) for e in exponents]), False)
 
@@ -614,10 +656,9 @@ class FactoredForm:
         plain product would give them.  A nonzero value whose magnitude lies
         beyond the range of normal floats raises OverflowError.
         """
-        if not 1 < q < math.inf:  # also refuses nan, which fails every comparison
-            raise ValueError(f"eval_numeric requires a finite q > 1, got {q}")
+        _check_numeric_q(q)
         if self.is_zero:
-            return 0.0
+            return 0j
         assignment = assignment or {}
         lnq = math.log(q)
         c, k = _scaled_rational(self.constant)
@@ -710,7 +751,7 @@ class FactoredForm:
         """Bit-exact canonical text: c * logq^g * q^(E0) * PROD (1 - q^(E))^k."""
         if self.is_zero:
             return "0"
-        parts = [str(self.constant)]
+        parts = [_rational_text(self.constant)]
         if self.log_grade:
             parts.append(f"logq^{self.log_grade}")
         if not self.monomial.is_zero:
@@ -751,31 +792,40 @@ def split_at_point(f: FactoredForm, steps: Sequence[tuple[str, Fraction]]
     last of its variables; it is filed under that step as its restriction
     s (z - r) to the step's variable z and value r, the one-variable form
     whose residue the step takes.  The others are evaluated with integer
-    arithmetic over the exponent's denominator times the lcm of the point's,
-    once per distinct variable part (the three binomials of a mu pair share
-    one), with one gcd step each; equal values are merged, so a factor that
-    becomes one of a few constants is built once.  Variables not in
-    ``steps`` stay free.
+    arithmetic over the exponent's denominator times the lcm of the point's.
+    Each variable part is read once: parts are keyed by the identity of
+    their terms tuple, which the three binomials of a mu pair share and f
+    keeps alive.  Each distinct unreduced value is reduced with one gcd
+    step, and equal reduced values are merged, so a factor that becomes one
+    of a few constants is built once.  Variables not in ``steps`` stay free.
     """
     den = lcm(*(point.denominator for _, point in steps))
     nums = {name: point.numerator * (den // point.denominator) for name, point in steps}
     position = {name: k for k, (name, _) in enumerate(steps)}
     levels: list[list[tuple[AffineExponent, int]]] = [[] for _ in steps]
-    parts: dict = {}
-    regular: dict = {}  # reduced (num, den, terms) -> multiplicity
+    parts: dict[int, tuple[int, tuple]] = {}  # id(terms) -> the part at the point
+    unreduced: dict[tuple[int, int, int], list] = {}  # (num, den, id(rest)) -> [rest, mult]
     for e, m in f.binomials:
-        key = (e._den, e._terms)
-        part = parts.get(key)
+        terms = e._terms
+        part = parts.get(id(terms))
         if part is None:
-            part = parts[key] = _at_point(e._terms, nums, den)
+            part = parts[id(terms)] = _at_point(terms, nums, den)
         value, rest = part
         num = e._num * den + value
         if not num and not rest:
-            name, c = max(e._terms, key=lambda term: position[term[0]])
+            name, c = max(terms, key=lambda term: position[term[0]])
             levels[position[name]].append((_reduced(-c * nums[name], e._den * den,
                                                     ((name, c * den),)), m))
             continue
-        whole = e._den * den
+        key = (num, e._den, id(rest))
+        entry = unreduced.get(key)
+        if entry is None:
+            unreduced[key] = [rest, m]
+        else:
+            entry[1] += m
+    regular: dict = {}  # reduced (num, den, terms) -> multiplicity
+    for (num, e_den, _), (rest, m) in unreduced.items():
+        whole = e_den * den
         g = gcd(num, whole, *[c for _, c in rest])
         if g != 1:
             num, whole, rest = num // g, whole // g, tuple((n, c // g) for n, c in rest)
@@ -807,6 +857,9 @@ class SumForm:
         return not self.terms
 
     def eval_numeric(self, q: float, assignment: Mapping[str, complex] | None = None) -> complex:
+        """The sum of the terms' values; like ``FactoredForm.eval_numeric``
+        it requires a finite q > 1, also for the empty sum."""
+        _check_numeric_q(q)
         return sum((t.eval_numeric(q, assignment) for t in self.terms), 0j)
 
     def render(self) -> str:

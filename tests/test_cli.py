@@ -44,6 +44,19 @@ class TestDegreeCommand:
         assert len(result.stderr.splitlines()) == 1
         assert "float range" in result.stderr
 
+    @pytest.mark.parametrize("md", [("6", "6000"), ("2", "20000")])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_constant_beyond_the_int_str_limit(self, runner, md, as_json):
+        # the constant has more digits than str() of an int accepts by default
+        m, d = md
+        result = runner.invoke(main, ["degree", "--m", m, "--d", d, "--t", "1", "--a", "0",
+                                      *(["--json"] if as_json else [])])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+        text = json.loads(result.stdout)["result"]["factored"] if as_json else result.stdout
+        constant = text.split(" * ")[0]
+        assert len(constant) > 4300 and constant.lstrip("-").replace("/", "").isdigit()
+
     def test_below_float_range_prints_no_numeric_line(self, runner):
         result = runner.invoke(main, ["degree", "--m", "2", "--d", "2", "--t", "1", "--a", "0",
                                       "--q", "2", "--deg-sigma", "1e-400"])

@@ -262,11 +262,23 @@ def test_version_without_installed_metadata():
     assert __version__ in result.stdout
 
 
+def _source_env() -> dict:
+    """The environment with this source tree first on PYTHONPATH."""
+    src = str(Path(qdegree.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # only the contour command needs numpy; it imports its module itself
+    code = "import sys, qdegree.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=_source_env(),
+                          timeout=60).returncode == 0
+
+
 def test_closed_stdout_exits_141():
     # the reader is gone before the first line: every write meets a closed pipe
-    src = str(Path(qdegree.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env = _source_env()
     proc = subprocess.Popen([sys.executable, "-m", "qdegree.cli", "verify", "pairing"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     proc.stdout.close()

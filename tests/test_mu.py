@@ -4,14 +4,16 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
-from qdegree.coords import Weight, generic_weight, z_to_s
+from qdegree.coords import Weight, generic_weight, residue_plan, z_to_s
 from qdegree.model import OutOfRangeError, validate
-from qdegree.mu import (mu_full, mu_level_ratio_closed, mu_level_ratio_telescoped,
-                        mu_on_z, rank_one_factor)
+from qdegree.mu import (_rank_one_binomials, mu_full, mu_level_ratio_closed,
+                        mu_level_ratio_telescoped, mu_on_z, rank_one_factor)
 from qdegree.qform import (AffineExponent as AE, FactoredForm as FF,
-                           PoleAtSubstitutionError)
+                           PoleAtSubstitutionError, split_at_point)
 
 
 class TestRankOne:
@@ -108,6 +110,97 @@ class TestMuFull:
                 v = f.eval_numeric(2.0, assignment)
                 assert abs(v.imag) <= 1e-10 * max(1, abs(v))
                 assert v.real >= -1e-12
+
+
+def _single_build(p, w) -> FF:
+    """mu as one general build of the three binomials of every pair, each
+    t(s_i - s_j) taken by subtracting whole entries."""
+    binomials = []
+    for i in range(p.d):
+        for j in range(i + 1, p.d):
+            binomials += _rank_one_binomials(p, (w.s[i] - w.s[j]).scale(p.t))
+    return FF.build(1, 0, (p.a + p.t) * (p.d * (p.d - 1) // 2), binomials)
+
+
+small_rationals = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def constant_free_weights(draw):
+    """Weights whose differences have no constant term: the generic weight
+    permuted, negated, with its variables renamed in reverse order or shifted
+    by a constant, or entries in two variables with small coefficients,
+    whose differences often coincide; either kind may repeat an entry."""
+    t = draw(st.sampled_from((1, 2, 3, 6)))
+    d = draw(st.integers(1, 9))
+    p = validate(6, d, t, draw(st.integers(0, 2)))
+    if draw(st.booleans()):
+        s = draw(st.permutations(generic_weight(p).s))
+        if draw(st.booleans()):
+            s = [-e for e in s]
+        if draw(st.booleans()):
+            rename = {f"z{j}": f"z{d - j}" for j in range(1, d)}
+            s = [AE.make(e.const, {rename[n]: c for n, c in e.coeffs}) for e in s]
+    else:
+        s = [AE.make(0, {"x": draw(small_rationals), "y": draw(small_rationals)})
+             for _ in range(d)]
+    if draw(st.booleans()):
+        shift = draw(small_rationals)
+        s = [e + shift for e in s]
+    if d > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+        s[j] = s[i]
+    return p, Weight(tuple(s))
+
+
+class TestLaidOutMu:
+    """mu_full lays out its binomials itself when no difference of the weight
+    has a constant term; the general build is its reference."""
+
+    def test_matches_single_build(self):
+        seen = set()
+
+        @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+        @hypothesis.given(constant_free_weights())
+        def check(case):
+            p, w = case
+            got = mu_full(p, w)
+            assert got == _single_build(p, w)
+            if got.is_zero:
+                seen.add("zero")
+            elif any(m not in (-1, 2) for _, m in got.binomials):
+                seen.add("merged")
+            differences = [w.s[i] - w.s[j] for i in range(p.d) for j in range(i + 1, p.d)]
+            if any(x.coeffs and x.coeffs[0][1] < 0 for x in differences):
+                seen.add("negative lead")
+
+        check()
+        assert {"zero", "merged", "negative lead"} <= seen
+
+    def test_weight_with_constants_takes_the_general_build(self):
+        p = validate(2, 3, 2, 1)
+        x, y = AE.variable("x"), AE.variable("y")
+        w = Weight((x + F(1, 2), y, -x))
+        assert mu_full(p, w) == TestMuFull.pairwise_product(p, w) == _single_build(p, w)
+        # t(s_1 - s_2) = t: the pair factor's pole
+        with pytest.raises(PoleAtSubstitutionError):
+            mu_full(validate(2, 2, 2, 1), Weight((x + 1, x)))
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    @pytest.mark.parametrize("t", (1, 2, 3, 6))
+    def test_split_reads_shared_and_copied_parts_alike(self, d, t):
+        p = validate(6, d, t, 1)
+        for f in (mu_on_z(p), mu_full(p, Weight(generic_weight(p).s[::-1]))):
+            # every exponent with its own copy of its terms
+            copied = FF(f.constant, f.log_grade, f.monomial,
+                        tuple((AE(e._num, e._den, tuple(list(e._terms))), m)
+                              for e, m in f.binomials), False)
+            assert copied == f
+            assert len({id(e._terms) for e, _ in copied.binomials}) == len(f.binomials)
+            assert len({id(e._terms) for e, _ in f.binomials}) < len(f.binomials)
+            plan = residue_plan(p)
+            for k in range(1, d):
+                assert split_at_point(f, plan[:k]) == split_at_point(copied, plan[:k])
 
 
 class TestLevelRatios:

@@ -9,6 +9,7 @@ import pickle
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction as F
 
 import hypothesis
@@ -19,8 +20,8 @@ from conftest import (circle_integral, pole_distance_bound, random_form,
                       random_rational)
 from qdegree.degree import gl_order
 from qdegree.qform import (AffineExponent as AE, DivisionByZeroError,
-                           FactoredForm as FF, PoleAtSubstitutionError,
-                           as_exponent, residue)
+                           FactoredForm as FF, PoleAtSubstitutionError, SumForm,
+                           as_exponent, as_sum, residue)
 
 
 class TestAffineExponent:
@@ -50,6 +51,13 @@ class TestAffineExponent:
         data = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               check=True).stdout
         assert {AE.make(1, {"z": 2}): "found"}.get(pickle.loads(data)) == "found"
+
+    @hypothesis.settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(st.builds(F, st.integers(-30, 30), st.integers(1, 12)),
+                      st.builds(F, st.integers(-30, 30), st.integers(1, 12)))
+    def test_variable_matches_make(self, coeff, const):
+        # equality compares the reduced integer representation
+        assert AE.variable("z", coeff, const) == AE.make(const, {"z": coeff})
 
     def test_render_terms_constant_first(self):
         assert AE.make(F(-3, 2), {"z1": 1, "z2": F(-1, 2)}).render() == "-3/2 + z1 - 1/2*z2"
@@ -101,6 +109,17 @@ class TestCanonicalForm:
                               "(1 - q^(-1 + z1))^-1 * (1 - q^(z1))^2")
         assert FF.from_constant(1).render() == "1"
         assert FF.from_constant(0).render() == "0"
+
+    @pytest.mark.parametrize("bits", [10, 2000, 2001, 20000, 60000])
+    def test_render_constant_of_any_size(self, bits):
+        # str() of an int refuses more digits than sys.get_int_max_str_digits()
+        x = F(-(3 ** (bits * 100 // 158)) - 1, 7 ** (bits * 100 // 281))
+        text = FF.from_constant(x).render()
+        top, bottom = text.split("/")
+        assert Decimal(top) == x.numerator and Decimal(bottom) == x.denominator
+        assert not top.startswith("-0") and "E" not in text and "." not in text
+        if bits <= 10000:  # within the default limit of 4300 digits
+            assert text == str(x)
 
 
 class TestSubstitute:
@@ -239,6 +258,17 @@ class TestEvalNumeric:
         # refused like q <= 1, not returned as a silent (nan+nanj)
         with pytest.raises(ValueError):
             FF.binomial(1).eval_numeric(q)
+
+    def test_zero_value_is_complex_zero(self):
+        for zero in (FF.from_constant(0), SumForm()):
+            got = zero.eval_numeric(2.0)
+            assert type(got) is complex and got == 0
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, 1.0, 0.5, -2.0])
+    def test_sum_refuses_q_as_a_form_does(self, q):
+        for f in (SumForm(), as_sum(FF.binomial(1))):
+            with pytest.raises(ValueError):
+                f.eval_numeric(q)
 
     def test_matches_plain_product_in_range(self):
         # where every factor is an ordinary float, carrying a separate power of
