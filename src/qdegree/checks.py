@@ -24,7 +24,7 @@ class CheckReport:
     """
 
     name: str
-    status: str  # pass | fail | error
+    status: str  # pass | fail
     detail: str
     elapsed_ms: int
 

@@ -65,21 +65,27 @@ def gamma_factor(p: SetupParams) -> FactoredForm:
 
 
 _MARGIN_BITS = 64  # how far beyond the float range the bounds must lie, past their rounding
+_HIGH = sys.float_info.max_exp + _MARGIN_BITS
+_LOW = sys.float_info.min_exp - _MARGIN_BITS
 
 
 def _numeric(factored: FactoredForm, q: Fraction | float) -> float | None:
     """The value at q as a float, or None when it lies beyond the range of normal floats.
 
     A float q is evaluated exactly too, at the rational it stands for.  A
-    value whose float bounds (``log2_bounds``) lie far beyond that range
-    returns None before the exact evaluation, whose big integers would take
-    seconds.
+    value whose float bounds lie far beyond that range returns None before
+    the exact evaluation, whose big integers would take seconds.  The cheap
+    ``log2_bounds`` widen by log2(q / (q - 1)) per factor, so near q = 1
+    they reach past a threshold without settling it; only then are they
+    replaced by ``refined_log2_bounds``.
     """
     q = Fraction(q)
     bounds = factored.log2_bounds(q)
-    if bounds is not None and (bounds[0] > sys.float_info.max_exp + _MARGIN_BITS
-                               or bounds[1] < sys.float_info.min_exp - _MARGIN_BITS):
-        return None
+    if bounds is not None and (bounds[1] > _HIGH or bounds[0] < _LOW):
+        if not (bounds[0] > _HIGH or bounds[1] < _LOW):
+            bounds = factored.refined_log2_bounds(q) or bounds
+        if bounds[0] > _HIGH or bounds[1] < _LOW:
+            return None
     try:
         value = float(factored.eval_exact(q))
     except OverflowError:

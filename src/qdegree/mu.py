@@ -33,9 +33,7 @@ def rank_one_factor(p: SetupParams, x: ExponentValue) -> FactoredForm:
     moves q^(-t) into the monomial.  The normalization q^(a+t) is the unique
     per-pair constant whose telescoped level products reproduce the closed
     level ratios; the telescoping tests pin it down.  Vanishes (second order)
-    at x = 0; poles at x = +-1 raise.  For a difference s_i - s_j with i < j
-    of the generic weight, every exponent already leads with a positive
-    coefficient, so a build only merges and sorts.
+    at x = 0; poles at x = +-1 raise.
     """
     return FactoredForm.build(1, 0, p.a + p.t, _rank_one_binomials(p, as_exponent(x).scale(p.t)))
 
@@ -83,7 +81,7 @@ def mu_full(p: SetupParams, weight: Weight) -> FactoredForm:
     t = p.t
     binomials = ([(tx - t, -counts[tx]) for tx in order] + [(tx, 2 * counts[tx]) for tx in order]
                  + [(tx + t, -counts[tx]) for tx in order])
-    return FactoredForm(Fraction(1), 0, as_exponent(monomial), tuple(binomials), False)
+    return FactoredForm(Fraction(1), 0, as_exponent(monomial), tuple(binomials))
 
 
 def mu_level_ratio_closed(p: SetupParams, l: int) -> FactoredForm:

@@ -12,38 +12,15 @@ expanded; residues decrement it, measure prefactors increment it.
 Each exponent is stored as Python integers over one shared denominator,
 (num + sum_l c_l z_l) / den, reduced so that den > 0 and
 gcd(den, num, c_1, ...) = 1.  The representation is unique, so exponents
-hash and compare as integer tuples, and sums, scalings and substitutions
-are integer arithmetic with one gcd step; no Fraction arithmetic runs while
-forms are built and merged.  A canonical form's binomials are sorted in the
-order of their (const, coeffs) Fractions (``sort_exponents``): when the
-exponents share one denominator, as the integer exponents of gamma, of the
-closed form and of the residue chain's result do, by their (num, terms)
-integers through a C-level ``attrgetter``; otherwise by those integers
-scaled to the lcm of the denominators.  ``FactoredForm.build`` orients,
-merges and sorts any binomials; ``mu.mu_full`` lays out mu's own canonical
-binomials, sorting its distinct pair parts once with the same key.
+hash and compare as integer tuples, and their algebra is integer arithmetic
+with one gcd step; no Fraction arithmetic runs while forms are built.
 
-The theorem path's loops over whole rows of exponents run on integers:
-``RowSum`` puts exponents, each times a rational scale, onto one
-denominator as integer rows and builds one exponent per sum of rows with
-one gcd step, not one per addition.  ``coords.z_to_s`` forms each entry of
-a weight that way, mu takes its adjacent steps from the weight's rows, and
-``RowSum.running_sums`` gives mu's pair differences as partial sums of the
-steps' rows.  ``split_at_point`` evaluates a form's binomials at a residue
-chain's point once per variable part, keyed by the identity of its terms
-tuple, files the ones that vanish under their step, reduces each distinct
-value once and merges equal values.
-Numeric evaluation carries a separate power of two and raises each factor to
-its multiplicity with ``**`` in steps of at most 100, which CPython takes by
-repeated squaring; exact evaluation multiplies every factor into one integer
-numerator and one integer denominator, so it reduces the quotient once.
-
-``residue``, at a rational point or at a point affine in the other variables,
-reads the w^(-1) coefficient of one Laurent expansion: a lead form times w^p
-times one unit series per factor, raised to the factor's multiplicity by one
-power rule.  At a simple pole, the only kind the degree computation meets,
-that coefficient is the lead form alone; at a pole of order two or more it is
-a sum of factored forms (``SumForm``).
+The module holds, each described where it is defined: ``AffineExponent``;
+``RowSum``, integer rows of exponents summed with one gcd step per sum;
+``sort_exponents``, the order of a canonical form's binomials;
+``FactoredForm`` with its numeric and exact evaluation; ``split_at_point``,
+a form's binomials at a residue chain's point; ``SumForm``; and
+``residue``, the w^(-1) Laurent coefficient at a point.
 
 Exponents and forms are immutable and hashable, and their operations are
 pure functions; a ``RowSum`` is a scratch accumulator owned by the one call
@@ -137,13 +114,6 @@ def _scaled_rational(x: Fraction) -> tuple[float, int]:
     return (x.numerator << -k) / x.denominator, k
 
 
-def _ratio_str(n: int, d: int) -> str:
-    """Text of the nonnegative rational n/d as ``str(Fraction(n, d))`` gives it."""
-    g = gcd(n, d)
-    n, d = n // g, d // g
-    return str(n) if d == 1 else f"{n}/{d}"
-
-
 # below 2000 bits an integer has fewer digits than the lowest limit that
 # sys.set_int_max_str_digits accepts (640), so str() never refuses it
 _STR_SAFE_BITS = 2000
@@ -175,9 +145,6 @@ def _term_key(item: tuple[str, int]) -> tuple[str, int]:
 
 def _merge(t1, f1: int, t2, f2: int) -> tuple[tuple[str, int], ...]:
     """The terms of f1*t1 + f2*t2, zero coefficients dropped, in variable order."""
-    if not t2 or not t1:
-        t, f = (t1, f1) if t1 else (t2, f2)
-        return t if f == 1 else tuple((n, c * f) for n, c in t)
     acc = {n: c * f1 for n, c in t1}
     for n, c in t2:
         acc[n] = acc.get(n, 0) + c * f2
@@ -190,16 +157,11 @@ def _merge(t1, f1: int, t2, f2: int) -> tuple[tuple[str, int], ...]:
 
 def _reduced(num: int, den: int, terms: tuple[tuple[str, int], ...]) -> "AffineExponent":
     """The exponent (num + terms)/den, den > 0, with the common factor divided out."""
-    if den != 1:
-        g = gcd(den, num)
-        for _, c in terms:
-            if g == 1:
-                break
-            g = gcd(g, c)
-        if g != 1:
-            num //= g
-            den //= g
-            terms = tuple((n, c // g) for n, c in terms)
+    g = gcd(den, num, *[c for _, c in terms])
+    if g != 1:
+        num //= g
+        den //= g
+        terms = tuple((n, c // g) for n, c in terms)
     return AffineExponent(num, den, terms)
 
 
@@ -252,15 +214,8 @@ class AffineExponent:
 
     @staticmethod
     def variable(name: str, coeff: Rational = 1, const: Rational = 0) -> "AffineExponent":
-        """const + coeff * name.  Both parts are in lowest terms, so over the
-        lcm of their denominators no prime divides the numerator, the
-        coefficient and the denominator at once: the lcm is the one gcd step."""
-        n, d = _ratio(coeff)
-        num, den = _ratio(const)
-        if not n:
-            return AffineExponent(num, den)
-        common = den // gcd(den, d) * d
-        return AffineExponent(num * (common // den), common, ((name, n * (common // d)),))
+        """const + coeff * name."""
+        return AffineExponent.make(const, ((name, coeff),))
 
     # -- views --------------------------------------------------------------
 
@@ -289,8 +244,6 @@ class AffineExponent:
     # -- identity -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
         if type(other) is not AffineExponent:
             return NotImplemented
         return (self._hash == other._hash and self._num == other._num
@@ -377,10 +330,11 @@ class AffineExponent:
             return str(self._num)
         pieces: list[tuple[int, str]] = []
         if self._num or not self._terms:
-            pieces.append((1 if self._num >= 0 else -1, _ratio_str(abs(self._num), den)))
+            pieces.append((1 if self._num >= 0 else -1,
+                           _rational_text(Fraction(abs(self._num), den))))
         for n, c in self._terms:
             mag = abs(c)
-            body = n if mag == den else f"{_ratio_str(mag, den)}*{n}"
+            body = n if mag == den else f"{_rational_text(Fraction(mag, den))}*{n}"
             pieces.append((1 if c > 0 else -1, body))
         sign, body = pieces[0]
         out = ("-" if sign < 0 else "") + body
@@ -485,22 +439,13 @@ class RowSum:
 def _scaled_key(den: int):
     """The sort key of an exponent: its (num, terms) scaled to ``den``, a
     common multiple of the denominators, which orders exponents exactly as
-    their (const, coeffs) Fractions would.
-
-    Exponents that share one terms tuple (those of a mu pair do) share its
-    scaled copy; the tuples are alive for the whole sort, so their ids are
-    distinct.
-    """
-    scaled: dict[tuple[int, int], tuple] = {}
+    their (const, coeffs) Fractions would."""
 
     def key(e: AffineExponent) -> tuple:
         f = den // e._den
         if f == 1:
             return (e._num, e._terms)
-        terms = scaled.get((id(e._terms), f))
-        if terms is None:
-            terms = scaled[id(e._terms), f] = tuple([(n, c * f) for n, c in e._terms])
-        return (e._num * f, terms)
+        return (e._num * f, tuple([(n, c * f) for n, c in e._terms]))
 
     return key
 
@@ -530,14 +475,15 @@ class FactoredForm:
     Canonical form: every binomial exponent has positive leading coefficient
     (re-orientation via (1 - q^-E) = -q^-E (1 - q^E) folds sign and monomial
     into ``constant``/``monomial``), equal exponents are merged, exponents are
-    sorted.  Two forms represent the same function iff they are equal.
+    sorted.  Two forms represent the same function iff they are equal.  The
+    zero form is the one with constant 0; every operation that gives zero
+    gives that one form.
     """
 
     constant: Fraction = Fraction(1)
     log_grade: int = 0
     monomial: AffineExponent = _ZERO_EXPONENT
     binomials: tuple[tuple[AffineExponent, int], ...] = ()
-    is_zero: bool = False
 
     # -- construction -------------------------------------------------------
 
@@ -593,13 +539,17 @@ class FactoredForm:
         exponents = [e for e, m in merged.items() if m]
         sort_exponents(exponents)
         return FactoredForm(constant, log_grade, monomial,
-                            tuple([(e, merged[e]) for e in exponents]), False)
+                            tuple([(e, merged[e]) for e in exponents]))
 
     # -- structure ----------------------------------------------------------
 
     @property
+    def is_zero(self) -> bool:
+        return not self.constant
+
+    @property
     def is_one(self) -> bool:
-        return (not self.is_zero and self.constant == 1 and self.log_grade == 0
+        return (self.constant == 1 and self.log_grade == 0
                 and self.monomial.is_zero and not self.binomials)
 
     # -- algebra ------------------------------------------------------------
@@ -616,14 +566,13 @@ class FactoredForm:
         c = _as_fraction(c)
         if self.is_zero or not c:
             return _ZERO_FORM
-        return FactoredForm(self.constant * c, self.log_grade, self.monomial,
-                            self.binomials, False)
+        return FactoredForm(self.constant * c, self.log_grade, self.monomial, self.binomials)
 
     def inverse(self) -> "FactoredForm":
         if self.is_zero:
             raise DivisionByZeroError("cannot invert the zero form")
         return FactoredForm(1 / self.constant, -self.log_grade, -self.monomial,
-                            tuple((e, -m) for e, m in self.binomials), False)
+                            tuple((e, -m) for e, m in self.binomials))
 
     def __truediv__(self, other: "FactoredForm") -> "FactoredForm":
         return self * other.inverse()
@@ -745,6 +694,38 @@ class FactoredForm:
         spread = weight * (math.log2(n) - math.log2(n - d))
         return mid - spread, mid + spread
 
+    def refined_log2_bounds(self, q: Fraction) -> tuple[float, float] | None:
+        """Bounds on log2 |value| like ``log2_bounds``, but within float
+        rounding however close q is to 1, at the cost of two float functions
+        per factor; None where ``log2_bounds`` is, or where log q is below
+        the normal floats.
+
+        log |1 - q^k| = max(k, 0) log q + log(-expm1(-|k| log q)).  log q is
+        taken to a few units in the last place (near 1 through ``log1p`` of
+        a correctly rounded q - 1), and the slope of log(1 - e^-x) is
+        1/(e^x - 1) <= 1/x, so each factor's term is within a few units of
+        its size plus its |m|; ``math.fsum`` adds the terms with one
+        rounding.  The spread allows 16 units per unit of size and of |m|.
+        """
+        if self.log2_bounds(q) is None:  # it checks q and the form
+            return None
+        if q < 2:
+            lnq = math.log1p(float(q - 1))
+        else:
+            mant, shift = _scaled_rational(q)
+            lnq = math.log(mant) + shift * _LN2
+        if lnq < sys.float_info.min:
+            return None
+        mant, shift = _scaled_rational(abs(self.constant))
+        terms = [math.log2(mant) + shift, self.monomial._num * lnq / _LN2]
+        for e, m in self.binomials:
+            k = e._num
+            terms.append(m * (max(k, 0) * lnq + math.log(-math.expm1(-abs(k) * lnq))) / _LN2)
+        weight = sum(abs(m) for _, m in self.binomials) + 2
+        spread = 16 * sys.float_info.epsilon * (sum(map(abs, terms)) + weight)
+        mid = math.fsum(terms)
+        return mid - spread, mid + spread
+
     # -- rendering ----------------------------------------------------------
 
     def render(self) -> str:
@@ -764,8 +745,8 @@ class FactoredForm:
         return self.render()
 
 
-_ZERO_FORM = FactoredForm(Fraction(0), 0, _ZERO_EXPONENT, (), True)
-_ONE_FORM = FactoredForm(Fraction(1), 0, _ZERO_EXPONENT, (), False)
+_ZERO_FORM = FactoredForm(Fraction(0), 0, _ZERO_EXPONENT, ())
+_ONE_FORM = FactoredForm(Fraction(1), 0, _ZERO_EXPONENT, ())
 
 
 def _at_point(terms: tuple[tuple[str, int], ...], nums: Mapping[str, int], den: int
@@ -885,7 +866,7 @@ def _collect(terms: Iterable[FactoredForm]) -> SumForm:
     for t in terms:
         key = (t.log_grade, t.monomial, t.binomials)
         acc[key] = acc.get(key, 0) + t.constant
-    return SumForm(tuple(FactoredForm(c, *key, False) for key, c in acc.items() if c))
+    return SumForm(tuple(FactoredForm(c, *key) for key, c in acc.items() if c))
 
 
 def _unit_power(a: list[FactoredForm], m: int, n: int) -> list[SumForm]:
@@ -938,7 +919,7 @@ def _form_series(f: FactoredForm, name: str, center: ExponentValue) -> SumForm:
     for m, s, offset, c in units:
         g = _ONE_FORM if c is None else FactoredForm.build(-1, 0, c, ((c, -1),))
         a = [FactoredForm(g.constant * s ** j / math.factorial(j + offset), j,
-                          g.monomial, g.binomials, False) for j in range(n + 1)]
+                          g.monomial, g.binomials) for j in range(n + 1)]
         power = _unit_power(a, m, n)
         product = [_collect(x * y for i in range(k + 1) for x in product[i].terms
                             for y in power[k - i].terms) for k in range(n + 1)]

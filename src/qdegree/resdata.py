@@ -10,21 +10,8 @@ and closed form
 
     (m/t)^(d-1) (1/d) q^(a d(d-1)/2) q^(t d(d-1)/2) (q^t - 1)^d / (q^(td) - 1).
 
-The chain is taken in one pass over the form's binomials.  Substituting a
-constant for one variable never changes the coefficient of another, so a
-binomial whose exponent is zero at the full point vanishes at exactly one
-level, the one that substitutes the last of its variables; every other
-binomial is regular along the whole chain and is simply evaluated at the
-point.  ``qform.split_at_point`` does both in integer rows: it evaluates
-each distinct variable part once (a mu pair's three binomials share one),
-files each vanishing binomial under its level as a one-variable form, and
-merges the regular values, which at the discrete-series point are a few
-integers (187 binomials give 12 values at d = 12).  Each level's pole is
-then a residue of the one-variable form filed under it, and the result is
-one build of the regular part times those pieces.  A level with pole order
-<= 0 makes the result zero.  At order >= 2 the derivatives of the regular
-part would enter; the chain never meets such a level on mu, so it raises
-``HigherOrderPoleError`` there.
+The chain is taken in one pass over the form's binomials
+(``iterated_residue``).
 """
 
 from __future__ import annotations
@@ -40,14 +27,21 @@ from .qform import FactoredForm, HigherOrderPoleError, as_exponent, residue, spl
 def iterated_residue(f: FactoredForm, steps: tuple[tuple[str, Fraction], ...]) -> FactoredForm:
     """Apply the residues at (z_k, r_k) of ``steps`` in order, innermost first.
 
-    One pass (see the module docstring): ``split_at_point`` evaluates the
-    binomials at the whole point of the steps and files those vanishing there
-    under their level, and each level's simple pole is taken by ``residue``
-    on the one-variable form of its binomials alone.  A level of
-    pole order >= 2 raises ``HigherOrderPoleError``; this is checked before
-    any level of order <= 0 makes the result zero, since the orders of the
-    later levels are only known after such a pole is taken.  Variables
-    without a step stay free; no steps give f itself.
+    Substituting a constant for one variable never changes the coefficient
+    of another, so a binomial whose exponent is zero at the full point
+    vanishes at exactly one level, the one that substitutes the last of its
+    variables, and every other binomial is regular along the whole chain.
+    So the chain is one pass: ``split_at_point`` evaluates the binomials at
+    the whole point of the steps, files those vanishing there under their
+    level and merges the regular values (187 binomials of mu give 12 values
+    at d = 12).  Each level's simple pole is taken by ``residue`` on the
+    one-variable form of its binomials alone, and the result is one build
+    of the regular part times those pieces.  A level of pole order >= 2,
+    where the derivatives of the regular part would enter, raises
+    ``HigherOrderPoleError``; this is checked before any level of order
+    <= 0 makes the result zero, since the orders of the later levels are
+    only known after such a pole is taken.  Variables without a step stay
+    free; no steps give f itself.
     """
     monomial, levels, regular = split_at_point(f, steps)
     orders = [-sum(m for _, m in level) for level in levels]
@@ -80,7 +74,7 @@ def res_al(p: SetupParams, psi: FactoredForm, l: int) -> FactoredForm:
         return inner
     scale = Fraction(p.m, p.t) ** (p.d - l) / (p.d - l + 1)
     return FactoredForm(inner.constant * scale, inner.log_grade + p.d - l, inner.monomial,
-                        inner.binomials, False)
+                        inner.binomials)
 
 
 def res_a1_mu(p: SetupParams) -> FactoredForm:

@@ -65,6 +65,15 @@ class TestDegreeCommand:
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("note: ")
 
+    def test_beyond_float_range_near_q_one_prints_null_promptly(self, runner):
+        # the value's log2 is -1177; the exact evaluation this skips took seconds
+        result = runner.invoke(main, ["degree", "--m", "1", "--d", "600", "--t", "1", "--a", "0",
+                                      "--q", "1.001", "--deg-sigma", "1", "--json"])
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["result"]["numeric"] is None
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("note: ")
+
     def test_invalid_torsion_exits_2(self, runner):
         result = runner.invoke(main, ["degree", "--m", "2", "--d", "2", "--t", "3", "--a", "0"])
         assert result.exit_code == 2

@@ -81,6 +81,29 @@ class TestGammaFactor:
             assert gamma_factor(validate(m, d, m, 0)) == want, (m, d)
 
 
+class TestDepthZeroSlice:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_closed_degree_is_the_hecke_formula(self, m):
+        """At (t, a) = (m, m^2 - m) with deg(sigma) = 1 the closed degree is
+
+            |GL_n| / (|GL_m|^d q^(m^2 d(d-1)/2)) * (1 - q^-m)^d / (1 - q^-md) / d.
+
+        This checks gamma_factor's cancellations and the closed scalar's
+        exponents on that slice, written as that formula built from
+        ``gl_order``.  It does not confirm that a = m^2 - m is the pair
+        conductor.
+        """
+        for d in range(1, 17):
+            n = m * d
+            want = gl_order(n)
+            for _ in range(d):
+                want = want / gl_order(m)
+            want = (want * FF.q_power(-(m * m * d * (d - 1) // 2))
+                    * FF.binomial(-m, d) * FF.binomial(-m * d, -1)).scale(F(1, d))
+            got = closed_form_degree(validate(m, d, m, m * m - m, deg_sigma=1))
+            assert got.factored == want and got.deg_sigma_power == 0, (m, d)
+
+
 class TestDegree:
     def test_single_block_is_cuspidal_degree(self):
         r = closed_form_degree(validate(2, 1, 1, 0))
@@ -137,6 +160,17 @@ class TestDegree:
 
         monkeypatch.setattr(FF, "eval_exact", refuse)
         assert closed_form_degree(validate(6, d, 3, 1, q=q, deg_sigma=deg_sigma)).numeric is None
+
+    # near q = 1 the cheap bounds widen by log2(q/(q-1)) per factor and reach
+    # past both thresholds; the refined ones settle these in milliseconds,
+    # where the exact evaluation took seconds (log2 of the values: -1177, -1945)
+    @pytest.mark.parametrize("d, q", [(600, F(1001, 1000)), (300, 1.0001)])
+    def test_beyond_float_range_near_q_one_skips_exact_evaluation(self, monkeypatch, d, q):
+        def refuse(self, q):
+            raise AssertionError("exact evaluation ran")
+
+        monkeypatch.setattr(FF, "eval_exact", refuse)
+        assert closed_form_degree(validate(1, d, 1, 0, q=q, deg_sigma=1)).numeric is None
 
     # the Steinberg degree of GL_2 at q = 21 is 10 deg(sigma)^2
     @pytest.mark.parametrize("deg_sigma, want", [(F(10) ** 153, 1e307), (F(10) ** -154, 1e-307)])

@@ -159,6 +159,11 @@ def _model_of(e: AE) -> tuple[F, dict]:
     return e.const, dict(e.coeffs)
 
 
+def _model_sum(ma, mb) -> tuple[F, dict]:
+    return ma[0] + mb[0], {n: c for n in set(ma[1]) | set(mb[1])
+                           if (c := ma[1].get(n, 0) + mb[1].get(n, 0))}
+
+
 def _model_render(const: F, coeffs: dict) -> str:
     """The text form as the Fraction-valued exponents produced it."""
     pieces = []
@@ -191,8 +196,11 @@ def test_exponent_operations_match_fraction_model(c1, t1, c2, t2, r):
     assert a.render() == _model_render(*ma)
 
     total = a + b
-    assert _model_of(total) == (ma[0] + mb[0], {n: c for n in set(ma[1]) | set(mb[1])
-                                                if (c := ma[1].get(n, 0) + mb[1].get(n, 0))})
+    assert _model_of(total) == _model_sum(ma, mb)
+    # an operand without variables on either side, and an exponent against itself
+    for x, y in ((a, as_exponent(c2)), (as_exponent(c1), b)):
+        assert _model_of(x + y) == _model_of(y + x) == _model_sum(_model_of(x), _model_of(y))
+    assert a == a and hash(a) == hash(AE.make(c1, t1)) and a == AE.make(c1, t1)
     assert _model_of(a - b) == _model_of(a + (-b))
     assert _model_of(a.scale(r)) == (ma[0] * r, {n: c * r for n, c in ma[1].items() if r})
     assert _model_of(a.scale(int(r))) == (ma[0] * int(r),

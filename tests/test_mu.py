@@ -194,7 +194,7 @@ class TestLaidOutMu:
             # every exponent with its own copy of its terms
             copied = FF(f.constant, f.log_grade, f.monomial,
                         tuple((AE(e._num, e._den, tuple(list(e._terms))), m)
-                              for e, m in f.binomials), False)
+                              for e, m in f.binomials))
             assert copied == f
             assert len({id(e._terms) for e, _ in copied.binomials}) == len(f.binomials)
             assert len({id(e._terms) for e, _ in f.binomials}) < len(f.binomials)

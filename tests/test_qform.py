@@ -122,6 +122,25 @@ class TestCanonicalForm:
             assert text == str(x)
 
 
+class TestZeroForm:
+    def test_every_zero_is_the_one_zero_form(self):
+        zero = FF.from_constant(0)
+        f = FF.build(F(3, 2), 1, AE.variable("z"), [(as_exponent(2), -1)])
+        zeros = (
+            FF.build(5, 2, AE.variable("z"), [(as_exponent(3), 1), (as_exponent(0), 2)]),
+            f.scale(0),
+            f * zero,
+            zero * f,
+            FF(F(0)),
+        )
+        for z in zeros:
+            assert z == zero and z.is_zero and not z.is_one
+            assert z.render() == "0"
+            assert z.eval_numeric(2.0, {"z": 0.5}) == 0j
+            assert type(z.eval_numeric(2.0, {"z": 0.5})) is complex
+        assert zero.constant == 0 and zero.binomials == () and zero.monomial.is_zero
+
+
 class TestSubstitute:
     def test_numerator_vanishes_to_zero(self):
         f = FF.binomial(AE.make(-2, {"z": 1}))
@@ -341,6 +360,37 @@ class TestLog2Bounds:
         slack = 1e-9 * (1 + abs(got))
         assert low - slack <= got <= high + slack
 
+    @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(
+        st.builds(F, st.integers(-60, 60).filter(bool), st.integers(1, 60)),
+        st.integers(-20, 20),
+        st.lists(st.tuples(st.integers(-400, 400).filter(bool), st.integers(-3, 3)), max_size=8),
+        st.one_of(st.builds(lambda n: 1 + F(1, n), st.integers(100, 10 ** 6)),
+                  st.builds(F, st.integers(2, 40), st.integers(1, 20)).filter(lambda q: q > 1)))
+    def test_refined_bounds_hold_and_lie_within_the_cheap_ones(self, constant, monomial,
+                                                               binomials, q):
+        # q in (1, 1.01] too, where the cheap bounds widen by log2(q/(q-1)) per factor
+        f = FF.build(constant, 0, monomial, [(as_exponent(k), m) for k, m in binomials])
+        low, high = f.refined_log2_bounds(q)
+        got = _log2_abs(f.eval_exact(q))
+        slack = 1e-9 * (1 + abs(got))
+        assert low <= got <= high and high - low <= slack
+        cheap = f.log2_bounds(q)
+        assert cheap[0] - slack <= low and high <= cheap[1] + slack
+
+    def test_refined_bounds_none_where_the_cheap_ones_are(self):
+        assert FF.binomial(2, 3).refined_log2_bounds(F(1)) is None
+        assert FF.binomial(AE.variable("z")).refined_log2_bounds(F(2)) is None
+        assert FF.from_constant(0).refined_log2_bounds(F(2)) is None
+        assert FF.binomial(2, 3).refined_log2_bounds(1 + F(1, 10 ** 400)) is None
+
+
+def _log2_abs(x: F) -> float:
+    """log2 |x| for a nonzero rational of any size, from its correctly rounded mantissa."""
+    x = abs(x)
+    k = x.numerator.bit_length() - x.denominator.bit_length()
+    return math.log2(x / F(2) ** k) + k
+
 
 def fraction_loop_eval(f: FF, q) -> F:
     """Reference for eval_exact: a Fraction power, a 1 - x and a normalising
@@ -386,7 +436,7 @@ class TestEvalExact:
             constant = random_rational(rng, 9, 9, allow_zero=False)
             # build orients every exponent positive; the raw form keeps the
             # negative ones, so both branches of the kernel are compared
-            raw = FF(constant, 0, as_exponent(monomial), tuple(binomials), False)
+            raw = FF(constant, 0, as_exponent(monomial), tuple(binomials))
             for f in (FF.build(constant, 0, monomial, binomials), raw):
                 want = _outcome(fraction_loop_eval, f, q)
                 assert _outcome(FF.eval_exact, f, q) == want
@@ -398,7 +448,7 @@ class TestEvalExact:
         with pytest.raises(ZeroDivisionError):
             (FF.q_power(-1) * FF.binomial(AE.variable("z"))).eval_exact(F(0))
         with pytest.raises(ZeroDivisionError):
-            FF(F(1), 0, as_exponent(0), ((as_exponent(-2), -1),), False).eval_exact(F(0))
+            FF(F(1), 0, as_exponent(0), ((as_exponent(-2), -1),)).eval_exact(F(0))
 
     def test_integer_constant_and_int_q(self):
         f = FF.build(-4, 0, -3, [(as_exponent(-2), 3), (as_exponent(5), -2)])
