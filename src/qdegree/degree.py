@@ -73,19 +73,13 @@ def _numeric(factored: FactoredForm, q: Fraction | float) -> float | None:
     """The value at q as a float, or None when it lies beyond the range of normal floats.
 
     A float q is evaluated exactly too, at the rational it stands for.  A
-    value whose float bounds lie far beyond that range returns None before
-    the exact evaluation, whose big integers would take seconds.  The cheap
-    ``log2_bounds`` widen by log2(q / (q - 1)) per factor, so near q = 1
-    they reach past a threshold without settling it; only then are they
-    replaced by ``refined_log2_bounds``.
+    value whose ``log2_bounds`` lie far beyond that range returns None before
+    the exact evaluation, whose big integers would take seconds.
     """
     q = Fraction(q)
     bounds = factored.log2_bounds(q)
-    if bounds is not None and (bounds[1] > _HIGH or bounds[0] < _LOW):
-        if not (bounds[0] > _HIGH or bounds[1] < _LOW):
-            bounds = factored.refined_log2_bounds(q) or bounds
-        if bounds[0] > _HIGH or bounds[1] < _LOW:
-            return None
+    if bounds is not None and (bounds[0] > _HIGH or bounds[1] < _LOW):
+        return None
     try:
         value = float(factored.eval_exact(q))
     except OverflowError:

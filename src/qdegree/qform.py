@@ -157,11 +157,12 @@ def _merge(t1, f1: int, t2, f2: int) -> tuple[tuple[str, int], ...]:
 
 def _reduced(num: int, den: int, terms: tuple[tuple[str, int], ...]) -> "AffineExponent":
     """The exponent (num + terms)/den, den > 0, with the common factor divided out."""
-    g = gcd(den, num, *[c for _, c in terms])
-    if g != 1:
-        num //= g
-        den //= g
-        terms = tuple((n, c // g) for n, c in terms)
+    if den != 1:
+        g = gcd(den, num, *[c for _, c in terms])
+        if g != 1:
+            num //= g
+            den //= g
+            terms = tuple((n, c // g) for n, c in terms)
     return AffineExponent(num, den, terms)
 
 
@@ -669,45 +670,21 @@ class FactoredForm:
         return Fraction(num, den)
 
     def log2_bounds(self, q: Fraction) -> tuple[float, float] | None:
-        """Bounds on log2 |value| at a rational q > 1 from float arithmetic
-        alone; None unless q > 1, every exponent is a constant integer, the
+        """Bounds on log2 |value| at a rational q > 1 from float arithmetic,
+        within float rounding however close q is to 1; None unless q > 1,
+        log q is a normal float, every exponent is a constant integer, the
         form is nonzero and log_grade is 0.
-
-        For an integer k != 0, |1 - q^k| is q^max(k, 0) times a number in
-        [1 - 1/q, 1).  So log2 |value| is log2 |c| + log2 q * (E0 + the sum
-        of m k over k > 0), to within log2(q / (q - 1)) per unit of |m|.
-        """
-        mono = self.monomial
-        if not q > 1 or self.is_zero or self.log_grade or mono._terms or mono._den != 1:
-            return None
-        power, weight = mono._num, 0
-        for e, m in self.binomials:
-            if e._terms or e._den != 1:
-                return None
-            if e._num > 0:
-                power += m * e._num
-            weight += abs(m)
-        n, d = _ratio(q)
-        c = self.constant
-        mid = (math.log2(abs(c.numerator)) - math.log2(c.denominator)
-               + power * (math.log2(n) - math.log2(d)))
-        spread = weight * (math.log2(n) - math.log2(n - d))
-        return mid - spread, mid + spread
-
-    def refined_log2_bounds(self, q: Fraction) -> tuple[float, float] | None:
-        """Bounds on log2 |value| like ``log2_bounds``, but within float
-        rounding however close q is to 1, at the cost of two float functions
-        per factor; None where ``log2_bounds`` is, or where log q is below
-        the normal floats.
 
         log |1 - q^k| = max(k, 0) log q + log(-expm1(-|k| log q)).  log q is
         taken to a few units in the last place (near 1 through ``log1p`` of
         a correctly rounded q - 1), and the slope of log(1 - e^-x) is
         1/(e^x - 1) <= 1/x, so each factor's term is within a few units of
-        its size plus its |m|; ``math.fsum`` adds the terms with one
-        rounding.  The spread allows 16 units per unit of size and of |m|.
+        its size plus its |m|; the q^max(k, 0) parts are gathered into one
+        integer power, and ``math.fsum`` adds the terms with one rounding.
+        The spread allows 16 units per unit of size and of |m|.
         """
-        if self.log2_bounds(q) is None:  # it checks q and the form
+        mono = self.monomial
+        if not q > 1 or self.is_zero or self.log_grade or mono._terms or mono._den != 1:
             return None
         if q < 2:
             lnq = math.log1p(float(q - 1))
@@ -717,13 +694,19 @@ class FactoredForm:
         if lnq < sys.float_info.min:
             return None
         mant, shift = _scaled_rational(abs(self.constant))
-        terms = [math.log2(mant) + shift, self.monomial._num * lnq / _LN2]
+        terms = [math.log(mant) + shift * _LN2]
+        power, weight = mono._num, 2
         for e, m in self.binomials:
             k = e._num
-            terms.append(m * (max(k, 0) * lnq + math.log(-math.expm1(-abs(k) * lnq))) / _LN2)
-        weight = sum(abs(m) for _, m in self.binomials) + 2
-        spread = 16 * sys.float_info.epsilon * (sum(map(abs, terms)) + weight)
-        mid = math.fsum(terms)
+            if e._terms or e._den != 1:
+                return None
+            if k > 0:
+                power += m * k
+            weight += abs(m)
+            terms.append(m * math.log(-math.expm1(-abs(k) * lnq)))
+        terms.append(power * lnq)
+        mid = math.fsum(terms) / _LN2
+        spread = 16 * sys.float_info.epsilon * (sum(map(abs, terms)) + weight) / _LN2
         return mid - spread, mid + spread
 
     # -- rendering ----------------------------------------------------------

@@ -161,9 +161,9 @@ class TestDegree:
         monkeypatch.setattr(FF, "eval_exact", refuse)
         assert closed_form_degree(validate(6, d, 3, 1, q=q, deg_sigma=deg_sigma)).numeric is None
 
-    # near q = 1 the cheap bounds widen by log2(q/(q-1)) per factor and reach
-    # past both thresholds; the refined ones settle these in milliseconds,
-    # where the exact evaluation took seconds (log2 of the values: -1177, -1945)
+    # near q = 1 each factor 1 - q^k lies far below q^max(k, 0); the bounds
+    # take its logarithm, so they settle these in milliseconds, where the
+    # exact evaluation took seconds (log2 of the values: -1177, -1945)
     @pytest.mark.parametrize("d, q", [(600, F(1001, 1000)), (300, 1.0001)])
     def test_beyond_float_range_near_q_one_skips_exact_evaluation(self, monkeypatch, d, q):
         def refuse(self, q):
