@@ -42,26 +42,28 @@ class DegreeResult:
 
 
 def gl_order(n: int) -> FactoredForm:
-    """|GL_n| over the q-element field, in one build: |GL_n| =
-    q^(n(n-1)/2) * prod_(k=1..n) (q^k - 1), and q^k - 1 = -(1 - q^k).
+    """|GL_n| over the q-element field: |GL_n| = q^(n(n-1)/2) * prod_(k=1..n)
+    (q^k - 1), and q^k - 1 = -(1 - q^k).  The exponents 1..n are positive,
+    distinct and in a canonical form's order, so the form is laid out as it is.
     """
     if n < 1:
         raise OutOfRangeError(f"matrix size {n} must be positive")
-    return FactoredForm.build((-1) ** n, 0, n * (n - 1) // 2,
-                              [(AffineExponent(k), 1) for k in range(1, n + 1)])
+    return FactoredForm(Fraction((-1) ** n), 0, AffineExponent(n * (n - 1) // 2),
+                        tuple([(AffineExponent(k), 1) for k in range(1, n + 1)]))
 
 
 def gamma_factor(p: SetupParams) -> FactoredForm:
-    """The induction constant |GL_n| / |GL_m|^d * q^(mn - n^2), in one build.
+    """The induction constant |GL_n| / |GL_m|^d * q^(mn - n^2), laid out as gl_order.
 
     The factors (1 - q^k) of |GL_m|^d cancel those of |GL_n| for k <= m, which
-    leaves multiplicity 1 - d there (0 at d = 1, so the build drops them) and
-    1 for m < k <= n; the signs (-1)^n / (-1)^(md) cancel since n = md.
+    leaves multiplicity 1 - d there (none at d = 1) and 1 for m < k <= n; the
+    signs (-1)^n / (-1)^(md) cancel since n = md.
     """
     m, n, d = p.m, p.n, p.d
-    return FactoredForm.build(1, 0, n * (n - 1) // 2 - d * (m * (m - 1) // 2) + m * n - n * n,
-                              [(AffineExponent(k), 1 - d if k <= m else 1)
-                               for k in range(1, n + 1)])
+    low = [(AffineExponent(k), 1 - d) for k in range(1, m + 1)] if d > 1 else []
+    return FactoredForm(Fraction(1), 0,
+                        AffineExponent(n * (n - 1) // 2 - d * (m * (m - 1) // 2) + m * n - n * n),
+                        tuple(low + [(AffineExponent(k), 1) for k in range(m + 1, n + 1)]))
 
 
 _MARGIN_BITS = 64  # how far beyond the float range the bounds must lie, past their rounding

@@ -166,6 +166,14 @@ def _reduced(num: int, den: int, terms: tuple[tuple[str, int], ...]) -> "AffineE
     return AffineExponent(num, den, terms)
 
 
+def _slope(e: "AffineExponent", name: str) -> int:
+    """The integer coefficient of ``name`` in e, over e's denominator."""
+    for n, c in e._terms:
+        if n == name:
+            return c
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # Affine exponents
 # ---------------------------------------------------------------------------
@@ -237,10 +245,7 @@ class AffineExponent:
         return not self._terms
 
     def coeff(self, name: str) -> Fraction:
-        for n, c in self._terms:
-            if n == name:
-                return Fraction(c, self._den)
-        return Fraction(0)
+        return Fraction(_slope(self, name), self._den)
 
     # -- identity -----------------------------------------------------------
 
@@ -465,6 +470,13 @@ def sort_exponents(exponents: list[AffineExponent]) -> None:
         exponents.sort(key=_unscaled_key if len(dens) == 1 else _scaled_key(lcm(*dens)))
 
 
+def _sorted_binomials(merged: Mapping[AffineExponent, int]) -> tuple:
+    """The nonzero entries of exponent -> multiplicity, in a canonical form's order."""
+    exponents = [e for e, m in merged.items() if m]
+    sort_exponents(exponents)
+    return tuple([(e, merged[e]) for e in exponents])
+
+
 # ---------------------------------------------------------------------------
 # Factored forms
 # ---------------------------------------------------------------------------
@@ -479,6 +491,10 @@ class FactoredForm:
     sorted.  Two forms represent the same function iff they are equal.  The
     zero form is the one with constant 0; every operation that gives zero
     gives that one form.
+
+    The constructor takes a form that is already canonical, as
+    ``AffineExponent``'s takes a reduced one; ``build`` makes one from any
+    factors.  Products and quotients rely on their operands being canonical.
     """
 
     constant: Fraction = Fraction(1)
@@ -537,10 +553,7 @@ class FactoredForm:
             merged[exponent] = merged.get(exponent, 0) + mult
         if vanished:
             return _ZERO_FORM
-        exponents = [e for e, m in merged.items() if m]
-        sort_exponents(exponents)
-        return FactoredForm(constant, log_grade, monomial,
-                            tuple([(e, merged[e]) for e in exponents]))
+        return FactoredForm(constant, log_grade, monomial, _sorted_binomials(merged))
 
     # -- structure ----------------------------------------------------------
 
@@ -556,12 +569,15 @@ class FactoredForm:
     # -- algebra ------------------------------------------------------------
 
     def __mul__(self, other: "FactoredForm") -> "FactoredForm":
+        """Merged from two canonical forms, which are already oriented: equal
+        exponents add multiplicities, zeros drop, one sort orders the rest."""
         if self.is_zero or other.is_zero:
             return _ZERO_FORM
-        return FactoredForm.build(self.constant * other.constant,
-                                  self.log_grade + other.log_grade,
-                                  self.monomial + other.monomial,
-                                  self.binomials + other.binomials)
+        merged = dict(self.binomials)
+        for e, m in other.binomials:
+            merged[e] = merged.get(e, 0) + m
+        return FactoredForm(self.constant * other.constant, self.log_grade + other.log_grade,
+                            self.monomial + other.monomial, _sorted_binomials(merged))
 
     def scale(self, c: Rational) -> "FactoredForm":
         c = _as_fraction(c)
@@ -876,30 +892,34 @@ def _form_series(f: FactoredForm, name: str, center: ExponentValue) -> SumForm:
         1 - q^(c + s w)    lead 1 - q^c        a_j = -q^c (s u)^j / (j! (1 - q^c))
     """
     at = as_exponent(center)
-    constant, log_grade, p = f.constant, f.log_grade, 0
-    regular, units = [], []  # units: (m, slope, j! offset, exponent c of a regular factor)
+    # the lead constant over integers: f's times each vanishing factor's (-s)^m
+    top, bottom, log_grade, p = f.constant.numerator, f.constant.denominator, f.log_grade, 0
+    regular, units = [], []  # units: (m, slope (k, den), j! offset, exponent c of a regular factor)
     for exponent, m in f.binomials:
-        s, c = exponent.coeff(name), exponent.substitute(name, at)
+        k, c = _slope(exponent, name), exponent.substitute(name, at)
         if c.is_zero:
-            constant *= (-s) ** m
+            x, y = (-k, exponent._den) if m > 0 else (exponent._den, -k)
+            top, bottom = top * x ** abs(m), bottom * y ** abs(m)
             log_grade += m
             p += m
-            units.append((m, s, 1, None))
+            units.append((m, (k, exponent._den), 1, None))
         else:
             regular.append((c, m))
-            if s:
-                units.append((m, s, 0, c))
+            if k:
+                units.append((m, (k, exponent._den), 0, c))
     n = -1 - p
     if n < 0:
         return SumForm()
-    lead = FactoredForm.build(constant, log_grade, f.monomial.substitute(name, at), regular)
+    lead = FactoredForm.build(Fraction(top, bottom), log_grade,
+                              f.monomial.substitute(name, at), regular)
     if n == 0:  # only the constant 1 of each unit series enters
         return SumForm((lead,))
-    e = f.monomial.coeff(name)
-    if e:
-        units.insert(0, (1, e, 0, None))  # first: the order of the sums' terms follows units
+    k = _slope(f.monomial, name)
+    if k:  # first: the order of the sums' terms follows units
+        units.insert(0, (1, (k, f.monomial._den), 0, None))
     product = [SumForm((_ONE_FORM,))] + [SumForm()] * n
-    for m, s, offset, c in units:
+    for m, slope, offset, c in units:
+        s = Fraction(*slope)
         g = _ONE_FORM if c is None else FactoredForm.build(-1, 0, c, ((c, -1),))
         a = [FactoredForm(g.constant * s ** j / math.factorial(j + offset), j,
                           g.monomial, g.binomials) for j in range(n + 1)]
@@ -913,6 +933,8 @@ def residue(f: Union[FactoredForm, SumForm], name: str, point: ExponentValue) ->
     """Residue of f dz at name = point, rational or affine in the other
     variables: the w^(-1) coefficients of ``_form_series`` of f's terms.  A
     simple pole gives one factored form per term; regular points give zero.
+    Only a ``SumForm``'s sums are joined into a new one.
     """
-    return SumForm(tuple(t for term in as_sum(f).terms
-                         for t in _form_series(term, name, point).terms))
+    if isinstance(f, FactoredForm):
+        return SumForm() if f.is_zero else _form_series(f, name, point)
+    return SumForm(tuple(t for term in f.terms for t in _form_series(term, name, point).terms))

@@ -9,7 +9,7 @@ from qdegree.checks import theorem_grid
 from qdegree.degree import (assemble_degree, closed_form_degree, gamma_factor,
                             gl_order, verify_theorem)
 from qdegree.model import OutOfRangeError, validate
-from qdegree.qform import FactoredForm as FF
+from qdegree.qform import FactoredForm as FF, as_exponent
 
 
 def count_invertible_matrices(n: int, p: int) -> int:
@@ -54,6 +54,13 @@ class TestGlOrder:
         with pytest.raises(OutOfRangeError):
             gl_order(0)
 
+    def test_laid_out_as_its_defining_build(self):
+        # q^(n(n-1)/2) * prod_(k=1..n) (q^k - 1), each q^k - 1 written -(1 - q^k)
+        for n in range(1, 97):
+            want = FF.build((-1) ** n, 0, n * (n - 1) // 2,
+                            [(as_exponent(k), 1) for k in range(1, n + 1)])
+            assert gl_order(n) == want, n
+
 
 class TestGammaFactor:
     def test_split_rank_one_case(self):
@@ -68,6 +75,18 @@ class TestGammaFactor:
     def test_exact_rational_value(self):
         got = gamma_factor(validate(2, 2, 1, 0)).eval_exact(F(2))
         assert got == F(20160, 36 * 256)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_laid_out_as_its_defining_build(self, m):
+        # |GL_n| / |GL_m|^d * q^(mn - n^2) as one list of factors, uncancelled:
+        # d = 1 leaves every factor k <= m with multiplicity 0, which must be dropped
+        for d in range(1, 17):
+            n = m * d
+            factors = ([(as_exponent(k), 1) for k in range(1, n + 1)]
+                       + [(as_exponent(k), -1) for k in range(1, m + 1)] * d)
+            want = FF.build(F(-1) ** n / F(-1) ** (m * d), 0,
+                            n * (n - 1) // 2 - d * (m * (m - 1) // 2) + m * n - n * n, factors)
+            assert gamma_factor(validate(m, d, m, 0)) == want, (m, d)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 6])
     def test_equals_group_orders(self, m):

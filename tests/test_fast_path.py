@@ -7,7 +7,9 @@ At a simple pole it must equal the closed formula written out here
 as a reference, including when zeros and poles at the point partly cancel.
 At a point affine in another variable it must equal the residue at u = 0
 after the substitution z := point + u, at simple poles and at poles of order
-two.
+two.  The slope it takes at a simple pole is the pole variable's coefficient,
+wherever that variable stands among the exponent's terms, and a factored
+form's residue is the one of the form as a one-term ``SumForm``.
 
 ``AffineExponent`` keeps integers over one shared denominator; a plain
 model with Fraction parts checks its arithmetic, its reduced form, its
@@ -127,6 +129,39 @@ def test_residue_at_affine_point_matches_recentring(order):
                 <= 1e-12 * max(size, 1.0)
 
     check()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_residue_of_a_form_is_that_of_its_sum(order):
+    # a factored form's residue is _form_series's own sum, not rewrapped
+    @hypothesis.settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(pole_forms(st.one_of(rationals, affine_points), order))
+    def check(case):
+        f, point = case
+        assert residue(f, "z", point) == residue(as_sum(f), "z", point)
+
+    check()
+    assert residue(FF.from_constant(0), "z", 1) == SumForm()
+    assert residue(as_sum(FF.from_constant(0)), "z", 1) == SumForm()
+
+
+def test_simple_pole_slope_is_the_pole_variables_coefficient():
+    # At z = 2w + 1/3 the canonical exponents lead with w, so the slope of z is
+    # their second term: 3w - 3/2 z + 1/2 (over 2) and 10/3 w - 5/3 z + 5/9
+    # (over 9, oriented from -(...)), with multiplicities -2 and 1.  The residue
+    # takes (-s)^m = (3/2)^-2 * (5/3)^1 with s the coefficient of z, not of w.
+    point = AE.make(F(1, 3), {"w": 2})
+    e1 = (AE.variable("z") - point).scale(F(-3, 2))
+    e2 = (AE.variable("z") - point).scale(F(5, 3))
+    f = FF.build(F(7, 5), 0, AE.variable("z", F(1, 2)),
+                 [(e1, -2), (e2, 1), (AE.make(0, {"z": 1, "w": 1}), -1)])
+    assert [e._terms[0][0] for e, _ in f.binomials] == ["w", "w", "w"]
+    assert {e.coeff("z") for e, _ in f.binomials} == {F(-3, 2), F(-5, 3), 1}
+    assert {e.coeff("w") for e, _ in f.binomials} == {3, F(10, 3), 1}
+    assert f.pole_order("z", point) == 1
+    want = FF.build(F(-28, 27), -1, AE.make(F(1, 6), {"w": 1}), [(AE.make(F(1, 3), {"w": 3}), -1)])
+    assert residue(f, "z", point).terms == (want,)
+    assert _closed_simple_pole_residue(f, "z", point) == want
 
 
 def test_zero_and_double_pole_cancel_to_simple_pole():

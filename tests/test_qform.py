@@ -141,6 +141,45 @@ class TestZeroForm:
         assert zero.constant == 0 and zero.binomials == () and zero.monomial.is_zero
 
 
+# Few distinct values, so that the two operands often share an exponent (in
+# either orientation) and its multiplicities cancel; constant and affine, with
+# denominators 1, 2 and 3 mixed.
+_merge_exponents = st.builds(lambda c, z: AE.make(c, {"z": z}),
+                             st.builds(F, st.integers(-2, 2), st.integers(1, 3)),
+                             st.sampled_from((0, 0, 1, -1, F(1, 2), F(-2, 3)))
+                             ).filter(lambda e: not e.is_zero)
+_merge_forms = st.builds(FF.build,
+                         st.sampled_from((0, 1, -1, F(2, 3), F(-5, 4))),
+                         st.integers(-1, 1),
+                         st.builds(lambda c: AE.make(c, {"z": c}), st.integers(-1, 1)),
+                         st.lists(st.tuples(_merge_exponents, st.sampled_from((-2, -1, 1, 2))),
+                                  max_size=5))
+
+
+def _half(e, m):
+    """The binomial (1 - q^(e/2))^m, canonical."""
+    return FF.build(1, 0, 0, [(e.scale(F(1, 2)), m)])
+
+
+class TestMergedProduct:
+    """Products and quotients merge two canonical forms; one ``build`` of the
+    combined factors is their reference."""
+
+    @hypothesis.settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(_merge_forms, _merge_forms)
+    @hypothesis.example(FF.from_constant(0), _half(AE.variable("z"), 1))
+    @hypothesis.example(FF.from_constant(F(3, 2), 1), _half(AE.variable("z"), -1))
+    @hypothesis.example(_half(AE.make(F(1, 3), {"z": 1}), 2) * _half(as_exponent(3), 1),
+                        _half(AE.make(F(-1, 3), {"z": -1}), -2) * _half(as_exponent(F(1, 2)), -1))
+    def test_product_and_quotient_are_one_build(self, a, b):
+        assert a * b == FF.build(a.constant * b.constant, a.log_grade + b.log_grade,
+                                 a.monomial + b.monomial, a.binomials + b.binomials)
+        if not b.is_zero:
+            assert a / b == FF.build(a.constant / b.constant, a.log_grade - b.log_grade,
+                                     a.monomial - b.monomial,
+                                     a.binomials + tuple((e, -m) for e, m in b.binomials))
+
+
 class TestSubstitute:
     def test_numerator_vanishes_to_zero(self):
         f = FF.binomial(AE.make(-2, {"z": 1}))
