@@ -26,7 +26,7 @@ import click
 from click.utils import PacifyFlushWrapper
 
 from . import __version__, checks, degree, model, mu
-from .qform import FactoredForm
+from .qform import FactoredForm, rational_text
 
 
 # Every shared option, defined once; a command attaches those it reads.
@@ -137,11 +137,8 @@ def emit_json(obj) -> str:
 
 
 def _params_doc(p: model.SetupParams) -> dict:
-    q = p.q
-    if isinstance(q, Fraction):
-        q = str(q)
-    return {"m": p.m, "d": p.d, "t": p.t, "a": p.a,
-            "q": q if q is not None else "symbolic"}
+    q = rational_text(p.q) if isinstance(p.q, Fraction) else p.q
+    return {"m": p.m, "d": p.d, "t": p.t, "a": p.a, "q": "symbolic" if q is None else q}
 
 
 def _result_doc(factored: FactoredForm, rendered: str, numeric) -> dict:
@@ -226,7 +223,7 @@ def cmd_degree(p, as_json):
     """Print the formal degree in canonical factored form."""
     result = degree.closed_form_degree(p)
     if p.q is not None and result.deg_sigma_power == 0 and result.numeric is None:
-        _echo(f"note: the degree at q={p.q} is beyond the float range; "
+        _echo(f"note: the degree at q={rational_text(p.q)} is beyond the float range; "
               "numeric value omitted", err=True)
     if as_json:
         _emit_doc(_params_doc(p), _result_doc(result.factored, result.render(), result.numeric))

@@ -44,7 +44,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .checks import CheckReport
 from .coords import residue_point, z_var
-from .model import InvalidParamsError, OutOfRangeError, SetupParams
+from .model import InvalidParamsError, OutOfRangeError, SetupParams, q_problem
 from .mu import mu_on_z
 from .qform import (AffineExponent, DivisionByZeroError, FactoredForm,
                     SumForm, as_sum, residue)
@@ -58,6 +58,7 @@ MAX_GRID_NODES = 2 ** 24
 class QuadratureSpec:
     """Contour quadrature parameters.
 
+    ``q`` lies in the domain ``model.q_problem`` states, as validate's does;
     ``nodes`` is the per-circle node count (a power of two, at least 16).
     """
 
@@ -66,10 +67,8 @@ class QuadratureSpec:
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        if not self.q > 1:
-            raise InvalidParamsError(f"q must exceed 1, got {self.q}")
-        if math.isinf(self.q):
-            raise InvalidParamsError(f"q must be finite, got {self.q}")
+        if problem := q_problem(self.q):
+            raise InvalidParamsError(problem)
         if self.nodes < 16 or self.nodes & (self.nodes - 1):
             raise InvalidParamsError(f"nodes must be a power of two >= 16, got {self.nodes}")
         if not self.tolerance > 0:

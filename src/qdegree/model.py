@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .qform import rational_text
+
 
 class InvalidParamsError(ValueError):
     """Rejected setup parameters."""
@@ -50,6 +52,16 @@ class SetupParams:
             raise OutOfRangeError(f"level {l} outside [{low}, {self.d}]")
 
 
+def q_problem(q: Fraction | float) -> str | None:
+    """Why q lies outside its domain, finite and > 1, or None when it lies inside."""
+    exact = isinstance(q, (int, Fraction))
+    if not exact and not math.isfinite(q):
+        return f"q must be finite, got {q}"
+    if not q > 1:
+        return f"q must exceed 1, got {rational_text(q) if exact else q}"
+    return None
+
+
 def validate(m: int, d: int, t: int, a: int,
              q: QValue = None, deg_sigma=None) -> SetupParams:
     """Validate raw parameters, deriving n and attaching warnings."""
@@ -64,18 +76,16 @@ def validate(m: int, d: int, t: int, a: int,
         problems.append(f"t must not exceed m, got t={t} > m={m}")
     if a < 0:
         problems.append(f"a must be a nonnegative integer, got {a}")
-    if isinstance(q, (int, Fraction)) and q is not None:
+    if isinstance(q, int):
         q = Fraction(q)
-    if isinstance(q, float) and not math.isfinite(q):
-        problems.append(f"q must be finite, got {q}")
-    elif q is not None and not q > 1:
-        problems.append(f"q must exceed 1, got {q}")
+    if q is not None and (problem := q_problem(q)):
+        problems.append(problem)
     if isinstance(deg_sigma, float) and not math.isfinite(deg_sigma):
         problems.append(f"deg_sigma must be finite, got {deg_sigma}")
     elif deg_sigma is not None:
         deg_sigma = Fraction(deg_sigma)
         if not deg_sigma > 0:
-            problems.append(f"deg_sigma must be positive, got {deg_sigma}")
+            problems.append(f"deg_sigma must be positive, got {rational_text(deg_sigma)}")
     if problems:
         raise InvalidParamsError("; ".join(problems))
     warnings = ()

@@ -54,11 +54,12 @@ def mu_full(p: SetupParams, weight: Weight) -> FactoredForm:
     constant and monomial: each part is taken with a positive leading
     coefficient.  Equal parts merge into a multiplicity k, and a zero part
     makes mu zero.  The distinct parts are sorted once in build's order
-    (``sort_exponents``); the constants -t < 0 < t of tx - t, tx and tx + t
-    then order the binomials as three runs in that order of the parts:
-    (tx - t)^(-k), (tx)^(2k), (tx + t)^(-k).  A weight whose differences
-    carry a constant, which only tests pass, takes the one general build of
-    all pair binomials instead.
+    (``sort_exponents``).  The binomials are three runs in that order of the
+    parts, one per binomial of ``_rank_one_binomials`` sorted by constant
+    (-t < 0 < t): (tx - t)^(-k), (tx)^(2k), (tx + t)^(-k); the run at 0 holds
+    the part itself, so a part's three binomials share its terms tuple.  A
+    weight whose differences carry a constant, which only tests pass, takes
+    the one general build of all pair binomials instead.
     """
     if weight.dim != p.d:
         raise OutOfRangeError(f"weight has {weight.dim} entries, expected {p.d}")
@@ -78,10 +79,9 @@ def mu_full(p: SetupParams, weight: Weight) -> FactoredForm:
         counts[tx] = counts.get(tx, 0) + 1
     order = list(counts)
     sort_exponents(order)
-    t = p.t
-    binomials = ([(tx - t, -counts[tx]) for tx in order] + [(tx, 2 * counts[tx]) for tx in order]
-                 + [(tx + t, -counts[tx]) for tx in order])
-    return FactoredForm(Fraction(1), 0, as_exponent(monomial), tuple(binomials))
+    runs = sorted((e._num, m) for e, m in _rank_one_binomials(p, as_exponent(0)))
+    binomials = tuple([(tx + c if c else tx, m * counts[tx]) for c, m in runs for tx in order])
+    return FactoredForm(Fraction(1), 0, as_exponent(monomial), binomials)
 
 
 def mu_level_ratio_closed(p: SetupParams, l: int) -> FactoredForm:

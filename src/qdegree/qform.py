@@ -15,12 +15,13 @@ gcd(den, num, c_1, ...) = 1.  The representation is unique, so exponents
 hash and compare as integer tuples, and their algebra is integer arithmetic
 with one gcd step; no Fraction arithmetic runs while forms are built.
 
-The module holds, each described where it is defined: ``AffineExponent``;
-``RowSum``, integer rows of exponents summed with one gcd step per sum;
-``sort_exponents``, the order of a canonical form's binomials;
-``FactoredForm`` with its numeric and exact evaluation; ``split_at_point``,
-a form's binomials at a residue chain's point; ``SumForm``; and
-``residue``, the w^(-1) Laurent coefficient at a point.
+The module holds, each described where it is defined: ``rational_text``,
+the program's one printer of an exact rational, for any number of digits;
+``AffineExponent``; ``RowSum``, integer rows of exponents summed with one
+gcd step per sum; ``sort_exponents``, the order of a canonical form's
+binomials; ``FactoredForm`` with its numeric and exact evaluation;
+``split_at_point``, a form's binomials at a residue chain's point;
+``SumForm``; and ``residue``, the w^(-1) Laurent coefficient at a point.
 
 Exponents and forms are immutable and hashable, and their operations are
 pure functions; a ``RowSum`` is a scratch accumulator owned by the one call
@@ -114,21 +115,11 @@ def _scaled_rational(x: Fraction) -> tuple[float, int]:
     return (x.numerator << -k) / x.denominator, k
 
 
-# below 2000 bits an integer has fewer digits than the lowest limit that
-# sys.set_int_max_str_digits accepts (640), so str() never refuses it
-_STR_SAFE_BITS = 2000
-
-
-def _int_text(n: int) -> str:
-    """The decimal digits of n; past the int-to-str digit limit through
-    ``Decimal``, whose conversion has no limit."""
-    return str(n) if n.bit_length() <= _STR_SAFE_BITS else str(Decimal(n))
-
-
-def _rational_text(x: Fraction) -> str:
-    """``str(x)``, for any size of numerator and denominator."""
-    num = _int_text(x.numerator)
-    return num if x.denominator == 1 else f"{num}/{_int_text(x.denominator)}"
+def rational_text(x: Rational) -> str:
+    """``str(x)`` of an int or a Fraction, for any size: the numerator and
+    the denominator go through ``Decimal``, whose conversion has no digit limit."""
+    num, den = _ratio(x)
+    return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
 
 
 @lru_cache(maxsize=4096)
@@ -205,21 +196,14 @@ class AffineExponent:
     @staticmethod
     def make(const: Rational = 0,
              coeffs: Mapping[str, Rational] | Iterable[tuple[str, Rational]] = ()) -> "AffineExponent":
+        """const + sum of coeff * name over ``coeffs``, a mapping or pairs in
+        which a name may repeat: each unit exponent ``name``, scaled by its
+        coefficient, is added to the constant.  A float raises TypeError."""
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        num, den = _ratio(const)
-        const_den = den
-        parts = []
+        total = AffineExponent(*_ratio(const))
         for name, c in items:
-            n, d = _ratio(c)
-            if n:
-                parts.append((name, n, d))
-                den = lcm(den, d)
-        num *= den // const_den
-        acc: dict[str, int] = {}
-        for name, n, d in parts:
-            acc[name] = acc.get(name, 0) + n * (den // d)
-        terms = tuple(sorted(((n, c) for n, c in acc.items() if c), key=_term_key))
-        return _reduced(num, den, terms)
+            total = total + AffineExponent(0, 1, ((name, 1),)).scale(c)
+        return total
 
     @staticmethod
     def variable(name: str, coeff: Rational = 1, const: Rational = 0) -> "AffineExponent":
@@ -275,8 +259,6 @@ class AffineExponent:
         d1, d2 = self._den, other._den
         if d2 == 1 and not other._terms:
             return AffineExponent(self._num + other._num * d1, d1, self._terms)
-        if d1 == 1 and not self._terms:
-            return AffineExponent(other._num + self._num * d2, d2, other._terms)
         den = d1 if d1 == d2 else lcm(d1, d2)
         f1, f2 = den // d1, den // d2
         return _reduced(self._num * f1 + other._num * f2, den,
@@ -337,10 +319,10 @@ class AffineExponent:
         pieces: list[tuple[int, str]] = []
         if self._num or not self._terms:
             pieces.append((1 if self._num >= 0 else -1,
-                           _rational_text(Fraction(abs(self._num), den))))
+                           rational_text(Fraction(abs(self._num), den))))
         for n, c in self._terms:
             mag = abs(c)
-            body = n if mag == den else f"{_rational_text(Fraction(mag, den))}*{n}"
+            body = n if mag == den else f"{rational_text(Fraction(mag, den))}*{n}"
             pieces.append((1 if c > 0 else -1, body))
         sign, body = pieces[0]
         out = ("-" if sign < 0 else "") + body
@@ -731,7 +713,7 @@ class FactoredForm:
         """Bit-exact canonical text: c * logq^g * q^(E0) * PROD (1 - q^(E))^k."""
         if self.is_zero:
             return "0"
-        parts = [_rational_text(self.constant)]
+        parts = [rational_text(self.constant)]
         if self.log_grade:
             parts.append(f"logq^{self.log_grade}")
         if not self.monomial.is_zero:

@@ -119,6 +119,48 @@ class TestDegreeCommand:
         assert result.output.strip() == "degσ"
 
 
+_GL2 = ["degree", "--m", "1", "--d", "2", "--t", "1", "--a", "0"]
+_BIG = "1" + "0" * 5000  # 10^5000: str() of an int refuses more than 4300 digits by default
+
+
+class TestRationalsPastTheDigitLimit:
+    """q and deg_sigma of any size are printed in full, never exit 4."""
+
+    def test_json_prints_q_in_full(self, runner):
+        result = runner.invoke(main, [*_GL2, "--q", "1e5000", "--json"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["params"]["q"] == _BIG
+
+    def test_beyond_float_range_notes_q_in_full(self, runner):
+        result = runner.invoke(main, [*_GL2, "--q", "1e5000", "--deg-sigma", "1"])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == "-1/2 * (1 - q^(1))^1\n"
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"note: the degree at q={_BIG} is beyond the float range")
+
+    def test_q_below_one_is_one_error_line(self, runner):
+        result = runner.invoke(main, [*_GL2, "--q", "1e-5000"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"Error: q must exceed 1, got 1/{_BIG}\n"
+
+    def test_negative_deg_sigma_is_one_error_line(self, runner):
+        result = runner.invoke(main, [*_GL2, "--deg-sigma", "-1e5000"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"Error: deg_sigma must be positive, got -{_BIG}\n"
+
+    def test_config_file_as_the_flag(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("q=1e5000\n")
+        from_config = runner.invoke(main, [*_GL2, "--config", str(cfg), "--json"])
+        from_flag = runner.invoke(main, [*_GL2, "--q", "1e5000", "--json"])
+        assert from_config.exit_code == from_flag.exit_code == 0
+        assert from_config.stdout == from_flag.stdout
+        assert from_config.stderr == from_flag.stderr == ""
+
+
 class TestMuCommand:
     def test_two_block_function(self, runner):
         result = runner.invoke(main, ["mu", "--d", "2", "--t", "1", "--a", "0"])

@@ -124,6 +124,16 @@ class TestQuadratureSpec:
             with pytest.raises(ValueError):
                 QuadratureSpec(q=q)
 
+    @pytest.mark.parametrize("q", [float("nan"), float("inf"), float("-inf"), 1.0, 0.5])
+    def test_q_refused_as_validate_refuses_it(self, q):
+        with pytest.raises(InvalidParamsError) as spec_error:
+            QuadratureSpec(q=q)
+        with pytest.raises(InvalidParamsError) as validate_error:
+            validate(1, 2, 1, 0, q=q)
+        assert str(spec_error.value) == str(validate_error.value)
+        if q != q:
+            assert str(spec_error.value) == "q must be finite, got nan"
+
     def test_rejections_are_typed(self):
         # the CLI maps both to a usage error; both stay ValueErrors for callers
         for tolerance in (0, float("inf")):

@@ -48,6 +48,15 @@ class TestValidate:
         with pytest.raises(InvalidParamsError):
             validate(1, 1, 1, 0, deg_sigma=F(0))
 
+    def test_messages_print_rationals_past_the_digit_limit(self):
+        # str() of these refuses more than 4300 digits by default
+        with pytest.raises(InvalidParamsError) as caught:
+            validate(1, 2, 1, 0, q=F(1, 10 ** 5000))
+        assert str(caught.value).endswith("got 1/1" + "0" * 5000)
+        with pytest.raises(InvalidParamsError) as caught:
+            validate(1, 2, 1, 0, deg_sigma=-10 ** 5000)
+        assert str(caught.value).endswith("got -1" + "0" * 5000)
+
 
 def test_public_names_resolve():
     # a name left in __all__ after its definition is gone fails here

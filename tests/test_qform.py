@@ -21,7 +21,28 @@ from conftest import (circle_integral, pole_distance_bound, random_form,
 from qdegree.degree import gl_order
 from qdegree.qform import (AffineExponent as AE, DivisionByZeroError,
                            FactoredForm as FF, PoleAtSubstitutionError, SumForm,
-                           as_exponent, as_sum, residue)
+                           as_exponent, as_sum, rational_text, residue)
+
+
+# ints and Fractions, zero included; the names in their natural order
+_rationals = st.one_of(st.integers(-6, 6), st.builds(F, st.integers(-6, 6), st.integers(1, 4)))
+_NAMES = ("w", "z1", "z2", "z10")
+
+
+class TestRationalText:
+    @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(st.integers(-(2 ** 2000), 2 ** 2000),
+                      st.integers(-(2 ** 2000), 2 ** 2000).filter(bool))
+    def test_is_str_within_the_digit_limit(self, n, d):
+        assert rational_text(n) == str(n)
+        assert rational_text(F(n, d)) == str(F(n, d))
+
+    def test_full_digits_past_the_digit_limit(self):
+        assert rational_text(10 ** 5000) == "1" + "0" * 5000
+        assert rational_text(F(-1, 10 ** 5000)) == "-1/1" + "0" * 5000
+        if sys.get_int_max_str_digits():  # str() refuses these under the default limit
+            with pytest.raises(ValueError):
+                str(10 ** 5000)
 
 
 class TestAffineExponent:
@@ -58,6 +79,25 @@ class TestAffineExponent:
     def test_variable_matches_make(self, coeff, const):
         # equality compares the reduced integer representation
         assert AE.variable("z", coeff, const) == AE.make(const, {"z": coeff})
+
+    @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(_rationals, st.lists(st.tuples(st.sampled_from(_NAMES), _rationals),
+                                           max_size=6), st.booleans())
+    def test_make_matches_a_fraction_model(self, const, pairs, as_mapping):
+        coeffs = dict(pairs) if as_mapping else pairs
+        model: dict[str, F] = {}
+        for name, c in (coeffs.items() if as_mapping else coeffs):
+            model[name] = model.get(name, 0) + F(c)
+        want = {name: c for name, c in model.items() if c}
+        e = AE.make(const, coeffs)
+        assert e.const == const and dict(e.coeffs) == want
+        assert [n for n, _ in e.coeffs] == [n for n in _NAMES if n in want]
+
+    @pytest.mark.parametrize("const,coeffs", [(0.5, {}), (0, {"z": 0.5}),
+                                              (1, [("z", 1), ("w", 0.0)])])
+    def test_make_refuses_a_float(self, const, coeffs):
+        with pytest.raises(TypeError, match="exact rational"):
+            AE.make(const, coeffs)
 
     def test_render_terms_constant_first(self):
         assert AE.make(F(-3, 2), {"z1": 1, "z2": F(-1, 2)}).render() == "-3/2 + z1 - 1/2*z2"
