@@ -5,7 +5,8 @@ Every command shares one intake: each of ``--m --d --t --a --q --deg-sigma``
 falls back to its key (``m d t a q deg_sigma``) in a ``--config`` file of
 ``key=value`` lines, then ``model.validate`` runs once and each parameter
 warning goes to stderr as one ``warning: ...`` line.  ``--q`` and
-``--deg-sigma`` take rationals such as ``3/2`` or ``2.5``.
+``--deg-sigma`` take exact rationals such as ``3/2`` or ``2.5``; ``contour``
+then evaluates q as a float, which must be finite and > 1.
 
 Exit codes: 0 all passed, 1 a verification failed, 2 usage or parameter
 error, 3 a value beyond the float range (``contour``; ``degree`` instead
@@ -80,13 +81,14 @@ def _load_config(path: str | None) -> dict[str, str]:
 def _intake(keys: tuple[str, ...], flags: dict, numeric_q: bool) -> model.SetupParams:
     """Pop ``keys`` and ``config_path`` from ``flags``: each key is its flag, else its
     config key, the first missing one is the usage error, and validate runs once.
-    ``numeric_q`` makes q required and a float."""
+    ``numeric_q`` makes q required and, once validated exactly, a finite float > 1."""
     config = _load_config(flags.pop("config_path"))
-    values = {}
+    values, texts = {}, {}
     for key in keys:
         value = flags.pop(key)
         if key in _RATIONAL_KEYS:
-            value = _parse_number(config.get(key) if value is None else value, key)
+            texts[key] = config.get(key) if value is None else value
+            value = _parse_number(texts[key], key)
         elif value is None and key in config:
             try:
                 value = int(config[key])
@@ -95,11 +97,14 @@ def _intake(keys: tuple[str, ...], flags: dict, numeric_q: bool) -> model.SetupP
         if value is None and (key not in _RATIONAL_KEYS or numeric_q):
             raise click.UsageError(f"missing required parameter --{key.replace('_', '-')}")
         values[key] = value
-    if numeric_q:
+    if numeric_q and not model.q_problem(values["q"]):  # else validate names the exact q
         try:
             values["q"] = float(values["q"])
-        except OverflowError:  # infinite, as float() reads the literal, so validate names it
-            values["q"] = math.inf if values["q"] > 0 else -math.inf
+        except OverflowError:
+            values["q"] = math.inf
+        if not 1 < values["q"] < math.inf:  # named as given: its float is another number
+            raise click.UsageError(f"contour evaluates q as a float: q={texts['q']} gives "
+                                   f"{values['q']!r}, not a finite float > 1")
     # mu reads no --m: its form is the one at m = t
     p = model.validate(values.get("m", values["t"]), values["d"], values["t"], values["a"],
                        q=values.get("q"), deg_sigma=values.get("deg_sigma"))

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .checks import CheckReport, run_check
 from .model import OutOfRangeError, SetupParams
-from .qform import AffineExponent, FactoredForm
+from .qform import FactoredForm, as_exponent
 from .resdata import res_a1_mu, residue_closed_form
 
 
@@ -44,12 +44,12 @@ class DegreeResult:
 def gl_order(n: int) -> FactoredForm:
     """|GL_n| over the q-element field: |GL_n| = q^(n(n-1)/2) * prod_(k=1..n)
     (q^k - 1), and q^k - 1 = -(1 - q^k).  The exponents 1..n are positive,
-    distinct and in a canonical form's order, so the form is laid out as it is.
+    distinct and in canonical order: the shared ``as_exponent`` ints, laid out.
     """
     if n < 1:
         raise OutOfRangeError(f"matrix size {n} must be positive")
-    return FactoredForm(Fraction((-1) ** n), 0, AffineExponent(n * (n - 1) // 2),
-                        tuple([(AffineExponent(k), 1) for k in range(1, n + 1)]))
+    return FactoredForm(Fraction((-1) ** n), 0, as_exponent(n * (n - 1) // 2),
+                        tuple([(as_exponent(k), 1) for k in range(1, n + 1)]))
 
 
 def gamma_factor(p: SetupParams) -> FactoredForm:
@@ -60,10 +60,10 @@ def gamma_factor(p: SetupParams) -> FactoredForm:
     signs (-1)^n / (-1)^(md) cancel since n = md.
     """
     m, n, d = p.m, p.n, p.d
-    low = [(AffineExponent(k), 1 - d) for k in range(1, m + 1)] if d > 1 else []
+    low = [(as_exponent(k), 1 - d) for k in range(1, m + 1)] if d > 1 else []
     return FactoredForm(Fraction(1), 0,
-                        AffineExponent(n * (n - 1) // 2 - d * (m * (m - 1) // 2) + m * n - n * n),
-                        tuple(low + [(AffineExponent(k), 1) for k in range(m + 1, n + 1)]))
+                        as_exponent(n * (n - 1) // 2 - d * (m * (m - 1) // 2) + m * n - n * n),
+                        tuple(low + [(as_exponent(k), 1) for k in range(m + 1, n + 1)]))
 
 
 _MARGIN_BITS = 64  # how far beyond the float range the bounds must lie, past their rounding

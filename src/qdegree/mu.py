@@ -14,7 +14,7 @@ from fractions import Fraction
 from .coords import Weight, generic_weight
 from .model import OutOfRangeError, SetupParams
 from .qform import (AffineExponent, ExponentValue, FactoredForm, RowSum, as_exponent,
-                    sort_exponents)
+                    sorted_binomials)
 
 
 def _rank_one_binomials(p: SetupParams, tx: AffineExponent) -> list[tuple[AffineExponent, int]]:
@@ -53,13 +53,14 @@ def mu_full(p: SetupParams, weight: Weight) -> FactoredForm:
     and its negative give the same three canonical binomials and the same
     constant and monomial: each part is taken with a positive leading
     coefficient.  Equal parts merge into a multiplicity k, and a zero part
-    makes mu zero.  The distinct parts are sorted once in build's order
-    (``sort_exponents``).  The binomials are three runs in that order of the
-    parts, one per binomial of ``_rank_one_binomials`` sorted by constant
-    (-t < 0 < t): (tx - t)^(-k), (tx)^(2k), (tx + t)^(-k); the run at 0 holds
-    the part itself, so a part's three binomials share its terms tuple.  A
-    weight whose differences carry a constant, which only tests pass, takes
-    the one general build of all pair binomials instead.
+    makes mu zero.  The distinct parts are sorted once with their counts in
+    build's order (``sorted_binomials``).  The binomials are three runs in
+    that order of the parts, one per binomial of ``_rank_one_binomials``
+    sorted by constant (-t < 0 < t): (tx - t)^(-k), (tx)^(2k), (tx + t)^(-k);
+    tx + c is laid out as (c den + terms) / den, as tx has no constant, and
+    the run at 0 holds the part itself, so a part's three binomials share its
+    terms tuple.  A weight whose differences carry a constant, which only
+    tests pass, takes the one general build of all pair binomials instead.
     """
     if weight.dim != p.d:
         raise OutOfRangeError(f"weight has {weight.dim} entries, expected {p.d}")
@@ -77,10 +78,10 @@ def mu_full(p: SetupParams, weight: Weight) -> FactoredForm:
         if tx._terms[0][1] < 0:
             tx = -tx
         counts[tx] = counts.get(tx, 0) + 1
-    order = list(counts)
-    sort_exponents(order)
+    order = sorted_binomials(counts)
     runs = sorted((e._num, m) for e, m in _rank_one_binomials(p, as_exponent(0)))
-    binomials = tuple([(tx + c if c else tx, m * counts[tx]) for c, m in runs for tx in order])
+    binomials = tuple([(AffineExponent(c * tx._den, tx._den, tx._terms) if c else tx, m * k)
+                       for c, m in runs for tx, k in order])
     return FactoredForm(Fraction(1), 0, as_exponent(monomial), binomials)
 
 

@@ -18,7 +18,7 @@ with one gcd step; no Fraction arithmetic runs while forms are built.
 The module holds, each described where it is defined: ``rational_text``,
 the program's one printer of an exact rational, for any number of digits;
 ``AffineExponent``; ``RowSum``, integer rows of exponents summed with one
-gcd step per sum; ``sort_exponents``, the order of a canonical form's
+gcd step per sum; ``sorted_binomials``, the order of a canonical form's
 binomials; ``FactoredForm`` with its numeric and exact evaluation;
 ``split_at_point``, a form's binomials at a residue chain's point;
 ``SumForm``; and ``residue``, the w^(-1) Laurent coefficient at a point.
@@ -38,7 +38,6 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import attrgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -335,12 +334,17 @@ class AffineExponent:
 
 
 def as_exponent(value: ExponentValue) -> AffineExponent:
+    """value as an exponent; an int gives one shared instance per integer, so
+    equal integer exponents compare, merge and hash through identity first."""
     if type(value) is AffineExponent:
         return value
+    if type(value) is int:
+        return _integer_exponent(value)
     return AffineExponent(*_ratio(value))
 
 
-_ZERO_EXPONENT = AffineExponent()
+_integer_exponent = lru_cache(maxsize=4096)(AffineExponent)
+_ZERO_EXPONENT = as_exponent(0)
 
 
 def _row_exponent(num: int, den: int, names: Sequence[str], row: list[int], lo: int, hi: int
@@ -425,11 +429,12 @@ class RowSum:
 
 
 def _scaled_key(den: int):
-    """The sort key of an exponent: its (num, terms) scaled to ``den``, a
-    common multiple of the denominators, which orders exponents exactly as
-    their (const, coeffs) Fractions would."""
+    """The sort key of an (exponent, multiplicity) item: the exponent's
+    (num, terms) scaled to ``den``, a common multiple of the denominators,
+    which orders exponents exactly as their (const, coeffs) Fractions would."""
 
-    def key(e: AffineExponent) -> tuple:
+    def key(item: tuple[AffineExponent, int]) -> tuple:
+        e = item[0]
         f = den // e._den
         if f == 1:
             return (e._num, e._terms)
@@ -438,25 +443,20 @@ def _scaled_key(den: int):
     return key
 
 
-# over one shared denominator an exponent's (num, terms) is its sort key
-_unscaled_key = attrgetter("_num", "_terms")
+def _unscaled_key(item: tuple[AffineExponent, int]) -> tuple:
+    return (item[0]._num, item[0]._terms)  # the sort key over one shared denominator
 
 
-def sort_exponents(exponents: list[AffineExponent]) -> None:
-    """Sort distinct exponents in place in the order of their (const, coeffs)
-    Fractions, the order of a canonical form's binomials: by their (num,
+def sorted_binomials(merged: Mapping[AffineExponent, int]) -> tuple:
+    """The nonzero items of exponent -> multiplicity in a canonical form's
+    order, that of the exponents' (const, coeffs) Fractions: by their (num,
     terms) integers when they share one denominator, else by those integers
     scaled to the lcm of the denominators (``_scaled_key``)."""
-    if len(exponents) > 1:
-        dens = {e._den for e in exponents}
-        exponents.sort(key=_unscaled_key if len(dens) == 1 else _scaled_key(lcm(*dens)))
-
-
-def _sorted_binomials(merged: Mapping[AffineExponent, int]) -> tuple:
-    """The nonzero entries of exponent -> multiplicity, in a canonical form's order."""
-    exponents = [e for e, m in merged.items() if m]
-    sort_exponents(exponents)
-    return tuple([(e, merged[e]) for e in exponents])
+    items = [item for item in merged.items() if item[1]]
+    if len(items) > 1:
+        dens = {e._den for e, _ in items}
+        items.sort(key=_unscaled_key if len(dens) == 1 else _scaled_key(lcm(*dens)))
+    return tuple(items)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +507,7 @@ class FactoredForm:
         Each binomial is oriented to a positive leading coefficient, equal
         exponents are merged and multiplicity 0 is dropped.  The exponents are
         sorted in the order of their (const, coeffs) Fractions
-        (``sort_exponents``).
+        (``sorted_binomials``).
         """
         constant = _as_fraction(constant)
         if not constant:
@@ -535,7 +535,7 @@ class FactoredForm:
             merged[exponent] = merged.get(exponent, 0) + mult
         if vanished:
             return _ZERO_FORM
-        return FactoredForm(constant, log_grade, monomial, _sorted_binomials(merged))
+        return FactoredForm(constant, log_grade, monomial, sorted_binomials(merged))
 
     # -- structure ----------------------------------------------------------
 
@@ -559,7 +559,7 @@ class FactoredForm:
         for e, m in other.binomials:
             merged[e] = merged.get(e, 0) + m
         return FactoredForm(self.constant * other.constant, self.log_grade + other.log_grade,
-                            self.monomial + other.monomial, _sorted_binomials(merged))
+                            self.monomial + other.monomial, sorted_binomials(merged))
 
     def scale(self, c: Rational) -> "FactoredForm":
         c = _as_fraction(c)
@@ -728,6 +728,7 @@ class FactoredForm:
 
 _ZERO_FORM = FactoredForm(Fraction(0), 0, _ZERO_EXPONENT, ())
 _ONE_FORM = FactoredForm(Fraction(1), 0, _ZERO_EXPONENT, ())
+_UNITS = (Fraction(1), Fraction(-1))  # (-1)^k by k % 2
 
 
 def _at_point(terms: tuple[tuple[str, int], ...], nums: Mapping[str, int], den: int
@@ -745,28 +746,33 @@ def _at_point(terms: tuple[tuple[str, int], ...], nums: Mapping[str, int], den: 
 
 
 def split_at_point(f: FactoredForm, steps: Sequence[tuple[str, Fraction]]
-                   ) -> tuple[AffineExponent, list[list[tuple[AffineExponent, int]]],
-                              list[tuple[AffineExponent, int]]]:
-    """f's monomial at the point of ``steps`` (pairs (variable, value)), its
-    binomials that vanish there, and the others evaluated there.
+                   ) -> tuple[AffineExponent, list[FactoredForm], list[tuple[AffineExponent, int]]]:
+    """f's monomial at the point of ``steps`` (pairs (variable, value)), one
+    canonical form per step of the binomials that vanish there, and the other
+    binomials evaluated there.
 
     A binomial vanishes at exactly one step, the one that substitutes the
     last of its variables; it is filed under that step as its restriction
-    s (z - r) to the step's variable z and value r, the one-variable form
-    whose residue the step takes.  The others are evaluated with integer
-    arithmetic over the exponent's denominator times the lcm of the point's.
-    Each variable part is read once: parts are keyed by the identity of
-    their terms tuple, which the three binomials of a mu pair share and f
-    keeps alive.  Each distinct unreduced value is reduced with one gcd
-    step, and equal reduced values are merged, so a factor that becomes one
-    of a few constants is built once.  Variables not in ``steps`` stay free.
+    s (z - r) to the step's variable z and value r, oriented to s > 0.  As
+    1 - q^(-E) = -q^(-E) (1 - q^E), an odd multiplicity turned round turns
+    the sign of the form, and q^(-E), 1 at the point, is left out: the
+    residue at a simple pole is the same.  The others are evaluated in
+    integers over the exponent's denominator times the lcm of the point's,
+    each variable part once, keyed by the identity of its terms tuple, which
+    f keeps alive and the three binomials of a mu pair share.  A value with
+    no symbolic remainder, as at a full point, merges in one stage, reduced
+    by the gcd of its two integers; the others merge in two: each distinct
+    unreduced value is reduced with one gcd step, then equal values merge.
+    Variables not in ``steps`` stay free.
     """
     den = lcm(*(point.denominator for _, point in steps))
     nums = {name: point.numerator * (den // point.denominator) for name, point in steps}
     position = {name: k for k, (name, _) in enumerate(steps)}
-    levels: list[list[tuple[AffineExponent, int]]] = [[] for _ in steps]
+    levels: list[dict] = [{} for _ in steps]  # oriented restriction -> multiplicity
+    flips = [0] * len(steps)  # the multiplicity each step turned round
     parts: dict[int, tuple[int, tuple]] = {}  # id(terms) -> the part at the point
     unreduced: dict[tuple[int, int, int], list] = {}  # (num, den, id(rest)) -> [rest, mult]
+    regular: dict = {}  # reduced (num, den, terms) -> multiplicity
     for e, m in f.binomials:
         terms = e._terms
         part = parts.get(id(terms))
@@ -774,18 +780,23 @@ def split_at_point(f: FactoredForm, steps: Sequence[tuple[str, Fraction]]
             part = parts[id(terms)] = _at_point(terms, nums, den)
         value, rest = part
         num = e._num * den + value
-        if not num and not rest:
-            name, c = max(terms, key=lambda term: position[term[0]])
-            levels[position[name]].append((_reduced(-c * nums[name], e._den * den,
-                                                    ((name, c * den),)), m))
-            continue
-        key = (num, e._den, id(rest))
-        entry = unreduced.get(key)
-        if entry is None:
-            unreduced[key] = [rest, m]
+        if rest:
+            key = (num, e._den, id(rest))
+            entry = unreduced.get(key)
+            if entry is None:
+                unreduced[key] = [rest, m]
+            else:
+                entry[1] += m
+        elif num:
+            whole = e._den * den
+            g = gcd(num, whole)
+            key = (num // g, whole // g, ())
+            regular[key] = regular.get(key, 0) + m
         else:
-            entry[1] += m
-    regular: dict = {}  # reduced (num, den, terms) -> multiplicity
+            k, name, c = max((position[n], n, c) for n, c in terms)
+            flips[k] += m * (c < 0)
+            restriction = _reduced(-abs(c) * nums[name], e._den * den, ((name, abs(c) * den),))
+            levels[k][restriction] = levels[k].get(restriction, 0) + m
     for (num, e_den, _), (rest, m) in unreduced.items():
         whole = e_den * den
         g = gcd(num, whole, *[c for _, c in rest])
@@ -795,7 +806,10 @@ def split_at_point(f: FactoredForm, steps: Sequence[tuple[str, Fraction]]
         regular[key] = regular.get(key, 0) + m
     value, rest = _at_point(f.monomial._terms, nums, den)
     monomial = _reduced(f.monomial._num * den + value, f.monomial._den * den, rest)
-    return monomial, levels, [(AffineExponent(*key), m) for key, m in regular.items()]
+    forms = [FactoredForm(_UNITS[flip % 2], 0, _ZERO_EXPONENT, sorted_binomials(level))
+             for flip, level in zip(flips, levels)]
+    return monomial, forms, [(AffineExponent(num, whole, rest) if rest or whole != 1
+                              else as_exponent(num), m) for (num, whole, rest), m in regular.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -872,14 +886,24 @@ def _form_series(f: FactoredForm, name: str, center: ExponentValue) -> SumForm:
         q^(e w)            lead 1              a_j = (e u)^j / j!
         1 - q^(s w)        lead -s log q w     a_j = (s u)^j / (j+1)!
         1 - q^(c + s w)    lead 1 - q^c        a_j = -q^c (s u)^j / (j! (1 - q^c))
+
+    At a rational centre only an exponent in name alone can vanish, when
+    num * den_at + k * num_at is zero, a test in integers with no substitute;
+    a lead form with no regular factor is canonical as laid out.
     """
     at = as_exponent(center)
+    rational = not at._terms
     # the lead constant over integers: f's times each vanishing factor's (-s)^m
     top, bottom, log_grade, p = f.constant.numerator, f.constant.denominator, f.log_grade, 0
     regular, units = [], []  # units: (m, slope (k, den), j! offset, exponent c of a regular factor)
     for exponent, m in f.binomials:
-        k, c = _slope(exponent, name), exponent.substitute(name, at)
-        if c.is_zero:
+        k = _slope(exponent, name)
+        vanishes = (rational and k and len(exponent._terms) == 1
+                    and not exponent._num * at._den + k * at._num)
+        if not vanishes:
+            c = exponent.substitute(name, at)
+            vanishes = c.is_zero  # only at an affine centre
+        if vanishes:
             x, y = (-k, exponent._den) if m > 0 else (exponent._den, -k)
             top, bottom = top * x ** abs(m), bottom * y ** abs(m)
             log_grade += m
@@ -892,8 +916,8 @@ def _form_series(f: FactoredForm, name: str, center: ExponentValue) -> SumForm:
     n = -1 - p
     if n < 0:
         return SumForm()
-    lead = FactoredForm.build(Fraction(top, bottom), log_grade,
-                              f.monomial.substitute(name, at), regular)
+    lead = (FactoredForm.build if regular else FactoredForm)(
+        Fraction(top, bottom), log_grade, f.monomial.substitute(name, at), tuple(regular))
     if n == 0:  # only the constant 1 of each unit series enters
         return SumForm((lead,))
     k = _slope(f.monomial, name)

@@ -32,11 +32,12 @@ def iterated_residue(f: FactoredForm, steps: tuple[tuple[str, Fraction], ...]) -
     vanishes at exactly one level, the one that substitutes the last of its
     variables, and every other binomial is regular along the whole chain.
     So the chain is one pass: ``split_at_point`` evaluates the binomials at
-    the whole point of the steps, files those vanishing there under their
-    level and merges the regular values (187 binomials of mu give 12 values
-    at d = 12).  Each level's simple pole is taken by ``residue`` on the
-    one-variable form of its binomials alone, and the result is one build
-    of the regular part times those pieces.  A level of pole order >= 2,
+    the whole point of the steps, lays out each level's vanishing binomials
+    as one canonical form and merges the regular values (187 binomials of mu
+    give 12 values at d = 12).  ``residue`` takes each level's simple pole
+    on its form, which has no monomial and no regular factor, so the pole
+    is a constant, kept as integers along the chain, and a log grade; the
+    result is one build of the regular part.  A level of pole order >= 2,
     where the derivatives of the regular part would enter, raises
     ``HigherOrderPoleError``; this is checked before any level of order
     <= 0 makes the result zero, since the orders of the later levels are
@@ -44,20 +45,19 @@ def iterated_residue(f: FactoredForm, steps: tuple[tuple[str, Fraction], ...]) -
     free; no steps give f itself.
     """
     monomial, levels, regular = split_at_point(f, steps)
-    orders = [-sum(m for _, m in level) for level in levels]
+    orders = [-sum(m for _, m in level.binomials) for level in levels]
     for (name, point), order in zip(steps, orders):
         if order >= 2:
             raise HigherOrderPoleError(f"pole of order {order} at {name} = {point}")
     if any(order != 1 for order in orders):
         return FactoredForm.from_constant(0)
-    constant, log_grade = f.constant, f.log_grade
+    num, den, log_grade = f.constant.numerator, f.constant.denominator, f.log_grade
     for (name, point), level in zip(steps, levels):
-        (pole,) = residue(FactoredForm.build(1, 0, 0, level), name, point).terms
-        constant *= pole.constant
+        (pole,) = residue(level, name, point).terms
+        num *= pole.constant.numerator
+        den *= pole.constant.denominator
         log_grade += pole.log_grade
-        monomial = monomial + pole.monomial
-        regular += pole.binomials
-    return FactoredForm.build(constant, log_grade, monomial, regular)
+    return FactoredForm.build(Fraction(num, den), log_grade, monomial, regular)
 
 
 def res_al(p: SetupParams, psi: FactoredForm, l: int) -> FactoredForm:

@@ -120,6 +120,7 @@ class TestDegreeCommand:
 
 
 _GL2 = ["degree", "--m", "1", "--d", "2", "--t", "1", "--a", "0"]
+_CONTOUR_D2 = ["contour", "--m", "1", "--d", "2", "--t", "1", "--a", "0"]
 _BIG = "1" + "0" * 5000  # 10^5000: str() of an int refuses more than 4300 digits by default
 
 
@@ -252,6 +253,30 @@ class TestContourCommand:
         assert result.stdout == ""
         assert len(result.stderr.splitlines()) == 1
         assert "beyond float range" in result.stderr
+
+    # q is validated as the exact rational given, then evaluated as a float:
+    # each refusal names q as it was given, not as its float
+    @pytest.mark.parametrize("q, message", [
+        ("1e-5000", f"q must exceed 1, got 1/{_BIG}"),
+        ("1e-400", "q must exceed 1, got 1/1" + "0" * 400),
+        ("1e400", "contour evaluates q as a float: q=1e400 gives inf, not a finite float > 1"),
+        ("1.0000000000000000001", "contour evaluates q as a float: q=1.0000000000000000001 "
+                                  "gives 1.0, not a finite float > 1"),
+    ])
+    def test_q_is_read_exactly(self, runner, q, message):
+        result = runner.invoke(main, [*_CONTOUR_D2, "--q", q])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"Error: {message}\n"
+
+    def test_q_from_a_config_file_is_read_exactly(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("q=1.0000000000000000001\n")
+        from_config = runner.invoke(main, [*_CONTOUR_D2, "--config", str(cfg)])
+        from_flag = runner.invoke(main, [*_CONTOUR_D2, "--q", "1.0000000000000000001"])
+        assert from_config.exit_code == from_flag.exit_code == 2
+        assert from_config.stdout == ""
+        assert from_config.stderr == from_flag.stderr
 
 
 class TestVerifyCommand:

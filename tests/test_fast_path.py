@@ -38,8 +38,10 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
-from qdegree.coords import Weight, z_to_s
+from qdegree import resdata
+from qdegree.coords import Weight, residue_plan, z_to_s
 from qdegree.model import validate
+from qdegree.mu import mu_on_z
 from qdegree.qform import (AffineExponent as AE, FactoredForm as FF, HigherOrderPoleError,
                            RowSum, SumForm, as_exponent, as_sum, residue, split_at_point)
 from qdegree.resdata import iterated_residue
@@ -172,6 +174,17 @@ def test_zero_and_double_pole_cancel_to_simple_pole():
          * FF.binomial(AE.make(0, {"z": 1, "w": 1})))
     got = residue(f, "z", 1)
     assert got.terms == (FF.build(-2, -1, 0, [(AE.make(1, {"w": 1}), 1)]),)
+
+
+@pytest.mark.parametrize("point", [AE.make(1, {"w": 1}), AE.make(F(1, 2), {"w": F(1, 2)})])
+def test_one_variable_exponent_stays_regular_at_an_affine_point(point):
+    # z - c, with c the point's constant, is zero at z = c but w-dependent at
+    # z = point, so only (1 - q^(z - point)) makes the pole
+    e = AE.variable("z") - point
+    f = FF.binomial(AE.variable("z") - point.const) * FF.binomial(e, -1)
+    got = residue(f, "z", point)
+    assert got.terms == (_closed_simple_pole_residue(f, "z", point),)
+    assert got.terms[0].binomials == ((point - point.const, 1),)
 
 
 
@@ -360,22 +373,23 @@ def _level_by_level(f, steps) -> SumForm:
 
 
 @st.composite
-def chain_forms(draw, k: int, points: dict, lowest: int, orders: list):
-    """A binomial product in z1..zk whose net pole order at each level
-    l >= lowest is drawn from -1..2 and appended to ``orders``.
+def chain_forms(draw, k: int, points: dict, lowest: int, orders: list, var):
+    """A binomial product in the variables var(1)..var(k) of levels 1..k
+    whose net pole order at each level l >= lowest is drawn from -1..2 and
+    appended to ``orders``.
 
-    A binomial vanishing at level j has z_j as its lowest variable and is
-    zero at the whole point; zeros and poles at one level may partly cancel.
-    Its higher variables are often absent, so that the binomials of one
-    level differ in where a wrong filing would put them.  Regular factors
-    are random exponents in z1..zk that do not vanish at the point, so
-    that the drawn orders are the form's.
+    A binomial vanishing at level j has var(j) as the variable of its lowest
+    level and is zero at the whole point; zeros and poles at one level may
+    partly cancel.  Its higher levels' variables are often absent, so that
+    the binomials of one level differ in where a wrong filing would put
+    them.  Regular factors are random exponents that do not vanish at the
+    point, so that the drawn orders are the form's.
     """
     def vanishing(j: int) -> AE:
-        coeffs = {f"z{j}": draw(nonzero_rationals)}
-        coeffs.update((f"z{l}", draw(st.one_of(st.just(F(0)), rationals)))
-                      for l in range(j + 1, k + 1))
-        return AE.make(-sum(c * points[int(n[1:])] for n, c in coeffs.items()), coeffs)
+        coeffs = {j: draw(nonzero_rationals)}
+        coeffs.update((l, draw(st.one_of(st.just(F(0)), rationals))) for l in range(j + 1, k + 1))
+        return AE.make(-sum(c * points[l] for l, c in coeffs.items()),
+                       {var(l): c for l, c in coeffs.items()})
 
     binomials = []
     for j in range(lowest, k + 1):
@@ -389,8 +403,8 @@ def chain_forms(draw, k: int, points: dict, lowest: int, orders: list):
             binomials += [(vanishing(j), -m) for m in (n_poles - split, split) if m]
         elif n_poles < 0:
             binomials.append((vanishing(j), -n_poles))
-    names = [f"z{l}" for l in range(1, k + 1)]
-    at_point = {n: points[int(n[1:])] for n in names}
+    names = [var(l) for l in range(1, k + 1)]
+    at_point = {var(l): points[l] for l in range(1, k + 1)}
     for _ in range(draw(st.integers(0, 3))):
         e = AE.make(draw(rationals), {n: draw(rationals) for n in names})
         if e.const + sum(c * at_point[n] for n, c in e.coeffs):
@@ -401,15 +415,46 @@ def chain_forms(draw, k: int, points: dict, lowest: int, orders: list):
 
 @st.composite
 def chain_cases(draw):
-    """A chain form with its steps, z_k down to the lowest level drawn, and
-    the drawn pole orders; the variables below that level stay free."""
+    """A chain form with its steps, level k down to the lowest level drawn,
+    and the drawn pole orders; the variables below that level stay free.
+
+    Level l's variable is z_l, or z_(k+1-l): then the canonical form leads a
+    binomial with a variable that the chain substitutes before the binomial's
+    own level, so its restriction to that level may have a negative slope.
+    """
     k = draw(st.integers(1, 3))
     lowest = draw(st.integers(1, k))
+    reverse = draw(st.booleans())
+    var = (lambda l: f"z{k + 1 - l}") if reverse else (lambda l: f"z{l}")
     points = {l: draw(rationals) for l in range(1, k + 1)}
-    steps = tuple((f"z{l}", points[l]) for l in range(k, lowest - 1, -1))
+    steps = tuple((var(l), points[l]) for l in range(k, lowest - 1, -1))
     orders: list = []
-    f = draw(chain_forms(k, points, lowest, orders))
+    f = draw(chain_forms(k, points, lowest, orders, var))
     return f, steps, orders
+
+
+def _variables(f: FF) -> set:
+    return {n for e in [f.monomial, *(e for e, _ in f.binomials)] for n, _ in e.coeffs}
+
+
+def _level_shapes(f: FF, steps) -> set:
+    """"negative slope" when a binomial vanishing at the point has a negative
+    coefficient in the variable of its level, the last of its variables that
+    the steps substitute, and "two binomials" when one level holds two."""
+    position = {name: k for k, (name, _) in enumerate(steps)}
+    point = dict(steps)
+    shapes, filed = set(), []
+    for e, _ in f.binomials:
+        if not {n for n, _ in e.coeffs} <= point.keys() or e.const + sum(
+                c * point[n] for n, c in e.coeffs):
+            continue
+        name = max((n for n, _ in e.coeffs), key=position.__getitem__)
+        filed.append(name)
+        if e.coeff(name) < 0:
+            shapes.add("negative slope")
+    if len(filed) > len(set(filed)):
+        shapes.add("two binomials")
+    return shapes
 
 
 def test_one_pass_chain_matches_level_by_level():
@@ -420,18 +465,55 @@ def test_one_pass_chain_matches_level_by_level():
     def check(case):
         f, steps, orders = case
         seen.update(orders)
-        if steps[-1][0] != "z1":
+        if _variables(f) - dict(steps).keys():
             seen.add("free variables")
         if max(orders) <= 1:
             want = _level_by_level(f, steps)
             assert as_sum(iterated_residue(f, steps)) == want
+            seen.update(_level_shapes(f, steps))
         else:
             with pytest.raises(HigherOrderPoleError):
                 iterated_residue(f, steps)
 
     check()
-    # simple poles, regular levels, the refusal at order two, and a free z1
-    assert {-1, 0, 1, 2, "free variables"} <= seen
+    # simple poles, regular levels, the refusal at order two, and a free
+    # variable; and a level taken with a negative slope and with two binomials
+    assert {-1, 0, 1, 2, "free variables", "negative slope", "two binomials"} <= seen
+
+
+def _mu_chains():
+    for d in range(2, 9):
+        for m, t in ((1, 1), (2, 1), (2, 2), (6, 3)):
+            p = validate(m, d, t, 1)
+            yield mu_on_z(p), residue_plan(p)
+
+
+def test_chain_hands_residue_canonical_forms(monkeypatch):
+    # every level form that iterated_residue hands to residue is the one
+    # build makes of its own fields: the chain lays them out canonical
+    handed = []
+
+    def recording(f, name, point):
+        handed.append(f)
+        return residue(f, name, point)
+
+    monkeypatch.setattr(resdata, "residue", recording)
+    for f, steps in _mu_chains():
+        iterated_residue(f, steps)
+    n_mu = len(handed)
+
+    @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(chain_cases())
+    def check(case):
+        f, steps, orders = case
+        if max(orders) <= 1:
+            iterated_residue(f, steps)
+
+    check()
+    assert n_mu == sum(d - 1 for d in range(2, 9)) * 4
+    assert len(handed) > n_mu
+    for f in handed:
+        assert f == FF.build(f.constant, f.log_grade, f.monomial, f.binomials)
 
 
 # -- the integer-row helpers against their one-operation references --------
@@ -490,7 +572,8 @@ def test_weight_rows_match_fraction_formulas(block, zs):
 def _split_reference(f: FF, steps):
     """``split_at_point`` one variable at a time: a binomial that vanishes at
     the whole point goes under the step of its last variable, restricted to
-    that step's variable; the rest meet in one build."""
+    that step's variable, and each step's restrictions meet in one build;
+    the rest meet in one build."""
     position = {name: k for k, (name, _) in enumerate(steps)}
 
     def at(e: AE, skip=None) -> AE:
@@ -507,7 +590,13 @@ def _split_reference(f: FF, steps):
             levels[k].append((at(e, skip=steps[k][0]), m))
         else:
             regular.append((at(e), m))
-    return at(f.monomial), levels, FF.build(1, 0, 0, regular)
+    forms = []
+    for (name, point), level in zip(steps, levels):
+        # the orientation's q power is 1 at the point, and the level form leaves it out
+        form = FF.build(1, 0, 0, level)
+        assert form.monomial.substitute(name, point).is_zero
+        forms.append(FF(form.constant, 0, as_exponent(0), form.binomials))
+    return at(f.monomial), forms, FF.build(1, 0, 0, regular)
 
 
 def test_split_at_point_matches_substitution():
@@ -526,7 +615,7 @@ def test_split_at_point_matches_substitution():
         assert levels == want_levels
         assert FF.build(1, 0, 0, regular) == want_regular
         assert len(regular) == len({e for e, _ in regular})
-        seen.update(k for k, level in enumerate(levels) if level)
+        seen.update(k for k, level in enumerate(levels) if level.binomials)
         if any(not e.is_constant for e, _ in regular):
             seen.add("free variables")
 

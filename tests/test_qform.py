@@ -18,7 +18,8 @@ import pytest
 
 from conftest import (circle_integral, pole_distance_bound, random_form,
                       random_rational)
-from qdegree.degree import gl_order
+from qdegree.degree import gamma_factor, gl_order
+from qdegree.model import validate
 from qdegree.qform import (AffineExponent as AE, DivisionByZeroError,
                            FactoredForm as FF, PoleAtSubstitutionError, SumForm,
                            as_exponent, as_sum, rational_text, residue)
@@ -72,6 +73,26 @@ class TestAffineExponent:
         data = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               check=True).stdout
         assert {AE.make(1, {"z": 2}): "found"}.get(pickle.loads(data)) == "found"
+
+    @pytest.mark.parametrize("k", [0, -7, 96, 10 ** 30])
+    def test_one_shared_instance_per_integer(self, k):
+        e = as_exponent(k)
+        assert as_exponent(k) is e
+        assert e == AE(k) and hash(e) == hash(AE(k))
+        assert e.const == k and not e.coeffs
+        copy = pickle.loads(pickle.dumps(e))
+        assert copy == e and hash(copy) == hash(e)
+        # a Fraction and a bool are taken by value
+        assert as_exponent(F(k)) == e
+        assert as_exponent(True) == AE(1)
+
+    def test_gamma_and_gl_order_share_their_exponents(self):
+        p = validate(3, 4, 1, 2)
+        gamma, gl = gamma_factor(p), gl_order(p.n)
+        for form in (gamma, gl):
+            assert all(e is as_exponent(e._num) for e, _ in form.binomials)
+            assert form.monomial is as_exponent(form.monomial._num)
+        assert {id(e) for e, _ in gl.binomials} >= {id(e) for e, _ in gamma.binomials}
 
     @hypothesis.settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @hypothesis.given(st.builds(F, st.integers(-30, 30), st.integers(1, 12)),
