@@ -27,7 +27,7 @@ import click
 from click.utils import PacifyFlushWrapper
 
 from . import __version__, checks, degree, model, mu
-from .qform import FactoredForm, rational_text
+from .qform import FactoredForm, q_problem, rational_text
 
 
 # Every shared option, defined once; a command attaches those it reads.
@@ -81,7 +81,8 @@ def _load_config(path: str | None) -> dict[str, str]:
 def _intake(keys: tuple[str, ...], flags: dict, numeric_q: bool) -> model.SetupParams:
     """Pop ``keys`` and ``config_path`` from ``flags``: each key is its flag, else its
     config key, the first missing one is the usage error, and validate runs once.
-    ``numeric_q`` makes q required and, once validated exactly, a finite float > 1."""
+    ``numeric_q`` makes q required and, once validated exactly, a finite float > 1;
+    a float that is not is one more problem on validate's one line."""
     config = _load_config(flags.pop("config_path"))
     values, texts = {}, {}
     for key in keys:
@@ -97,17 +98,24 @@ def _intake(keys: tuple[str, ...], flags: dict, numeric_q: bool) -> model.SetupP
         if value is None and (key not in _RATIONAL_KEYS or numeric_q):
             raise click.UsageError(f"missing required parameter --{key.replace('_', '-')}")
         values[key] = value
-    if numeric_q and not model.q_problem(values["q"]):  # else validate names the exact q
+    problems = []
+    if numeric_q and not q_problem(values["q"]):  # else validate names the exact q
         try:
-            values["q"] = float(values["q"])
+            q = float(values["q"])
         except OverflowError:
-            values["q"] = math.inf
-        if not 1 < values["q"] < math.inf:  # named as given: its float is another number
-            raise click.UsageError(f"contour evaluates q as a float: q={texts['q']} gives "
-                                   f"{values['q']!r}, not a finite float > 1")
-    # mu reads no --m: its form is the one at m = t
-    p = model.validate(values.get("m", values["t"]), values["d"], values["t"], values["a"],
-                       q=values.get("q"), deg_sigma=values.get("deg_sigma"))
+            q = math.inf
+        if 1 < q < math.inf:
+            values["q"] = q
+        else:  # named as given: its float is another number; validate keeps the exact q
+            problems.append(f"contour evaluates q as a float: q={texts['q']} gives "
+                            f"{q!r}, not a finite float > 1")
+    try:  # mu reads no --m: its form is the one at m = t
+        p = model.validate(values.get("m", values["t"]), values["d"], values["t"], values["a"],
+                           q=values.get("q"), deg_sigma=values.get("deg_sigma"))
+    except model.InvalidParamsError as exc:
+        problems.insert(0, str(exc))
+    if problems:  # one line naming every bad parameter
+        raise click.UsageError("; ".join(problems))
     for warning in p.warnings:
         _echo(f"warning: {warning}", err=True)
     return p

@@ -44,10 +44,10 @@ from numpy.lib.stride_tricks import as_strided
 
 from .checks import CheckReport
 from .coords import residue_point, z_var
-from .model import InvalidParamsError, OutOfRangeError, SetupParams, q_problem
+from .model import InvalidParamsError, OutOfRangeError, SetupParams
 from .mu import mu_on_z
 from .qform import (AffineExponent, DivisionByZeroError, FactoredForm,
-                    SumForm, as_sum, residue)
+                    SumForm, as_sum, q_problem, residue)
 from .resdata import res_al
 
 # the largest torus the quadrature evaluates, in nodes
@@ -58,7 +58,7 @@ MAX_GRID_NODES = 2 ** 24
 class QuadratureSpec:
     """Contour quadrature parameters.
 
-    ``q`` lies in the domain ``model.q_problem`` states, as validate's does;
+    ``q`` lies in the one domain of q, ``qform.q_problem``, as validate's does;
     ``nodes`` is the per-circle node count (a power of two, at least 16).
     """
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .qform import rational_text
+from .qform import q_problem, rational_text
 
 
 class InvalidParamsError(ValueError):
@@ -50,16 +50,6 @@ class SetupParams:
     def check_level(self, l: int, low: int = 1) -> None:
         if not low <= l <= self.d:
             raise OutOfRangeError(f"level {l} outside [{low}, {self.d}]")
-
-
-def q_problem(q: Fraction | float) -> str | None:
-    """Why q lies outside its domain, finite and > 1, or None when it lies inside."""
-    exact = isinstance(q, (int, Fraction))
-    if not exact and not math.isfinite(q):
-        return f"q must be finite, got {q}"
-    if not q > 1:
-        return f"q must exceed 1, got {rational_text(q) if exact else q}"
-    return None
 
 
 def validate(m: int, d: int, t: int, a: int,

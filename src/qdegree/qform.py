@@ -17,11 +17,11 @@ with one gcd step; no Fraction arithmetic runs while forms are built.
 
 The module holds, each described where it is defined: ``rational_text``,
 the program's one printer of an exact rational, for any number of digits;
-``AffineExponent``; ``RowSum``, integer rows of exponents summed with one
-gcd step per sum; ``sorted_binomials``, the order of a canonical form's
-binomials; ``FactoredForm`` with its numeric and exact evaluation;
-``split_at_point``, a form's binomials at a residue chain's point;
-``SumForm``; and ``residue``, the w^(-1) Laurent coefficient at a point.
+``q_problem``, q's one domain rule; ``AffineExponent``; ``RowSum``, integer
+rows of exponents summed with one gcd step per sum; ``sorted_binomials``,
+the order of a canonical form's binomials; ``FactoredForm`` with its numeric
+and exact evaluation; ``split_at_point``, a form's binomials at a residue
+chain's point; ``SumForm``; and ``residue``, the w^(-1) Laurent coefficient.
 
 Exponents and forms are immutable and hashable, and their operations are
 pure functions; a ``RowSum`` is a scratch accumulator owned by the one call
@@ -76,11 +76,6 @@ def _ratio(x: Rational) -> tuple[int, int]:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-def _check_numeric_q(q: float) -> None:
-    if not 1 < q < math.inf:  # also refuses nan, which fails every comparison
-        raise ValueError(f"eval_numeric requires a finite q > 1, got {q}")
-
-
 _EXP_SAFE = 708.0  # |Re w| up to which exp(w) is a normal float
 _LN2 = math.log(2.0)
 
@@ -119,6 +114,17 @@ def rational_text(x: Rational) -> str:
     the denominator go through ``Decimal``, whose conversion has no digit limit."""
     num, den = _ratio(x)
     return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
+
+
+def q_problem(q: Rational | float) -> str | None:
+    """Why q lies outside its domain, finite and > 1, or None when it lies
+    inside; an exact q is named in full by ``rational_text``."""
+    exact = isinstance(q, (int, Fraction))
+    if not exact and not math.isfinite(q):
+        return f"q must be finite, got {q}"
+    if not q > 1:
+        return f"q must exceed 1, got {rational_text(q) if exact else q}"
+    return None
 
 
 @lru_cache(maxsize=4096)
@@ -251,12 +257,10 @@ class AffineExponent:
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: ExponentValue) -> "AffineExponent":
-        # adding an integer keeps the content coprime to the denominator
-        if type(other) is int:
-            return AffineExponent(self._num + other * self._den, self._den, self._terms)
         other = as_exponent(other)
         d1, d2 = self._den, other._den
         if d2 == 1 and not other._terms:
+            # adding an integer keeps the content coprime to the denominator
             return AffineExponent(self._num + other._num * d1, d1, self._terms)
         den = d1 if d1 == d2 else lcm(d1, d2)
         f1, f2 = den // d1, den // d2
@@ -264,8 +268,6 @@ class AffineExponent:
                         _merge(self._terms, f1, other._terms, f2))
 
     def __sub__(self, other: ExponentValue) -> "AffineExponent":
-        if type(other) is int:
-            return self + -other
         return self + (-as_exponent(other))
 
     def __neg__(self) -> "AffineExponent":
@@ -275,12 +277,6 @@ class AffineExponent:
         p, q = _ratio(r)
         if not p:
             return _ZERO_EXPONENT
-        if q == 1:
-            # the content is coprime to den, so only gcd(den, p) can cancel
-            g = gcd(self._den, p)
-            p //= g
-            return AffineExponent(self._num * p, self._den // g,
-                                  tuple((n, c * p) for n, c in self._terms))
         return _reduced(self._num * p, self._den * q, tuple((n, c * p) for n, c in self._terms))
 
     def substitute(self, name: str, value: ExponentValue) -> "AffineExponent":
@@ -596,7 +592,8 @@ class FactoredForm:
     # -- evaluation ---------------------------------------------------------
 
     def eval_numeric(self, q: float, assignment: Mapping[str, complex] | None = None) -> complex:
-        """Floating-point value at a finite numeric q > 1, with (log q)^log_grade applied.
+        """Floating-point value at a finite numeric q > 1, with (log q)^log_grade
+        applied; any other q raises ValueError with ``q_problem``'s message.
 
         The product is carried as a mantissa times a separate power of two,
         so no intermediate factor over- or underflows; scaling by powers of two
@@ -604,7 +601,8 @@ class FactoredForm:
         plain product would give them.  A nonzero value whose magnitude lies
         beyond the range of normal floats raises OverflowError.
         """
-        _check_numeric_q(q)
+        if problem := q_problem(q):
+            raise ValueError(problem)
         if self.is_zero:
             return 0j
         assignment = assignment or {}
@@ -759,10 +757,9 @@ def split_at_point(f: FactoredForm, steps: Sequence[tuple[str, Fraction]]
     residue at a simple pole is the same.  The others are evaluated in
     integers over the exponent's denominator times the lcm of the point's,
     each variable part once, keyed by the identity of its terms tuple, which
-    f keeps alive and the three binomials of a mu pair share.  A value with
-    no symbolic remainder, as at a full point, merges in one stage, reduced
-    by the gcd of its two integers; the others merge in two: each distinct
-    unreduced value is reduced with one gcd step, then equal values merge.
+    f keeps alive and the three binomials of a mu pair share.  Each value is
+    reduced by one gcd step, over its numerator, its denominator and any
+    symbolic remainder's coefficients, and equal reduced values merge.
     Variables not in ``steps`` stay free.
     """
     den = lcm(*(point.denominator for _, point in steps))
@@ -771,7 +768,6 @@ def split_at_point(f: FactoredForm, steps: Sequence[tuple[str, Fraction]]
     levels: list[dict] = [{} for _ in steps]  # oriented restriction -> multiplicity
     flips = [0] * len(steps)  # the multiplicity each step turned round
     parts: dict[int, tuple[int, tuple]] = {}  # id(terms) -> the part at the point
-    unreduced: dict[tuple[int, int, int], list] = {}  # (num, den, id(rest)) -> [rest, mult]
     regular: dict = {}  # reduced (num, den, terms) -> multiplicity
     for e, m in f.binomials:
         terms = e._terms
@@ -780,30 +776,22 @@ def split_at_point(f: FactoredForm, steps: Sequence[tuple[str, Fraction]]
             part = parts[id(terms)] = _at_point(terms, nums, den)
         value, rest = part
         num = e._num * den + value
+        whole = e._den * den
         if rest:
-            key = (num, e._den, id(rest))
-            entry = unreduced.get(key)
-            if entry is None:
-                unreduced[key] = [rest, m]
-            else:
-                entry[1] += m
+            g = gcd(num, whole, *[c for _, c in rest])
+            if g != 1:
+                num, whole, rest = num // g, whole // g, tuple((n, c // g) for n, c in rest)
+            key = (num, whole, rest)
+            regular[key] = regular.get(key, 0) + m
         elif num:
-            whole = e._den * den
             g = gcd(num, whole)
             key = (num // g, whole // g, ())
             regular[key] = regular.get(key, 0) + m
         else:
             k, name, c = max((position[n], n, c) for n, c in terms)
             flips[k] += m * (c < 0)
-            restriction = _reduced(-abs(c) * nums[name], e._den * den, ((name, abs(c) * den),))
+            restriction = _reduced(-abs(c) * nums[name], whole, ((name, abs(c) * den),))
             levels[k][restriction] = levels[k].get(restriction, 0) + m
-    for (num, e_den, _), (rest, m) in unreduced.items():
-        whole = e_den * den
-        g = gcd(num, whole, *[c for _, c in rest])
-        if g != 1:
-            num, whole, rest = num // g, whole // g, tuple((n, c // g) for n, c in rest)
-        key = (num, whole, rest)
-        regular[key] = regular.get(key, 0) + m
     value, rest = _at_point(f.monomial._terms, nums, den)
     monomial = _reduced(f.monomial._num * den + value, f.monomial._den * den, rest)
     forms = [FactoredForm(_UNITS[flip % 2], 0, _ZERO_EXPONENT, sorted_binomials(level))
@@ -835,7 +823,8 @@ class SumForm:
     def eval_numeric(self, q: float, assignment: Mapping[str, complex] | None = None) -> complex:
         """The sum of the terms' values; like ``FactoredForm.eval_numeric``
         it requires a finite q > 1, also for the empty sum."""
-        _check_numeric_q(q)
+        if problem := q_problem(q):
+            raise ValueError(problem)
         return sum((t.eval_numeric(q, assignment) for t in self.terms), 0j)
 
     def render(self) -> str:

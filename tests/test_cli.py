@@ -6,7 +6,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from qdegree import contour, degree
+from qdegree import contour, coords, degree, mu, resdata
 from qdegree.cli import emit_json, main
 
 
@@ -69,6 +69,16 @@ class TestDegreeCommand:
         # the value's log2 is -1177; the exact evaluation this skips took seconds
         result = runner.invoke(main, ["degree", "--m", "1", "--d", "600", "--t", "1", "--a", "0",
                                       "--q", "1.001", "--deg-sigma", "1", "--json"])
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["result"]["numeric"] is None
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("note: ")
+
+    def test_beyond_float_range_after_exact_evaluation_exits_0(self, runner):
+        # log2 of the degree is about 1027.7, inside the margin in which the
+        # bounds do not decide: the exact value is computed and its float overflows
+        result = runner.invoke(main, ["degree", "--m", "1", "--d", "46", "--t", "1", "--a", "0",
+                                      "--q", "2", "--deg-sigma", "1", "--json"])
         assert result.exit_code == 0
         assert json.loads(result.stdout)["result"]["numeric"] is None
         assert len(result.stderr.splitlines()) == 1
@@ -198,6 +208,13 @@ class TestContourCommand:
         assert result.exit_code == 0
         assert "off-chain term" in result.output
 
+    def test_too_few_nodes_fail_exits_1(self, runner):
+        # 16 nodes per circle leave a relative error of about 2e-4
+        result = runner.invoke(main, ["contour", "--d", "3", "--q", "2", "--t", "1", "--m", "1",
+                                      "--a", "0", "--nodes", "16", "--tol", "1e-12"])
+        assert result.exit_code == 1
+        assert result.stdout.rstrip().endswith("[fail]")
+
     def test_q_at_most_one_exits_2(self, runner):
         result = runner.invoke(main, ["contour", "--d", "2", "--q", "1", "--t", "1",
                                       "--m", "1", "--a", "0"])
@@ -269,6 +286,15 @@ class TestContourCommand:
         assert result.stdout == ""
         assert result.stderr == f"Error: {message}\n"
 
+    def test_every_bad_parameter_is_named(self, runner):
+        # q's float problem joins validate's line instead of hiding d's
+        result = runner.invoke(main, ["contour", "--m", "1", "--d", "0", "--t", "1", "--a", "0",
+                                      "--q", "1e400"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == ("Error: d must be a positive integer, got 0; contour evaluates "
+                                 "q as a float: q=1e400 gives inf, not a finite float > 1\n")
+
     def test_q_from_a_config_file_is_read_exactly(self, runner, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("q=1.0000000000000000001\n")
@@ -308,6 +334,22 @@ class TestVerifyCommand:
                                       "--a-set", "0"])
         assert result.exit_code == 1
         assert "[FAIL]" in result.output
+
+    # a wrong side in each suite: every failed case prints its detail, and the run exits 1
+    @pytest.mark.parametrize("kind, module, name, wrong", [
+        pytest.param("pairing", coords, "pairing_coroot",
+                     lambda honest: lambda p, l, w: honest(p, l, w) + 1, id="pairing"),
+        pytest.param("ratio", mu, "mu_level_ratio_closed",
+                     lambda honest: lambda p, l: honest(p, l).scale(2), id="ratio"),
+        pytest.param("residue", resdata, "residue_closed_form",
+                     lambda honest: lambda p: honest(p).scale(2), id="residue"),
+    ])
+    def test_wrong_side_exits_1(self, runner, monkeypatch, kind, module, name, wrong):
+        monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+        result = runner.invoke(main, ["verify", kind, "--d-max", "2"])
+        assert result.exit_code == 1
+        failed = [line for line in result.stdout.splitlines() if line.startswith("[FAIL] ")]
+        assert failed and all("  detail: " in line for line in failed)
 
     def test_no_fault_injection_flag(self, runner):
         result = runner.invoke(main, ["verify", "theorem", "--drop-level-inverse"])
@@ -459,6 +501,9 @@ class TestJsonOutput:
             assert result.exit_code == 0, result.output
             emitted = result.output.strip()
             assert emit_json(json.loads(emitted)) == emitted
+
+    def test_literals(self):
+        assert [emit_json(x) for x in (True, False, None)] == ["true", "false", "null"]
 
     def test_seventeen_significant_digits(self):
         assert emit_json(1 / 3) == "0.33333333333333331"

@@ -622,3 +622,14 @@ def test_split_at_point_matches_substitution():
     check()
     # vanishing binomials under three different steps, and symbolic remainders
     assert {0, 1, 2, "free variables"} <= seen
+
+
+def test_split_at_point_merges_values_that_meet_at_a_partial_point():
+    # z1 + z2 and (3 z1 + 2 z2 - 1)/2 are distinct exponents; at z1 = 1 the
+    # second is (2 + 2 z2)/2, the first's value 1 + z2 once reduced
+    first, second = AE.make(0, {"z1": 1, "z2": 1}), AE.make(F(-1, 2), {"z1": F(3, 2), "z2": 1})
+    f = FF.build(1, 0, 0, [(first, 1), (second, -2), (AE.make(1, {"z2": 2}), 1)])
+    monomial, levels, regular = split_at_point(f, [("z1", F(1))])
+    assert monomial.is_zero and levels[0].is_one
+    assert sorted(regular, key=lambda item: item[1]) == [
+        (AE.make(1, {"z2": 1}), -1), (AE.make(1, {"z2": 2}), 1)]

@@ -16,6 +16,10 @@ class TestValidate:
         assert p.n == 6
         assert p.warnings == ()
 
+    def test_integer_q_is_kept_as_a_fraction(self):
+        q = validate(1, 2, 1, 0, q=3).q
+        assert q == F(3) and type(q) is F
+
     def test_t_exceeds_m(self):
         with pytest.raises(InvalidParamsError):
             validate(2, 2, 3, 0)

@@ -33,6 +33,10 @@ class TestIteratedResidue:
         p = validate(1, 3, 1, 0)
         f = FF.q_power(AE.make(0, {"z1": 1, "z2": 1}))
         assert iterated_residue(f, residue_plan(p)).is_zero
+        # the datum of a zero residue is the one zero form: no prefactor's log grade
+        zero = res_al(p, FF.from_constant(2), 1)
+        assert zero == FF.from_constant(0)
+        assert zero.log_grade == 0
 
     def test_surviving_variables(self):
         p = validate(1, 4, 1, 0)
