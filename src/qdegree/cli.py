@@ -81,8 +81,9 @@ def _load_config(path: str | None) -> dict[str, str]:
 def _intake(keys: tuple[str, ...], flags: dict, numeric_q: bool) -> model.SetupParams:
     """Pop ``keys`` and ``config_path`` from ``flags``: each key is its flag, else its
     config key, the first missing one is the usage error, and validate runs once.
-    ``numeric_q`` makes q required and, once validated exactly, a finite float > 1;
-    a float that is not is one more problem on validate's one line."""
+    ``numeric_q`` (``contour``) makes q required and, once validated exactly, a
+    finite float > 1; a float that is not, and the problems of ``--nodes``,
+    ``--tol``, the depth limit and the torus size, join validate's one line."""
     config = _load_config(flags.pop("config_path"))
     values, texts = {}, {}
     for key in keys:
@@ -114,6 +115,9 @@ def _intake(keys: tuple[str, ...], flags: dict, numeric_q: bool) -> model.SetupP
                            q=values.get("q"), deg_sigma=values.get("deg_sigma"))
     except model.InvalidParamsError as exc:
         problems.insert(0, str(exc))
+    if numeric_q:  # contour's own parameters, before mu is built
+        from . import contour
+        problems += contour.run_problems(values["d"], flags["nodes"], flags["tol"])
     if problems:  # one line naming every bad parameter
         raise click.UsageError("; ".join(problems))
     for warning in p.warnings:

@@ -67,14 +67,25 @@ class QuadratureSpec:
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        if problem := q_problem(self.q):
-            raise InvalidParamsError(problem)
-        if self.nodes < 16 or self.nodes & (self.nodes - 1):
-            raise InvalidParamsError(f"nodes must be a power of two >= 16, got {self.nodes}")
-        if not self.tolerance > 0:
-            raise InvalidParamsError(f"tolerance must be positive, got {self.tolerance}")
-        if math.isinf(self.tolerance):
-            raise InvalidParamsError(f"tolerance must be finite, got {self.tolerance}")
+        if problems := [*filter(None, [q_problem(self.q)]),
+                        *run_problems(1, self.nodes, self.tolerance)]:
+            raise InvalidParamsError("; ".join(problems))
+
+
+def run_problems(d: int, nodes: int, tolerance: float) -> list[str]:
+    """Every problem of a quadrature's nodes and tolerance and, at depth d, of
+    the decomposition's depth limit or its torus size (``_grid_problem``)."""
+    problems = [] if nodes >= 16 and not nodes & (nodes - 1) else [
+        f"nodes must be a power of two >= 16, got {nodes}"]
+    if not tolerance > 0:
+        problems.append(f"tolerance must be positive, got {tolerance}")
+    elif math.isinf(tolerance):
+        problems.append(f"tolerance must be finite, got {tolerance}")
+    if d > 3:
+        problems.append("residue decomposition is implemented for d <= 3")
+    elif d >= 1 and (too_large := _grid_problem(d, nodes)):
+        problems.append(too_large)
+    return problems
 
 
 def default_shift(p: SetupParams) -> tuple[float, ...]:
@@ -82,13 +93,13 @@ def default_shift(p: SetupParams) -> tuple[float, ...]:
     return tuple(float(residue_point(p, l)) + p.t / 2 + 0.25 for l in range(1, p.d))
 
 
-def _check_grid_size(p: SetupParams, spec: QuadratureSpec) -> None:
-    """Refuse a quadrature whose largest torus, the d - 1 circles of the left
-    side and of the level-d chain term, has more than MAX_GRID_NODES nodes."""
-    if spec.nodes ** (p.d - 1) > MAX_GRID_NODES:
-        raise InvalidParamsError(
-            f"nodes^(d-1) = {spec.nodes}^{p.d - 1} exceeds the limit of "
-            f"2^{MAX_GRID_NODES.bit_length() - 1} = {MAX_GRID_NODES} grid nodes")
+def _grid_problem(d: int, nodes: int) -> str | None:
+    """Why a quadrature is refused whose largest torus, the d - 1 circles of the
+    left side and of the level-d chain term, has more than MAX_GRID_NODES nodes."""
+    if nodes ** (d - 1) > MAX_GRID_NODES:
+        return (f"nodes^(d-1) = {nodes}^{d - 1} exceeds the limit of "
+                f"2^{MAX_GRID_NODES.bit_length() - 1} = {MAX_GRID_NODES} grid nodes")
+    return None
 
 
 def _eval_grid(f: FactoredForm, q: float,
@@ -192,7 +203,8 @@ def lhs_contour(p: SetupParams, spec: QuadratureSpec, f: FactoredForm) -> comple
     f = mu_on_z(p) over the circles Re(z_l) = R_l of ``default_shift``;
     equals (m/t)^(d-1) times the node mean.
     """
-    _check_grid_size(p, spec)
+    if too_large := _grid_problem(p.d, spec.nodes):
+        raise InvalidParamsError(too_large)
     shifts = {z_var(j): r for j, r in enumerate(default_shift(p), start=1)}
     return (Fraction(p.m, p.t) ** (p.d - 1)) * _torus_mean(f, spec, shifts)
 
@@ -222,9 +234,8 @@ class DecompositionReport:
 
 def _check_decomposition(p: SetupParams, spec: QuadratureSpec) -> None:
     """Refuse a depth beyond 3 and an oversized torus, before mu is built."""
-    if p.d > 3:
-        raise OutOfRangeError("residue decomposition is implemented for d <= 3")
-    _check_grid_size(p, spec)
+    if problems := run_problems(p.d, spec.nodes, spec.tolerance):
+        raise (OutOfRangeError if p.d > 3 else InvalidParamsError)("; ".join(problems))
 
 
 def residue_terms(p: SetupParams, spec: QuadratureSpec,

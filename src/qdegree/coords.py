@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .model import OutOfRangeError, SetupParams
-from .qform import AffineExponent, ExponentValue, RowSum, as_exponent
+from .qform import AffineExponent, ExponentValue, as_exponent, integer_rows, row_exponent
 
 
 def z_var(j: int) -> str:
@@ -35,18 +36,6 @@ class Weight:
     @property
     def dim(self) -> int:
         return len(self.s)
-
-    def steps(self, scale: int) -> list[AffineExponent]:
-        """The adjacent differences scale * (s_i - s_(i+1)): each a difference
-        of two of the entries' integer rows (``RowSum``), with one gcd step."""
-        rows = RowSum([(e, scale) for e in self.s])
-        steps = []
-        for i in range(self.dim - 1):
-            rows.add(i)
-            rows.add(i + 1, -1)
-            steps.append(rows.exponent())
-            rows.clear()
-        return steps
 
     def shift(self, c: ExponentValue) -> "Weight":
         c = as_exponent(c)
@@ -72,20 +61,21 @@ def z_to_s(p: SetupParams, z_values: Sequence[ExponentValue]) -> Weight:
     entries after j equal to the tail -1/(t(d-j+1)), and earlier entries 0.
     Since head - tail = 1/t, entry k is sum_(j<=k) z_j tail_j + z_k / t, and
     z_k / t = -(d-k+1) z_k tail_k.  So one pass over the rows z_j tail_j on the
-    lcm of their denominators (``RowSum``) gives every entry, each with one
+    lcm of their denominators (``integer_rows``) gives every entry, each with one
     gcd step: entry k is the running sum of rows 1..k-1 minus (d-k) times row
     k, and the last entry is the sum of all rows.
     """
     if len(z_values) != p.d - 1:
         raise OutOfRangeError(f"expected {p.d - 1} z-values, got {len(z_values)}")
-    rows = RowSum([(as_exponent(z), Fraction(-1, p.t * (p.d - j)))
-                   for j, z in enumerate(z_values)])
-    entries = []
-    for j in range(p.d - 1):  # row j is z_(j+1) times its tail
-        rows.add(j, j + 1 - p.d)
-        entries.append(rows.exponent())
-        rows.add(j, p.d - j)
-    entries.append(rows.exponent())
+    den, names, rows = integer_rows([(as_exponent(z), Fraction(-1, p.t * (p.d - j)))
+                                     for j, z in enumerate(z_values)])
+    num, total, entries = 0, [0] * len(names), []
+    for j, (top, row) in enumerate(rows):  # row j is z_(j+1) times its tail
+        f = j + 1 - p.d
+        entries.append(row_exponent(num + f * top, den, names,
+                                    [a + f * b for a, b in zip(total, row)]))
+        num, total = num + top, list(map(add, total, row))
+    entries.append(row_exponent(num, den, names, total))
     return Weight(tuple(entries))
 
 

@@ -10,11 +10,13 @@ which telescopes to a closed two-over-two form.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
+from math import gcd
+from operator import add, floordiv, neg, sub
 
 from .coords import Weight, generic_weight
 from .model import OutOfRangeError, SetupParams
-from .qform import (AffineExponent, ExponentValue, FactoredForm, RowSum, as_exponent,
-                    sorted_binomials)
+from .qform import AffineExponent, ExponentValue, FactoredForm, as_exponent, integer_rows
 
 
 def _rank_one_binomials(p: SetupParams, tx: AffineExponent) -> list[tuple[AffineExponent, int]]:
@@ -38,47 +40,79 @@ def rank_one_factor(p: SetupParams, x: ExponentValue) -> FactoredForm:
     return FactoredForm.build(1, 0, p.a + p.t, _rank_one_binomials(p, as_exponent(x).scale(p.t)))
 
 
+def _laid_out_parts(t: int, weight: Weight) -> list[tuple[AffineExponent, int]] | None:
+    """The distinct parts tx = t(s_i - s_j), i < j, each with a positive first
+    coefficient and its count, in build's order; None when a part carries a
+    constant, or its row a zero between its first and last column.
+
+    The entries t s_k are integer rows over one denominator D
+    (``integer_rows``).  The part (i, j) is the running sum of the adjacent
+    steps i..j-1 between the entries, read between the first and the last
+    column those steps name, and it is keyed by the name of its first column
+    and the tuple of its coefficients over D.  With no zero inside the row,
+    its terms are exactly those columns, so equal keys are equal parts, and
+    the keys sort as build sorts exponents: by the first name as a string
+    (z10 < z2), then by the coefficients (``sorted_binomials``).  A part's
+    gcd with D is kept along the running sum, each column that no later step
+    touches folded in once; each distinct part is reduced by it after the sort.
+    """
+    den, names, entries = integer_rows([(e, t) for e in weight.s])
+    n = len(names)
+    if len({num for num, _ in entries}) > 1:
+        return None
+    steps = []  # (first column, end column, the step's row between them)
+    for (_, a), (_, b) in zip(entries, entries[1:]):
+        step = list(map(sub, a, b))
+        nonzero = [k for k, c in enumerate(step) if c] or [0]
+        steps.append((nonzero[0], nonzero[-1] + 1, step[nonzero[0]:nonzero[-1] + 1]))
+    # the columns left of ahead[k] are final once steps ..k are added
+    ahead = [*accumulate([low for low, _, _ in reversed(steps)], min)][::-1][1:] + [n]
+    found: dict[tuple, list[int]] = {}
+    for i in range(len(steps)):
+        acc, lo, hi, g, folded = [0] * n, n, 0, den, 0
+        for (low, high, step), final in zip(steps[i:], ahead[i:]):
+            acc[low:high] = map(add, acc[low:high], step)
+            if low < lo:
+                lo = low
+            if high > hi:
+                hi = high
+            part = tuple(acc[lo:hi])
+            if not part or 0 in part:
+                return None
+            cut = final if final < hi else hi
+            g, folded = gcd(g, *acc[folded:cut]), cut
+            if part[0] < 0:
+                part = tuple(map(neg, part))
+            found.setdefault((names[lo], part, lo), [gcd(g, *acc[cut:hi]), 0])[1] += 1
+    return [(AffineExponent(0, den // g, tuple(zip(names[lo:lo + len(part)],
+                                                   map(floordiv, part, repeat(g))))), k)
+            for (_, part, lo), (g, k) in sorted(found.items())]
+
+
 def mu_full(p: SetupParams, weight: Weight) -> FactoredForm:
     """Product of rank-one factors over all block pairs 1 <= i < j <= d.
 
-    Depends only on the differences s_i - s_j, so it is shift invariant.  The
-    adjacent steps t(s_i - s_(i+1)) come from the entries' integer rows
-    (``Weight.steps``), and each part tx = t(s_i - s_j) is a running sum of
-    the steps' rows (``RowSum.running_sums``): a row addition and one gcd
-    step per pair.
-
-    When no part has a constant term, as for every weight ``z_to_s`` makes
-    from symbolic z, the canonical binomials are laid out here, once per
-    distinct part, with no build.  The pair factor is even in x, so a part
-    and its negative give the same three canonical binomials and the same
-    constant and monomial: each part is taken with a positive leading
-    coefficient.  Equal parts merge into a multiplicity k, and a zero part
-    makes mu zero.  The distinct parts are sorted once with their counts in
-    build's order (``sorted_binomials``).  The binomials are three runs in
-    that order of the parts, one per binomial of ``_rank_one_binomials``
-    sorted by constant (-t < 0 < t): (tx - t)^(-k), (tx)^(2k), (tx + t)^(-k);
-    tx + c is laid out as (c den + terms) / den, as tx has no constant, and
-    the run at 0 holds the part itself, so a part's three binomials share its
-    terms tuple.  A weight whose differences carry a constant, which only
-    tests pass, takes the one general build of all pair binomials instead.
+    Depends only on the differences s_i - s_j, so it is shift invariant.
+    When no part tx = t(s_i - s_j) has a constant term, as for every weight
+    ``z_to_s`` makes from symbolic z, the canonical binomials are laid out
+    once per distinct part (``_laid_out_parts``), with no build.  The pair
+    factor is even in x, so a part and its negative give the same three
+    canonical binomials and the same constant and monomial.  The binomials
+    are three runs in the parts' order, one per binomial of
+    ``_rank_one_binomials`` sorted by constant (-t < 0 < t): (tx - t)^(-k),
+    (tx)^(2k), (tx + t)^(-k) for a part met k times; tx + c is laid out as
+    (c den + terms) / den, so a part's three binomials share its terms tuple.
+    Any other weight, which only tests pass, takes one general build.
     """
     if weight.dim != p.d:
         raise OutOfRangeError(f"weight has {weight.dim} entries, expected {p.d}")
-    steps = weight.steps(p.t)
-    rows = RowSum([(step, 1) for step in steps])
-    parts = [tx for i in range(p.d - 1) for tx in rows.running_sums(i)]
     monomial = (p.a + p.t) * (p.d * (p.d - 1) // 2)
-    if any(step._num for step in steps):  # the parts carry constants
-        return FactoredForm.build(1, 0, monomial,
-                                  [b for tx in parts for b in _rank_one_binomials(p, tx)])
-    counts: dict[AffineExponent, int] = {}
-    for tx in parts:
-        if tx.is_zero:
-            return FactoredForm.from_constant(0)
-        if tx._terms[0][1] < 0:
-            tx = -tx
-        counts[tx] = counts.get(tx, 0) + 1
-    order = sorted_binomials(counts)
+    order = _laid_out_parts(p.t, weight)
+    if order is None:
+        s = weight.s
+        return FactoredForm.build(1, 0, monomial, [
+            b for i in range(p.d) for j in range(i + 1, p.d)
+            for b in _rank_one_binomials(p, (s[i] - s[j]).scale(p.t))])
     runs = sorted((e._num, m) for e, m in _rank_one_binomials(p, as_exponent(0)))
     binomials = tuple([(AffineExponent(c * tx._den, tx._den, tx._terms) if c else tx, m * k)
                        for c, m in runs for tx, k in order])

@@ -17,15 +17,15 @@ with one gcd step; no Fraction arithmetic runs while forms are built.
 
 The module holds, each described where it is defined: ``rational_text``,
 the program's one printer of an exact rational, for any number of digits;
-``q_problem``, q's one domain rule; ``AffineExponent``; ``RowSum``, integer
-rows of exponents summed with one gcd step per sum; ``sorted_binomials``,
+``q_problem``, q's one domain rule; ``AffineExponent``; ``integer_rows``,
+exponents as integer rows over one denominator, and ``row_exponent``, such
+a row as a reduced exponent; ``sorted_binomials``,
 the order of a canonical form's binomials; ``FactoredForm`` with its numeric
 and exact evaluation; ``split_at_point``, a form's binomials at a residue
 chain's point; ``SumForm``; and ``residue``, the w^(-1) Laurent coefficient.
 
 Exponents and forms are immutable and hashable, and their operations are
-pure functions; a ``RowSum`` is a scratch accumulator owned by the one call
-that makes it.
+pure functions.
 """
 
 from __future__ import annotations
@@ -343,85 +343,30 @@ _integer_exponent = lru_cache(maxsize=4096)(AffineExponent)
 _ZERO_EXPONENT = as_exponent(0)
 
 
-def _row_exponent(num: int, den: int, names: Sequence[str], row: list[int], lo: int, hi: int
-                  ) -> AffineExponent:
-    """The exponent (num + sum_k row[k] names[k]) / den, with row zero outside
-    [lo, hi), reduced by one gcd step."""
-    cs = row[lo:hi]
-    g = gcd(den, num, *cs)
-    return AffineExponent(num // g, den // g,
-                          tuple([(names[k], c // g) for k, c in enumerate(cs, lo) if c]))
+def integer_rows(scaled: Sequence[tuple[AffineExponent, Rational]]
+                 ) -> tuple[int, list[str], list[tuple[int, list[int]]]]:
+    """Exponents times rational scales as integer rows over one denominator:
+    ``den``, the lcm of the scaled exponents' denominators; the names of their
+    variables in natural order, one column each; and for each exponent its
+    numerator and its coefficient in every column, over ``den``."""
+    parts = [(e, *_ratio(r)) for e, r in scaled]
+    den = lcm(*[e._den * bottom for e, _, bottom in parts])
+    names = sorted({n for e, _, _ in parts for n, _ in e._terms}, key=_var_key)
+    column = {n: k for k, n in enumerate(names)}
+    rows = []
+    for e, top, bottom in parts:
+        f = den // (e._den * bottom) * top
+        row = [0] * len(names)
+        for n, c in e._terms:
+            row[column[n]] = c * f
+        rows.append((e._num * f, row))
+    return den, names, rows
 
 
-class RowSum:
-    """Exponents as integer rows over one denominator, summed with integer factors.
-
-    Each given exponent, times its given rational scale, is a row of integers
-    over ``den``, the lcm of the scaled exponents' denominators, with one
-    column per variable in natural order.  ``add`` adds a multiple of one row
-    to a running sum, and ``exponent`` builds that sum with one gcd step.  A
-    sum touches only the columns its rows name, and is read between the first
-    and the last of them, so a sum of rows in few variables stays cheap
-    however many variables the others name.
-    """
-
-    __slots__ = ("parts", "den", "names", "column", "num", "row", "lo", "hi")
-
-    def __init__(self, scaled: Sequence[tuple[AffineExponent, Rational]]):
-        self.parts = []  # (exponent, numerator of its scale, denominator of the product)
-        for e, r in scaled:
-            top, bottom = (r, 1) if type(r) is int else (r.numerator, r.denominator)
-            self.parts.append((e, top, e._den * bottom))
-        self.den = lcm(*[bottom for _, _, bottom in self.parts])
-        self.names = sorted({n for e, _, _ in self.parts for n, _ in e._terms}, key=_var_key)
-        self.column = {n: k for k, n in enumerate(self.names)}
-        self.num, self.row, self.lo, self.hi = 0, [0] * len(self.names), len(self.names), 0
-
-    def add(self, i: int, factor: int = 1) -> None:
-        """Add ``factor`` times row i to the sum."""
-        e, top, bottom = self.parts[i]
-        f = self.den // bottom * top * factor
-        self.num += e._num * f
-        terms = e._terms
-        if terms:
-            row, column = self.row, self.column
-            for n, c in terms:
-                row[column[n]] += c * f
-            self.lo = min(self.lo, column[terms[0][0]])
-            self.hi = max(self.hi, column[terms[-1][0]] + 1)
-
-    def exponent(self) -> AffineExponent:
-        """The sum as a reduced exponent."""
-        return _row_exponent(self.num, self.den, self.names, self.row, self.lo, self.hi)
-
-    def clear(self) -> None:
-        """Set the sum back to zero."""
-        self.row[self.lo:self.hi] = [0] * (self.hi - self.lo)
-        self.num, self.lo, self.hi = 0, len(self.names), 0
-
-    def running_sums(self, start: int = 0) -> list[AffineExponent]:
-        """The sums of rows start..i for i = start, start + 1, ..., as
-        ``itertools.accumulate`` gives them, apart from the running sum.
-
-        They are taken over the lcm of the denominators of rows start.. only,
-        so that sums of the later rows stay over small integers.
-        """
-        parts = self.parts[start:]
-        den = lcm(*[bottom for _, _, bottom in parts])
-        names, column = self.names, self.column
-        num, row, lo, hi = 0, [0] * len(names), len(names), 0
-        sums = []
-        for e, top, bottom in parts:
-            f = den // bottom * top
-            num += e._num * f
-            terms = e._terms
-            if terms:
-                for n, c in terms:
-                    row[column[n]] += c * f
-                lo = min(lo, column[terms[0][0]])
-                hi = max(hi, column[terms[-1][0]] + 1)
-            sums.append(_row_exponent(num, den, names, row, lo, hi))
-        return sums
+def row_exponent(num: int, den: int, names: Sequence[str], row: Sequence[int]) -> AffineExponent:
+    """The exponent (num + sum_k row[k] names[k]) / den, reduced by one gcd step."""
+    g = gcd(den, num, *row)
+    return AffineExponent(num // g, den // g, tuple([(n, c // g) for n, c in zip(names, row) if c]))
 
 
 def _scaled_key(den: int):

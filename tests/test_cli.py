@@ -295,6 +295,34 @@ class TestContourCommand:
         assert result.stderr == ("Error: d must be a positive integer, got 0; contour evaluates "
                                  "q as a float: q=1e400 gives inf, not a finite float > 1\n")
 
+    # --nodes, --tol, the depth limit and the torus size join the same line
+    @pytest.mark.parametrize("args, problems", [
+        (["--d", "2", "--q", "2", "--nodes", "3", "--tol", "0"],
+         ["nodes must be a power of two >= 16, got 3", "tolerance must be positive, got 0.0"]),
+        (["--d", "0", "--q", "2", "--nodes", "3", "--tol", "0"],
+         ["d must be a positive integer, got 0", "nodes must be a power of two >= 16, got 3",
+          "tolerance must be positive, got 0.0"]),
+        (["--d", "5", "--q", "1e400"],
+         ["contour evaluates q as a float: q=1e400 gives inf, not a finite float > 1",
+          "residue decomposition is implemented for d <= 3"]),
+        (["--d", "5", "--q", "2", "--nodes", "3"],
+         ["nodes must be a power of two >= 16, got 3",
+          "residue decomposition is implemented for d <= 3"]),
+        (["--d", "3", "--q", "2", "--nodes", "5000", "--tol", "nan"],
+         ["nodes must be a power of two >= 16, got 5000", "tolerance must be positive, got nan",
+          "nodes^(d-1) = 5000^2 exceeds the limit of 2^24 = 16777216 grid nodes"]),
+    ])
+    def test_contour_parameters_are_named_with_the_setup(self, runner, monkeypatch, args,
+                                                         problems):
+        def no_mu(p):
+            raise AssertionError("mu was built before the parameter checks")
+
+        monkeypatch.setattr(contour, "mu_on_z", no_mu)
+        result = runner.invoke(main, ["contour", "--m", "1", "--t", "1", "--a", "0", *args])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"Error: {'; '.join(problems)}\n"
+
     def test_q_from_a_config_file_is_read_exactly(self, runner, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("q=1.0000000000000000001\n")

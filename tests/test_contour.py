@@ -134,6 +134,12 @@ class TestQuadratureSpec:
         if q != q:
             assert str(spec_error.value) == "q must be finite, got nan"
 
+    def test_every_problem_is_named(self):
+        with pytest.raises(InvalidParamsError) as error:
+            QuadratureSpec(q=float("inf"), nodes=8, tolerance=0)
+        assert str(error.value) == ("q must be finite, got inf; nodes must be a power of two "
+                                    ">= 16, got 8; tolerance must be positive, got 0")
+
     def test_rejections_are_typed(self):
         # the CLI maps both to a usage error; both stay ValueErrors for callers
         for tolerance in (0, float("inf")):

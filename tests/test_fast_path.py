@@ -22,28 +22,29 @@ denominator or not.
 chain of ``residue`` calls is its reference wherever every pole is simple,
 and elsewhere it must refuse with ``HigherOrderPoleError``.
 
-The integer-row helpers have references too: ``RowSum.running_sums`` must
-give ``itertools.accumulate`` over ``AffineExponent.__add__``; ``z_to_s``
-must give the weight that heads and tails give through ``scale`` and ``+``,
-and ``Weight.steps`` the differences ``(a - b).scale(t)``; and
-``split_at_point`` must give what ``substitute`` one variable at a time
-gives, with the vanishing binomials filed under the right step.
+The integer-row helpers have references too: ``integer_rows`` must give
+each scaled exponent's coefficients over one denominator, and
+``row_exponent`` must read such a row back as the reduced exponent;
+``z_to_s`` must give the weight that heads and tails give through ``scale``
+and ``+``; and ``split_at_point`` must give what ``substitute`` one
+variable at a time gives, with the vanishing binomials filed under the
+right step.
 """
 
 import math
 from fractions import Fraction as F
-from itertools import accumulate
 
 import hypothesis
 import hypothesis.strategies as st
 import pytest
 
 from qdegree import resdata
-from qdegree.coords import Weight, residue_plan, z_to_s
+from qdegree.coords import residue_plan, z_to_s
 from qdegree.model import validate
 from qdegree.mu import mu_on_z
 from qdegree.qform import (AffineExponent as AE, FactoredForm as FF, HigherOrderPoleError,
-                           RowSum, SumForm, as_exponent, as_sum, residue, split_at_point)
+                           SumForm, as_exponent, as_sum, integer_rows, residue, row_exponent,
+                           split_at_point)
 from qdegree.resdata import iterated_residue
 
 
@@ -519,16 +520,20 @@ def test_chain_hands_residue_canonical_forms(monkeypatch):
 # -- the integer-row helpers against their one-operation references --------
 
 @hypothesis.settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@hypothesis.given(st.lists(st.tuples(wide_rationals, coeff_lists), max_size=8), st.integers(0, 8))
-def test_running_sums_match_accumulate(parts, start):
-    exponents = [AE.make(c, t) for c, t in parts]
-    rows = RowSum([(e, 1) for e in exponents])
-    got = rows.running_sums()
-    assert got == list(accumulate(exponents))
-    for e in got:
-        _check_reduced(e)
-    # the sum is back at zero, so the same rows give the sums from any start
-    assert rows.running_sums(start) == list(accumulate(exponents[start:]))
+@hypothesis.given(st.lists(st.tuples(wide_rationals, coeff_lists, st.one_of(st.integers(-6, 6),
+                                                                         nonzero_rationals)),
+                           min_size=1, max_size=8))
+def test_integer_rows_match_scaled_exponents(parts):
+    scaled = [(AE.make(c, t), r) for c, t, r in parts]
+    den, names, rows = integer_rows(scaled)
+    assert names == [n for n in NAMES if any(e.coeff(n) for e, _ in scaled)]
+    for (e, r), (num, row) in zip(scaled, rows):
+        assert len(row) == len(names)
+        assert F(num, den) == e.const * r
+        assert [F(c, den) for c in row] == [e.coeff(n) * r for n in names]
+        # a row read back is the scaled exponent, reduced
+        assert row_exponent(num, den, names, row) == e.scale(r)
+        _check_reduced(row_exponent(num, den, names, row))
 
 
 def _z_to_s_reference(p, z_values) -> list:
@@ -560,13 +565,8 @@ def test_weight_rows_match_fraction_formulas(block, zs):
     p = validate(m, len(zs) + 1, t, 0)
     w = z_to_s(p, zs)
     assert list(w.s) == _z_to_s_reference(p, zs)
-    steps = w.steps(t)
-    assert steps == [(a - b).scale(t) for a, b in zip(w.s, w.s[1:])]
-    for e in list(w.s) + steps:
+    for e in w.s:
         _check_reduced(e)
-    # any weight, not only one of z_to_s: entries with unrelated denominators
-    other = Weight(tuple(as_exponent(z) for z in list(zs) + [F(1, 7)]))
-    assert other.steps(t) == [(a - b).scale(t) for a, b in zip(other.s, other.s[1:])]
 
 
 def _split_reference(f: FF, steps):

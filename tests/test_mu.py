@@ -10,10 +10,10 @@ import pytest
 
 from qdegree.coords import Weight, generic_weight, residue_plan, z_to_s
 from qdegree.model import OutOfRangeError, validate
-from qdegree.mu import (_rank_one_binomials, mu_full, mu_level_ratio_closed,
+from qdegree.mu import (_laid_out_parts, _rank_one_binomials, mu_full, mu_level_ratio_closed,
                         mu_level_ratio_telescoped, mu_on_z, rank_one_factor)
 from qdegree.qform import (AffineExponent as AE, FactoredForm as FF,
-                           PoleAtSubstitutionError, split_at_point)
+                           PoleAtSubstitutionError, _var_key, split_at_point)
 
 
 class TestRankOne:
@@ -129,8 +129,9 @@ small_rationals = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
 def constant_free_weights(draw):
     """Weights whose differences have no constant term: the generic weight
     permuted, negated, with its variables renamed in reverse order or shifted
-    by a constant, or entries in two variables with small coefficients,
-    whose differences often coincide; either kind may repeat an entry."""
+    by a constant, or entries in two or three variables with small
+    coefficients, whose differences often coincide or skip the middle
+    variable; either kind may repeat an entry."""
     t = draw(st.sampled_from((1, 2, 3, 6)))
     d = draw(st.integers(1, 9))
     p = validate(6, d, t, draw(st.integers(0, 2)))
@@ -142,8 +143,8 @@ def constant_free_weights(draw):
             rename = {f"z{j}": f"z{d - j}" for j in range(1, d)}
             s = [AE.make(e.const, {rename[n]: c for n, c in e.coeffs}) for e in s]
     else:
-        s = [AE.make(0, {"x": draw(small_rationals), "y": draw(small_rationals)})
-             for _ in range(d)]
+        names = ("x", "y", "w")[:draw(st.integers(2, 3))]
+        s = [AE.make(0, {n: draw(small_rationals) for n in names}) for _ in range(d)]
     if draw(st.booleans()):
         shift = draw(small_rationals)
         s = [e + shift for e in s]
@@ -173,9 +174,32 @@ class TestLaidOutMu:
             differences = [w.s[i] - w.s[j] for i in range(p.d) for j in range(i + 1, p.d)]
             if any(x.coeffs and x.coeffs[0][1] < 0 for x in differences):
                 seen.add("negative lead")
+            laid_out = _laid_out_parts(p.t, w) is not None
+            seen.add("laid out" if laid_out else "general build")
+            # a zero between a part's first and last column: its key would not
+            # be its terms, so it must take the general build
+            columns = sorted({n for e in w.s for n, _ in e.coeffs}, key=_var_key)
+            for x in differences:
+                named = [columns.index(n) for n, _ in x.coeffs]
+                if named and named[-1] - named[0] + 1 > len(named):
+                    seen.add("zero inside the span")
+                    assert not laid_out
 
         check()
-        assert {"zero", "merged", "negative lead"} <= seen
+        assert {"zero", "merged", "negative lead", "laid out", "general build",
+                "zero inside the span"} <= seen
+
+    @pytest.mark.parametrize("d", (11, 12, 16))
+    @pytest.mark.parametrize("t", (1, 3))
+    def test_string_order_of_names_matches_single_build(self, d, t):
+        # from d = 11 on, z10 sorts before z2 as a string but after it as a column
+        p = validate(6, d, t, 1)
+        w = generic_weight(p)
+        got = mu_on_z(p)
+        assert _laid_out_parts(p.t, w) is not None
+        assert got == _single_build(p, w)
+        firsts = [e.coeffs[0][0] for e, _ in got.binomials]
+        assert firsts.index("z10") < firsts.index("z2")
 
     def test_weight_with_constants_takes_the_general_build(self):
         p = validate(2, 3, 2, 1)
