@@ -2,8 +2,8 @@
 subcommands, canonical text output and a stable JSON schema.
 
 Every command shares one intake: each of ``--m --d --t --a --q --deg-sigma``
-falls back to its key (``m d t a q deg_sigma``) in a ``--config`` file of
-``key=value`` lines, then ``model.validate`` runs once and each parameter
+falls back to its key (``m d t a q deg_sigma``, no other) in a ``--config``
+file of ``key=value`` lines, then ``model.validate`` runs once and each parameter
 warning goes to stderr as one ``warning: ...`` line.  ``--q`` and
 ``--deg-sigma`` take exact rationals such as ``3/2`` or ``2.5``; ``contour``
 then evaluates q as a float, which must be finite and > 1.
@@ -44,6 +44,7 @@ _OPTIONS = {
 
 # exact numbers, None when symbolic; every other key is a required integer
 _RATIONAL_KEYS = ("q", "deg_sigma")
+_CONFIG_KEYS = ("m", "d", "t", "a", *_RATIONAL_KEYS)  # a command ignores those it does not read
 
 
 def _parse_number(text: str | None, key: str):
@@ -75,6 +76,10 @@ def _load_config(path: str | None) -> dict[str, str]:
             raise click.UsageError(f"config line {line!r} is not key=value")
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
+    unknown = [key for key in out if key not in _CONFIG_KEYS]
+    if unknown:
+        raise click.UsageError(f"unknown config key(s) {', '.join(map(repr, unknown))}; "
+                               f"a config file takes {' '.join(_CONFIG_KEYS)}")
     return out
 
 

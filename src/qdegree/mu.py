@@ -5,14 +5,16 @@ on the difference x = s_i - s_j.  Each factor is even in x, vanishes to
 second order at x = 0, and has simple poles at x = +-1.  Merging the blocks
 l..d and peeling off block l-1 gives the level ratio in a single variable,
 which telescopes to a closed two-over-two form.
+
+mu has two paths: ``mu_full``, one build for any weight, and ``mu_on_z``, the
+generic weight's mu read off its integer rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
-from math import gcd
-from operator import add, floordiv, neg, sub
+from math import comb, gcd
+from operator import sub
 
 from .coords import Weight, generic_weight
 from .model import OutOfRangeError, SetupParams
@@ -40,83 +42,18 @@ def rank_one_factor(p: SetupParams, x: ExponentValue) -> FactoredForm:
     return FactoredForm.build(1, 0, p.a + p.t, _rank_one_binomials(p, as_exponent(x).scale(p.t)))
 
 
-def _laid_out_parts(t: int, weight: Weight) -> list[tuple[AffineExponent, int]] | None:
-    """The distinct parts tx = t(s_i - s_j), i < j, each with a positive first
-    coefficient and its count, in build's order; None when a part carries a
-    constant, or its row a zero between its first and last column.
-
-    The entries t s_k are integer rows over one denominator D
-    (``integer_rows``).  The part (i, j) is the running sum of the adjacent
-    steps i..j-1 between the entries, read between the first and the last
-    column those steps name, and it is keyed by the name of its first column
-    and the tuple of its coefficients over D.  With no zero inside the row,
-    its terms are exactly those columns, so equal keys are equal parts, and
-    the keys sort as build sorts exponents: by the first name as a string
-    (z10 < z2), then by the coefficients (``sorted_binomials``).  A part's
-    gcd with D is kept along the running sum, each column that no later step
-    touches folded in once; each distinct part is reduced by it after the sort.
-    """
-    den, names, entries = integer_rows([(e, t) for e in weight.s])
-    n = len(names)
-    if len({num for num, _ in entries}) > 1:
-        return None
-    steps = []  # (first column, end column, the step's row between them)
-    for (_, a), (_, b) in zip(entries, entries[1:]):
-        step = list(map(sub, a, b))
-        nonzero = [k for k, c in enumerate(step) if c] or [0]
-        steps.append((nonzero[0], nonzero[-1] + 1, step[nonzero[0]:nonzero[-1] + 1]))
-    # the columns left of ahead[k] are final once steps ..k are added
-    ahead = [*accumulate([low for low, _, _ in reversed(steps)], min)][::-1][1:] + [n]
-    found: dict[tuple, list[int]] = {}
-    for i in range(len(steps)):
-        acc, lo, hi, g, folded = [0] * n, n, 0, den, 0
-        for (low, high, step), final in zip(steps[i:], ahead[i:]):
-            acc[low:high] = map(add, acc[low:high], step)
-            if low < lo:
-                lo = low
-            if high > hi:
-                hi = high
-            part = tuple(acc[lo:hi])
-            if not part or 0 in part:
-                return None
-            cut = final if final < hi else hi
-            g, folded = gcd(g, *acc[folded:cut]), cut
-            if part[0] < 0:
-                part = tuple(map(neg, part))
-            found.setdefault((names[lo], part, lo), [gcd(g, *acc[cut:hi]), 0])[1] += 1
-    return [(AffineExponent(0, den // g, tuple(zip(names[lo:lo + len(part)],
-                                                   map(floordiv, part, repeat(g))))), k)
-            for (_, part, lo), (g, k) in sorted(found.items())]
-
-
 def mu_full(p: SetupParams, weight: Weight) -> FactoredForm:
-    """Product of rank-one factors over all block pairs 1 <= i < j <= d.
+    """Product of rank-one factors over all block pairs 1 <= i < j <= d, in one build.
 
-    Depends only on the differences s_i - s_j, so it is shift invariant.
-    When no part tx = t(s_i - s_j) has a constant term, as for every weight
-    ``z_to_s`` makes from symbolic z, the canonical binomials are laid out
-    once per distinct part (``_laid_out_parts``), with no build.  The pair
-    factor is even in x, so a part and its negative give the same three
-    canonical binomials and the same constant and monomial.  The binomials
-    are three runs in the parts' order, one per binomial of
-    ``_rank_one_binomials`` sorted by constant (-t < 0 < t): (tx - t)^(-k),
-    (tx)^(2k), (tx + t)^(-k) for a part met k times; tx + c is laid out as
-    (c den + terms) / den, so a part's three binomials share its terms tuple.
-    Any other weight, which only tests pass, takes one general build.
+    Depends only on the differences s_i - s_j, so it is shift invariant.  It
+    takes any weight, and it is the reference for ``mu_on_z``.
     """
     if weight.dim != p.d:
         raise OutOfRangeError(f"weight has {weight.dim} entries, expected {p.d}")
-    monomial = (p.a + p.t) * (p.d * (p.d - 1) // 2)
-    order = _laid_out_parts(p.t, weight)
-    if order is None:
-        s = weight.s
-        return FactoredForm.build(1, 0, monomial, [
-            b for i in range(p.d) for j in range(i + 1, p.d)
-            for b in _rank_one_binomials(p, (s[i] - s[j]).scale(p.t))])
-    runs = sorted((e._num, m) for e, m in _rank_one_binomials(p, as_exponent(0)))
-    binomials = tuple([(AffineExponent(c * tx._den, tx._den, tx._terms) if c else tx, m * k)
-                       for c, m in runs for tx, k in order])
-    return FactoredForm(Fraction(1), 0, as_exponent(monomial), binomials)
+    s = weight.s
+    return FactoredForm.build(1, 0, (p.a + p.t) * comb(p.d, 2), [
+        b for i in range(p.d) for j in range(i + 1, p.d)
+        for b in _rank_one_binomials(p, (s[i] - s[j]).scale(p.t))])
 
 
 def mu_level_ratio_closed(p: SetupParams, l: int) -> FactoredForm:
@@ -147,5 +84,32 @@ def mu_level_ratio_telescoped(p: SetupParams, l: int) -> FactoredForm:
 
 
 def mu_on_z(p: SetupParams) -> FactoredForm:
-    """mu at the symbolic weight sum_j z_j atilde_j in z1..z(d-1)."""
-    return mu_full(p, generic_weight(p))
+    """mu at the symbolic weight sum_j z_j atilde_j in z1..z(d-1), laid out
+    with no build from that weight's entries t s_k as integer rows over one
+    denominator D (``integer_rows``).
+
+    Each row has numerator 0; row k is nonzero exactly on z1..zk, the last row
+    on z1..z(d-1); two rows agree left of the smaller one's last column.  So
+    the part t(s_i - s_j), i < j, is row i minus row j on columns zi..zj: no
+    zero among them, a positive first coefficient, and all parts distinct.
+    For a fixed i each column left of zj is the same in every later part, so
+    the gcd that reduces a part is carried along j.  The parts come in build's
+    order (by the first name as a string, z10 < z2, then by j), in three runs,
+    one per binomial of ``_rank_one_binomials`` sorted by constant (-t < 0 < t);
+    tx + c is (c den + terms) / den, so a part's binomials share its terms.
+    """
+    den, names, entries = integer_rows([(e, p.t) for e in generic_weight(p).s])
+    rows = [row for _, row in entries]
+    parts = []
+    for i in sorted(range(p.d - 1), key=names.__getitem__):
+        g = den
+        for j in range(i + 1, p.d):
+            part = list(map(sub, rows[i][i:j + 1], rows[j][i:j + 1]))
+            g = gcd(g, part[j - i - 1])  # column j-1: the same in every later part
+            r = gcd(g, *part[j - i:])  # with column j, which the last row lacks
+            terms = tuple(zip(names[i:j + 1], [c // r for c in part]))
+            parts.append(AffineExponent(0, den // r, terms))
+    runs = sorted((e._num, m) for e, m in _rank_one_binomials(p, as_exponent(0)))
+    binomials = tuple([(AffineExponent(c * tx._den, tx._den, tx._terms) if c else tx, m)
+                       for c, m in runs for tx in parts])
+    return FactoredForm(Fraction(1), 0, as_exponent((p.a + p.t) * comb(p.d, 2)), binomials)

@@ -108,6 +108,24 @@ class TestDegreeCommand:
         assert result.exit_code == 2
         assert result.stderr.splitlines()[-1].startswith("Error: cannot read config file")
 
+    def test_unknown_config_keys_exit_2(self, runner, tmp_path):
+        # the flag's spelling deg-sigma is not the key deg_sigma
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("m=2\nd=3\nt=1\na=0\nq=3\ndeg-sigma=2\nnodes=32\n")
+        result = runner.invoke(main, ["degree", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("Error: unknown config key")
+        assert "'deg-sigma'" in line and "'nodes'" in line
+
+    def test_config_keys_a_command_does_not_read(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("m=2\nd=2\nt=1\na=0\nq=3\ndeg_sigma=2\n")
+        result = runner.invoke(main, ["mu", "--config", str(cfg)])
+        assert result.exit_code == 0
+        assert result.stderr == ""
+
     def test_numeric_q(self, runner):
         result = runner.invoke(main, ["degree", "--m", "1", "--d", "2", "--t", "1",
                                       "--a", "0", "--q", "3", "--deg-sigma", "1"])

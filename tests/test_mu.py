@@ -10,10 +10,10 @@ import pytest
 
 from qdegree.coords import Weight, generic_weight, residue_plan, z_to_s
 from qdegree.model import OutOfRangeError, validate
-from qdegree.mu import (_laid_out_parts, _rank_one_binomials, mu_full, mu_level_ratio_closed,
-                        mu_level_ratio_telescoped, mu_on_z, rank_one_factor)
-from qdegree.qform import (AffineExponent as AE, FactoredForm as FF,
-                           PoleAtSubstitutionError, _var_key, split_at_point)
+from qdegree.mu import (mu_full, mu_level_ratio_closed, mu_level_ratio_telescoped, mu_on_z,
+                        rank_one_factor)
+from qdegree.qform import (AffineExponent as AE, FactoredForm as FF, PoleAtSubstitutionError,
+                           integer_rows, split_at_point)
 
 
 class TestRankOne:
@@ -112,16 +112,6 @@ class TestMuFull:
                 assert v.real >= -1e-12
 
 
-def _single_build(p, w) -> FF:
-    """mu as one general build of the three binomials of every pair, each
-    t(s_i - s_j) taken by subtracting whole entries."""
-    binomials = []
-    for i in range(p.d):
-        for j in range(i + 1, p.d):
-            binomials += _rank_one_binomials(p, (w.s[i] - w.s[j]).scale(p.t))
-    return FF.build(1, 0, (p.a + p.t) * (p.d * (p.d - 1) // 2), binomials)
-
-
 small_rationals = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
 
 
@@ -155,10 +145,11 @@ def constant_free_weights(draw):
 
 
 class TestLaidOutMu:
-    """mu_full lays out its binomials itself when no difference of the weight
-    has a constant term; the general build is its reference."""
+    """mu_on_z lays out its binomials from the generic weight's integer rows;
+    mu_full, one build for any weight, is its reference."""
 
     def test_matches_single_build(self):
+        """mu_full, the single build, against the product of its pair factors."""
         seen = set()
 
         @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -166,7 +157,7 @@ class TestLaidOutMu:
         def check(case):
             p, w = case
             got = mu_full(p, w)
-            assert got == _single_build(p, w)
+            assert got == TestMuFull.pairwise_product(p, w)
             if got.is_zero:
                 seen.add("zero")
             elif any(m not in (-1, 2) for _, m in got.binomials):
@@ -174,38 +165,42 @@ class TestLaidOutMu:
             differences = [w.s[i] - w.s[j] for i in range(p.d) for j in range(i + 1, p.d)]
             if any(x.coeffs and x.coeffs[0][1] < 0 for x in differences):
                 seen.add("negative lead")
-            laid_out = _laid_out_parts(p.t, w) is not None
-            seen.add("laid out" if laid_out else "general build")
-            # a zero between a part's first and last column: its key would not
-            # be its terms, so it must take the general build
-            columns = sorted({n for e in w.s for n, _ in e.coeffs}, key=_var_key)
-            for x in differences:
-                named = [columns.index(n) for n, _ in x.coeffs]
-                if named and named[-1] - named[0] + 1 > len(named):
-                    seen.add("zero inside the span")
-                    assert not laid_out
 
         check()
-        assert {"zero", "merged", "negative lead", "laid out", "general build",
-                "zero inside the span"} <= seen
+        assert {"zero", "merged", "negative lead"} <= seen
 
-    @pytest.mark.parametrize("d", (11, 12, 16))
-    @pytest.mark.parametrize("t", (1, 3))
+    @pytest.mark.parametrize("d", range(1, 25))
+    @pytest.mark.parametrize("t", (1, 2, 3, 6))
+    def test_generic_weight_row_shape(self, d, t):
+        """The three facts mu_on_z's layout relies on."""
+        p = validate(6, d, t, 1)
+        _, names, entries = integer_rows([(e, t) for e in generic_weight(p).s])
+        assert names == [f"z{k}" for k in range(1, d)]
+        assert all(num == 0 for num, _ in entries)
+        last = [min(k, d - 2) for k in range(d)]  # each row's last nonzero column
+        for k, (_, row) in enumerate(entries):
+            assert [c != 0 for c in row] == [col <= last[k] for col in range(d - 1)]
+        for i in range(d):
+            for j in range(i + 1, d):
+                assert entries[i][1][:last[i]] == entries[j][1][:last[i]]
+                assert entries[i][1][i] > entries[j][1][i]  # the part's first coefficient
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    @pytest.mark.parametrize("t", (1, 2, 3, 6))
     def test_string_order_of_names_matches_single_build(self, d, t):
         # from d = 11 on, z10 sorts before z2 as a string but after it as a column
         p = validate(6, d, t, 1)
-        w = generic_weight(p)
         got = mu_on_z(p)
-        assert _laid_out_parts(p.t, w) is not None
-        assert got == _single_build(p, w)
-        firsts = [e.coeffs[0][0] for e, _ in got.binomials]
-        assert firsts.index("z10") < firsts.index("z2")
+        assert got == mu_full(p, generic_weight(p))
+        if d >= 11:
+            firsts = [e.coeffs[0][0] for e, _ in got.binomials]
+            assert firsts.index("z10") < firsts.index("z2")
 
     def test_weight_with_constants_takes_the_general_build(self):
         p = validate(2, 3, 2, 1)
         x, y = AE.variable("x"), AE.variable("y")
         w = Weight((x + F(1, 2), y, -x))
-        assert mu_full(p, w) == TestMuFull.pairwise_product(p, w) == _single_build(p, w)
+        assert mu_full(p, w) == TestMuFull.pairwise_product(p, w)
         # t(s_1 - s_2) = t: the pair factor's pole
         with pytest.raises(PoleAtSubstitutionError):
             mu_full(validate(2, 2, 2, 1), Weight((x + 1, x)))
@@ -214,17 +209,16 @@ class TestLaidOutMu:
     @pytest.mark.parametrize("t", (1, 2, 3, 6))
     def test_split_reads_shared_and_copied_parts_alike(self, d, t):
         p = validate(6, d, t, 1)
-        for f in (mu_on_z(p), mu_full(p, Weight(generic_weight(p).s[::-1]))):
-            # every exponent with its own copy of its terms
-            copied = FF(f.constant, f.log_grade, f.monomial,
-                        tuple((AE(e._num, e._den, tuple(list(e._terms))), m)
-                              for e, m in f.binomials))
-            assert copied == f
-            assert len({id(e._terms) for e, _ in copied.binomials}) == len(f.binomials)
-            assert len({id(e._terms) for e, _ in f.binomials}) < len(f.binomials)
-            plan = residue_plan(p)
-            for k in range(1, d):
-                assert split_at_point(f, plan[:k]) == split_at_point(copied, plan[:k])
+        f = mu_on_z(p)
+        # every exponent with its own copy of its terms
+        copied = FF(f.constant, f.log_grade, f.monomial,
+                    tuple((AE(e._num, e._den, tuple(list(e._terms))), m) for e, m in f.binomials))
+        assert copied == f
+        assert len({id(e._terms) for e, _ in copied.binomials}) == len(f.binomials)
+        assert len({id(e._terms) for e, _ in f.binomials}) < len(f.binomials)
+        plan = residue_plan(p)
+        for k in range(1, d):
+            assert split_at_point(f, plan[:k]) == split_at_point(copied, plan[:k])
 
 
 class TestLevelRatios:
