@@ -139,6 +139,32 @@ CONTOUR_CASES = (
 CLI_SHA256 = "f59f4148b90962789f354d7361492965cfc5ffc7b0b7cf592c5ac6404f9851cd"
 CONTOUR_SHA256 = "5f98b4a7a64da0638cd904d03eb7f75e8a6926312627e03056dab2e9e9a49f32"
 
+# the parse itself, run as ``qdegree``: help pages, --version, eager help, both
+# value spellings, the last of a repeated option, and the message of each kind
+# of usage error.  Taken through click 8.4, before qdegree had its own parser.
+PARSE_CASES = (
+    ["--help"],
+    ["degree", "--help"],
+    ["mu", "--help"],
+    ["contour", "--help"],
+    ["verify", "--help"],
+    ["--version"],
+    [],
+    ["degree", "--m", "x", "--help"],
+    ["degree", "--m=2", "--d=3", "--t", "1", "--a", "0"],
+    ["degree", "--m", "3", "--m", "2", "--d", "3", "--t", "1", "--a", "0"],
+    ["degree", "--mm", "3"],
+    ["degree", "-m", "1"],
+    [*DEGREE, "--q"],
+    [*DEGREE, "--json=1"],
+    ["mu", "--d", "2", "--t", "1", "--a", "0", "--level", "x"],
+    ["contour", "--tol", "x"],
+    ["verify", "theo"],
+    ["verify", "theorem", "extra"],
+)
+
+PARSE_SHA256 = "02a6d50a74d4f2895b5340904beed883fb1d901dfe4c734ba349f99f799feeda"
+
 
 @pytest.fixture()
 def files(tmp_path):
@@ -154,9 +180,9 @@ def files(tmp_path):
     return tmp_path, paths
 
 
-def _run(args, files):
+def _run(args, files, **kwargs):
     tmp_path, paths = files
-    result = CliRunner().invoke(main, [arg.format(**paths) for arg in args])
+    result = CliRunner().invoke(main, [arg.format(**paths) for arg in args], **kwargs)
     masked = [text.replace(str(tmp_path), "<tmp>") for text in (result.stdout, result.stderr)]
     masked[0] = re.sub(r"\(\d+ ms\)", "(N ms)", masked[0])
     return result.exit_code, masked[0], masked[1]
@@ -179,9 +205,9 @@ def _digest(lines) -> str:
     return h.hexdigest()
 
 
-def _surface(files):
-    for args in CASES:
-        code, stdout, stderr = _run(args, files)
+def _surface(files, cases=CASES, **kwargs):
+    for args in cases:
+        code, stdout, stderr = _run(args, files, **kwargs)
         yield f"$ {' '.join(args)}"
         yield f"exit {code}"
         yield stdout
@@ -201,6 +227,10 @@ def _contour_surface(files):
 
 def test_cli_surface_unchanged(files):
     assert _digest(_surface(files)) == CLI_SHA256
+
+
+def test_parse_surface_unchanged(files):
+    assert _digest(_surface(files, PARSE_CASES, prog_name="qdegree")) == PARSE_SHA256
 
 
 def test_contour_surface_unchanged(files):
