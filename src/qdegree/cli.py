@@ -8,6 +8,9 @@ warning goes to stderr as one ``warning: ...`` line.  ``--q`` and
 ``--deg-sigma`` take exact rationals such as ``3/2`` or ``2.5``; ``contour``
 then evaluates q as a float, which must be finite and > 1.
 
+One table-driven parser reads the command line (``_OPTIONS``, ``_COMMANDS``); its
+help, laid out at 80 columns, and usage errors are worded as click's were.
+
 Exit codes: 0 all passed, 1 a verification failed, 2 usage or parameter
 error, 3 a value beyond the float range (``contour``; ``degree`` instead
 reports its exact form with ``numeric`` null), 4 an internal error: any
@@ -18,29 +21,46 @@ go to stdout, diagnostics to stderr.
 
 from __future__ import annotations
 
+import difflib
+import io
 import math
+import os
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
-
-import click
-from click.utils import PacifyFlushWrapper
 
 from . import __version__, checks, degree, model, mu
 from .qform import FactoredForm, q_problem, rational_text
 
 
-# Every shared option, defined once; a command attaches those it reads.
+class UsageError(Exception):
+    """A usage or parameter error: one ``Error:`` line on stderr, exit 2."""
+
+
+# Every option by its body's key: flag, type (bool: a flag), help (or else its default) and default
 _OPTIONS = {
-    "m": click.option("--m", type=int, help="cuspidal block size"),
-    "d": click.option("--d", type=int, help="number of blocks"),
-    "t": click.option("--t", type=int, help="torsion number of the cuspidal"),
-    "a": click.option("--a", type=int, help="pair conductor"),
-    "q": click.option("--q", help="a rational or a float > 1; degree's default is 'symbolic'"),
-    "deg_sigma": click.option("--deg-sigma", help="'symbolic' (default) or a positive rational"),
-    "config_path": click.option("--config", "config_path", help="key=value parameter file"),
-    "as_json": click.option("--json", "as_json", is_flag=True, help="emit JSON"),
+    "m": ("--m", int, "cuspidal block size", None),
+    "d": ("--d", int, "number of blocks", None),
+    "t": ("--t", int, "torsion number of the cuspidal", None),
+    "a": ("--a", int, "pair conductor", None),
+    "q": ("--q", str, "a rational or a float > 1; degree's default is 'symbolic'", None),
+    "deg_sigma": ("--deg-sigma", str, "'symbolic' (default) or a positive rational", None),
+    "level": ("--level", int, "print the closed level ratio at this level instead of the "
+              "full product", None),
+    "nodes": ("--nodes", int, "", 256),
+    "tol": ("--tol", float, "", 1e-8),
+    "d_max": ("--d-max", int, "largest tower depth (default 6; 8 for pairing)", None),
+    "m_set": ("--m-set", str, "comma-separated block sizes (default 1,2,3,6)", None),
+    "t_set": ("--t-set", str, "comma-separated torsion numbers (default 1,2,3; every t | m "
+              "for theorem and residue)", None),
+    "a_set": ("--a-set", str, "comma-separated conductors (default 0,1,2)", None),
+    "config": ("--config", str, "key=value parameter file", None),
+    "as_json": ("--json", bool, "emit JSON", False),
+    "version": ("--version", bool, "Show the version and exit.", False),
+    "help": ("--help", bool, "Show this message and exit.", False),
 }
+_TYPE_NAMES = {int: "integer", float: "float", str: "text"}
 
 # exact numbers, None when symbolic; every other key is a required integer
 _RATIONAL_KEYS = ("q", "deg_sigma")
@@ -57,7 +77,7 @@ def _parse_number(text: str | None, key: str):
             return parse(text)
         except (ValueError, ZeroDivisionError):
             pass
-    raise click.UsageError(f"cannot parse {key.replace('_', '-')} value {text!r}")
+    raise UsageError(f"cannot parse {key.replace('_', '-')} value {text!r}")
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -66,32 +86,32 @@ def _load_config(path: str | None) -> dict[str, str]:
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise click.UsageError(f"cannot read config file: {exc}")
+        raise UsageError(f"cannot read config file: {exc}")
     out = {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise click.UsageError(f"config line {line!r} is not key=value")
+            raise UsageError(f"config line {line!r} is not key=value")
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     unknown = [key for key in out if key not in _CONFIG_KEYS]
     if unknown:
-        raise click.UsageError(f"unknown config key(s) {', '.join(map(repr, unknown))}; "
-                               f"a config file takes {' '.join(_CONFIG_KEYS)}")
+        raise UsageError(f"unknown config key(s) {', '.join(map(repr, unknown))}; "
+                         f"a config file takes {' '.join(_CONFIG_KEYS)}")
     return out
 
 
-def _intake(keys: tuple[str, ...], flags: dict, numeric_q: bool) -> model.SetupParams:
-    """Pop ``keys`` and ``config_path`` from ``flags``: each key is its flag, else its
+def _intake(flags: dict, numeric_q: bool) -> model.SetupParams:
+    """Pop the parameters in ``flags`` and ``config``: each is its flag, else its
     config key, the first missing one is the usage error, and validate runs once.
     ``numeric_q`` (``contour``) makes q required and, once validated exactly, a
     finite float > 1; a float that is not, and the problems of ``--nodes``,
     ``--tol``, the depth limit and the torus size, join validate's one line."""
-    config = _load_config(flags.pop("config_path"))
+    config = _load_config(flags.pop("config"))
     values, texts = {}, {}
-    for key in keys:
+    for key in [key for key in flags if key in _CONFIG_KEYS]:
         value = flags.pop(key)
         if key in _RATIONAL_KEYS:
             texts[key] = config.get(key) if value is None else value
@@ -100,9 +120,9 @@ def _intake(keys: tuple[str, ...], flags: dict, numeric_q: bool) -> model.SetupP
             try:
                 value = int(config[key])
             except ValueError:
-                raise click.UsageError(f"config value {key}={config[key]!r} is invalid")
+                raise UsageError(f"config value {key}={config[key]!r} is invalid")
         if value is None and (key not in _RATIONAL_KEYS or numeric_q):
-            raise click.UsageError(f"missing required parameter --{key.replace('_', '-')}")
+            raise UsageError(f"missing required parameter --{key.replace('_', '-')}")
         values[key] = value
     problems = []
     if numeric_q and not q_problem(values["q"]):  # else validate names the exact q
@@ -124,17 +144,15 @@ def _intake(keys: tuple[str, ...], flags: dict, numeric_q: bool) -> model.SetupP
         from . import contour
         problems += contour.run_problems(values["d"], flags["nodes"], flags["tol"])
     if problems:  # one line naming every bad parameter
-        raise click.UsageError("; ".join(problems))
+        raise UsageError("; ".join(problems))
     for warning in p.warnings:
         _echo(f"warning: {warning}", err=True)
     return p
 
 
 def _echo(text: str, err: bool = False) -> None:
-    """click.echo to a stream looked up afresh on every call: click's own lookup
-    caches a wrapper that keeps a redirected stdout (tests, embedding), and so
-    its whole output, alive for the life of the process."""
-    click.echo(text, file=click.get_text_stream("stderr" if err else "stdout"))
+    """One line, flushed, to the stream as it is now: callers may redirect it."""
+    print(text, file=sys.stderr if err else sys.stdout, flush=True)
 
 
 def emit_json(obj) -> str:
@@ -180,67 +198,6 @@ def _emit_doc(params: dict, result, reports=()) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-class _OneLineErrors(click.Group):
-    """Usage errors, rejected parameters and out-of-range levels print as one
-    ``Error:`` line without usage text: the group's own options fail in
-    ``make_context``, a subcommand in ``invoke``. An error with its own ``show``
-    (bare ``qdegree``) keeps it. A value beyond the float range exits 3, a closed
-    stdout 141, and any other exception is one ``error: internal:`` line, exit 4."""
-
-    def make_context(self, *args, **kwargs):
-        try:
-            return super().make_context(*args, **kwargs)
-        except click.UsageError as exc:
-            if type(exc).show is click.UsageError.show:
-                exc.ctx = None
-            raise
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as exc:
-            if type(exc).show is click.UsageError.show:
-                exc.ctx = None
-            raise
-        except (model.InvalidParamsError, model.OutOfRangeError) as exc:
-            raise click.UsageError(str(exc)) from None
-        except OverflowError as exc:
-            _echo(f"error: value beyond float range: {exc}", err=True)
-            sys.exit(3)
-        except BrokenPipeError:
-            # as click's own EPIPE handling: flushing at exit must not fail again
-            sys.stdout = PacifyFlushWrapper(sys.stdout)
-            sys.stderr = PacifyFlushWrapper(sys.stderr)
-            sys.exit(141)
-        except (click.ClickException, click.exceptions.Exit, click.Abort):
-            raise
-        except Exception as exc:
-            _echo(f"error: internal: {type(exc).__name__}: {exc}", err=True)
-            sys.exit(4)
-
-
-@click.group(cls=_OneLineErrors)
-@click.version_option(version=__version__)
-def main():
-    """Exact formal-degree engine for discrete series built from a cuspidal block."""
-
-
-def _setup_command(name: str, *keys: str, options=(), numeric_q: bool = False):
-    """Register subcommand ``name`` with the options of ``keys``, its own
-    ``options``, --config and --json; its body takes ``_intake``'s ``p``."""
-    def register(body):
-        def run(**flags):
-            p = _intake(keys, flags, numeric_q)
-            return body(p, **flags)
-
-        for attach in reversed([*(_OPTIONS[key] for key in keys), *options,
-                                _OPTIONS["config_path"], _OPTIONS["as_json"]]):
-            run = attach(run)
-        return main.command(name, help=body.__doc__)(run)
-    return register
-
-
-@_setup_command("degree", "m", "d", "t", "a", "q", "deg_sigma")
 def cmd_degree(p, as_json):
     """Print the formal degree in canonical factored form."""
     result = degree.closed_form_degree(p)
@@ -255,9 +212,6 @@ def cmd_degree(p, as_json):
             _echo(f"numeric: {format(result.numeric, '.17g')}")
 
 
-@_setup_command("mu", "d", "t", "a", options=[click.option(
-    "--level", type=int, default=None,
-    help="print the closed level ratio at this level instead of the full product")])
 def cmd_mu(p, level, as_json):
     """Print the mu-function (or one closed level ratio) canonically."""
     form = mu.mu_on_z(p) if level is None else mu.mu_level_ratio_closed(p, level)
@@ -267,9 +221,6 @@ def cmd_mu(p, level, as_json):
         _echo(form.render())
 
 
-@_setup_command("contour", "d", "q", "t", "m", "a", numeric_q=True, options=[
-    click.option("--nodes", type=int, default=256, show_default=True),
-    click.option("--tol", type=float, default=1e-8, show_default=True)])
 def cmd_contour(p, nodes, tol, as_json):
     """Check the contour integral against the residue-term sum numerically."""
     from . import contour  # numpy loads only for the command that uses it
@@ -312,39 +263,29 @@ def _parse_int_set(text: str, minimum: int = 1) -> tuple[int, ...]:
     try:
         values = tuple(sorted({int(x) for x in text.split(",") if x.strip()}))
     except ValueError:
-        raise click.UsageError(f"cannot parse integer set {text!r}")
+        raise UsageError(f"cannot parse integer set {text!r}")
     if not values or any(v < minimum for v in values):
-        raise click.UsageError(f"invalid grid set {text!r}")
+        raise UsageError(f"invalid grid set {text!r}")
     return values
 
 
-@main.command("verify")
-@click.argument("kind", type=click.Choice(sorted(_SUITES)))
-@click.option("--d-max", type=int, default=None,
-              help="largest tower depth (default 6; 8 for pairing)")
-@click.option("--m-set", default=None, help="comma-separated block sizes (default 1,2,3,6)")
-@click.option("--t-set", default=None,
-              help="comma-separated torsion numbers (default 1,2,3; every t | m for "
-                   "theorem and residue)")
-@click.option("--a-set", default=None, help="comma-separated conductors (default 0,1,2)")
-@_OPTIONS["as_json"]
 def cmd_verify(kind, d_max, m_set, t_set, a_set, as_json):
     """Run a symbolic identity suite over a parameter grid."""
     suite, accepted, default_d_max = _SUITES[kind]
     if d_max is None:
         d_max = default_d_max
     if d_max < 1:
-        raise click.UsageError(f"--d-max must be positive, got {d_max}")
+        raise UsageError(f"--d-max must be positive, got {d_max}")
     given = {"m_set": m_set, "t_set": t_set, "a_set": a_set}
     extra = [key for key, text in given.items() if text is not None and key not in accepted]
     if extra:
         flags = ", ".join("--" + key.replace("_", "-") for key in extra)
-        raise click.UsageError(f"verify {kind} does not take {flags}")
+        raise UsageError(f"verify {kind} does not take {flags}")
     kwargs = {key: _parse_int_set(text, minimum=0 if key == "a_set" else 1)
               for key, text in given.items() if text is not None}
     reports = sorted(suite(d_max=d_max, **kwargs), key=lambda r: r.name)
     if not reports:
-        raise click.UsageError(f"verify {kind} has no case on this grid")
+        raise UsageError(f"verify {kind} has no case on this grid")
     if as_json:
         _emit_doc({"kind": kind, "d_max": d_max}, None, reports)
     else:
@@ -358,6 +299,129 @@ def cmd_verify(kind, d_max, m_set, t_set, a_set, as_json):
     if not all(r.passed for r in reports):
         sys.exit(1)
 
+
+# Each command: body, options (with --config, read by ``_intake``) and the choices of KIND
+_COMMANDS = {
+    "contour": (cmd_contour, ("d", "q", "t", "m", "a", "nodes", "tol", "config", "as_json"), ()),
+    "degree": (cmd_degree, ("m", "d", "t", "a", "q", "deg_sigma", "config", "as_json"), ()),
+    "mu": (cmd_mu, ("d", "t", "a", "level", "config", "as_json"), ()),
+    "verify": (cmd_verify, ("d_max", "m_set", "t_set", "a_set", "as_json"), tuple(sorted(_SUITES))),
+}
+
+
+def _no_such(what: str, name: str, known=()) -> UsageError:
+    close = ", ".join(map(repr, sorted(difflib.get_close_matches(name, known))))
+    hint = f"(Did you mean one of: {close}?)" if "," in close else f"Did you mean {close}?"
+    return UsageError(f"No such {what} {name!r}." + f" {hint}" * bool(close))
+
+
+def _parse(args, keys, interspersed: bool = True) -> tuple[dict, list[str]]:
+    """The options of ``keys`` in ``args`` by first occurrence (the last wins; True for a flag)
+    and the positionals, which end the options unless ``interspersed``, as ``--`` does."""
+    flags, rest, known, args = {}, [], {_OPTIONS[key][0]: key for key in keys}, iter(args)
+    for arg in args:
+        if arg == "--" or arg[:1] != "-" or arg == "-":
+            rest += [arg] if arg != "--" else []
+            if arg == "--" or not interspersed:
+                break
+            continue
+        flag, eq, value = arg.partition("=")
+        key = known.get(flag)
+        if key is None:  # a short option, of which there is none, by its first letter
+            raise _no_such("option", flag, known) if arg[1] == "-" else _no_such("option", arg[:2])
+        if _OPTIONS[key][1] is bool and eq:
+            raise UsageError(f"Option {flag!r} does not take a value.")
+        if not eq:
+            value = True if _OPTIONS[key][1] is bool else next(args, None)
+        if value is None:
+            raise UsageError(f"Option {flag!r} requires an argument.")
+        flags[key] = value
+    return flags, rest + list(args)
+
+
+def _help(prog: str, name: str | None = None) -> str:
+    """The help page of the group, or of command ``name``, at 80 columns."""
+    body, keys, kinds = _COMMANDS[name] if name else (main, ("version",), ())
+    usage = f"{name} [OPTIONS]" + f" {{{'|'.join(kinds)}}}" * bool(kinds) if name else \
+        "[OPTIONS] COMMAND [ARGS]..."
+    sections = {"Options": [(flag if kind is bool else f"{flag} {_TYPE_NAMES[kind].upper()}",
+                             text or f"[default: {default}]")
+                            for flag, kind, text, default in map(_OPTIONS.get, (*keys, "help"))]}
+    if not name:  # each command's help, cut at a word to fit one line
+        sections["Commands"] = [(n, textwrap.shorten(c[0].__doc__, 74 - max(map(len, _COMMANDS)),
+                                                     placeholder="..."))
+                                for n, c in sorted(_COMMANDS.items())]
+    lines = [f"Usage: {prog} {usage}", "",
+             textwrap.fill(body.__doc__, 80, initial_indent="  ", subsequent_indent="  ")]
+    for title, rows in sections.items():  # terms padded to the widest, text wrapped
+        width = max(len(term) for term, _ in rows) + 2
+        lines += ["", f"{title}:", *(textwrap.fill(text, 80, initial_indent=f"  {term:<{width}}",
+                                                   subsequent_indent=" " * (width + 2))
+                                     for term, text in rows)]
+    return "\n".join(lines)
+
+
+# click's interface, for click's test runner and the benchmark: main.main(args, prog_name,
+# standalone_mode), outside of which a usage error or rejected parameter propagates
+def main(args=None, prog_name: str | None = None, standalone_mode: bool = True) -> None:
+    """Exact formal-degree engine for discrete series built from a cuspidal block."""
+    if prog_name is None:  # as Python was started: python -m <module>, or a script
+        package, script = sys.modules["__main__"].__package__, os.path.basename(sys.argv[0])
+        prog_name = f"python -m {package}.{script[:-3]}" if package else script
+    try:
+        _dispatch(sys.argv[1:] if args is None else list(args), prog_name)
+    except (UsageError, model.InvalidParamsError, model.OutOfRangeError) as exc:
+        if not standalone_mode:
+            raise
+        _echo(f"Error: {exc}", err=True)
+        sys.exit(2)
+    except OverflowError as exc:
+        _echo(f"error: value beyond float range: {exc}", err=True)
+        sys.exit(3)
+    except BrokenPipeError:
+        sys.stdout = sys.stderr = io.StringIO()  # flushing at exit must not fail again
+        sys.exit(141)
+    except Exception as exc:
+        _echo(f"error: internal: {type(exc).__name__}: {exc}", err=True)
+        sys.exit(4)
+
+
+def _dispatch(args: list[str], prog: str) -> None:
+    """Parse the group's options, then the command's, and run the command."""
+    if not args:  # a bare qdegree: the help page on stderr
+        _echo(_help(prog), err=True)
+        sys.exit(2)
+    flags, rest = _parse(args, ("version", "help"), interspersed=False)
+    if flags:  # the first eager option given wins
+        _echo(f"{prog}, version {__version__}" if next(iter(flags)) == "version" else _help(prog))
+        return
+    if not rest or rest[0] not in _COMMANDS:
+        raise _no_such("command", rest[0], _COMMANDS) if rest else UsageError("Missing command.")
+    name, *rest = rest
+    body, keys, kinds = _COMMANDS[name]
+    texts, rest = _parse(rest, (*keys, "help"))
+    if "help" in texts:  # eager: before any value is read
+        _echo(_help(prog, name))
+        return
+    flags = {key: _OPTIONS[key][3] for key in keys}
+    for key, text in texts.items():
+        flag, kind = _OPTIONS[key][:2]
+        try:
+            flags[key] = kind(text)
+        except ValueError:
+            raise UsageError(f"Invalid value for {flag!r}: {text!r} is not a valid "
+                             f"{_TYPE_NAMES[kind]}.") from None
+    kind = rest.pop(0) if kinds and rest else None
+    if kinds and kind not in kinds:
+        raise UsageError(f"Missing argument 'KIND'. Choose from: {', '.join(kinds)}"
+                         if kind is None else f"Invalid value for 'KIND': {kind!r} is not one "
+                         f"of {', '.join(map(repr, kinds))}.")
+    if rest:
+        raise UsageError(f"Got unexpected extra argument{'s' * (len(rest) > 1)} ({' '.join(rest)})")
+    body(_intake(flags, name == "contour") if "config" in keys else kind, **flags)
+
+
+main.main, main.name = main, "main"
 
 if __name__ == "__main__":
     main()

@@ -2,7 +2,6 @@
 
 import json
 
-import click
 import pytest
 from click.testing import CliRunner
 
@@ -493,16 +492,14 @@ def test_unexpected_exception_exits_4(runner, broken_degree):
 
 
 def test_click_exits_keep_their_codes(runner, broken_degree):
-    # a usage error and --help are click's own and pass through
+    # a usage error and --help keep their own exits, not the internal error's
     assert runner.invoke(main, ["degree", "--m", "x"]).exit_code == 2
     assert runner.invoke(main, ["degree", "--help"]).exit_code == 0
 
 
 def test_bare_group_prints_help(runner):
-    # click >= 8.2 signals help-on-no-args with an error whose own show()
-    # reads its context; older click prints the help and exits 0
     result = runner.invoke(main, [])
-    assert result.exit_code == (2 if hasattr(click.exceptions, "NoArgsIsHelpError") else 0)
+    assert result.exit_code == 2
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "Usage:" in result.output and "Commands:" in result.output
 

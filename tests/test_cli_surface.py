@@ -250,6 +250,12 @@ def test_spot_usage_error(files):
 CONTOUR = ["contour", "--d", "2", "--t", "1", "--m", "1", "--a", "0", "--nodes", "64"]
 
 
+def test_missing_kind_is_one_line(files):
+    # click printed the choices on four more tab-indented lines
+    assert _run(["verify"], files) == (
+        2, "", "Error: Missing argument 'KIND'. Choose from: pairing, ratio, residue, theorem\n")
+
+
 def test_contour_takes_a_rational_q(files):
     code, stdout, stderr = _run([*CONTOUR, "--q", "3/2", "--json"], files)
     assert (code, stderr) == (0, "")
@@ -300,10 +306,26 @@ def _source_env() -> dict:
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # only the contour command needs numpy; it imports its module itself
-    code = "import sys, qdegree.cli; sys.exit('numpy' in sys.modules)"
+    # only the contour command needs numpy; it imports its module itself.  The
+    # command line parses itself, so click is not loaded either
+    code = "import sys, qdegree.cli; sys.exit('numpy' in sys.modules or 'click' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=_source_env(),
                           timeout=60).returncode == 0
+
+
+@pytest.mark.parametrize("args", [
+    [*DEGREE, "--json"],
+    ["verify", "theorem", "--d-max", "2"],
+    ["degree", "--help"],
+])
+def test_runs_without_click(args):
+    # click blocked from import: each command runs from the standard library alone
+    code = ("import sys; sys.modules['click'] = None; from qdegree.cli import main; "
+            f"main({args!r}, prog_name='qdegree')")
+    proc = subprocess.run([sys.executable, "-c", code], env=_source_env(), timeout=60,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout
 
 
 def test_closed_stdout_exits_141():
