@@ -6,10 +6,8 @@ falls back to its key (``m d t a q deg_sigma``, no other) in a ``--config``
 file of ``key=value`` lines, then ``model.validate`` runs once and each parameter
 warning goes to stderr as one ``warning: ...`` line.  ``--q`` and
 ``--deg-sigma`` take exact rationals such as ``3/2`` or ``2.5``; ``contour``
-then evaluates q as a float, which must be finite and > 1.
-
-One table-driven parser reads the command line (``_OPTIONS``, ``_COMMANDS``); its
-help, laid out at 80 columns, and usage errors are worded as click's were.
+then evaluates q as a float, which must be finite and > 1.  One table-driven parser
+(``_OPTIONS``, ``_COMMANDS``) words help, at 80 columns, and usage errors as click did.
 
 Exit codes: 0 all passed, 1 a verification failed, 2 usage or parameter
 error, 3 a value beyond the float range (``contour``; ``degree`` instead
@@ -277,10 +275,9 @@ def cmd_verify(kind, d_max, m_set, t_set, a_set, as_json):
     if d_max < 1:
         raise UsageError(f"--d-max must be positive, got {d_max}")
     given = {"m_set": m_set, "t_set": t_set, "a_set": a_set}
-    extra = [key for key, text in given.items() if text is not None and key not in accepted]
+    extra = [_OPTIONS[k][0] for k, text in given.items() if text is not None and k not in accepted]
     if extra:
-        flags = ", ".join("--" + key.replace("_", "-") for key in extra)
-        raise UsageError(f"verify {kind} does not take {flags}")
+        raise UsageError(f"verify {kind} does not take {', '.join(extra)}")
     kwargs = {key: _parse_int_set(text, minimum=0 if key == "a_set" else 1)
               for key, text in given.items() if text is not None}
     reports = sorted(suite(d_max=d_max, **kwargs), key=lambda r: r.name)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from operator import add
 from typing import Sequence
 
 from .model import OutOfRangeError, SetupParams
@@ -62,21 +62,20 @@ def z_to_s(p: SetupParams, z_values: Sequence[ExponentValue]) -> Weight:
     Since head - tail = 1/t, entry k is sum_(j<=k) z_j tail_j + z_k / t, and
     z_k / t = -(d-k+1) z_k tail_k.  So one pass over the rows z_j tail_j on the
     lcm of their denominators (``integer_rows``) gives every entry, each with one
-    gcd step over the columns rows 1..k use: entry k is the running sum of rows
-    1..k-1 minus (d-k) times row k, and the last entry is the sum of all rows.
+    gcd step: entry k is the running sum of rows 1..k-1 minus (d-k) times row
+    k, and the last entry is the sum of all rows.
     """
     if len(z_values) != p.d - 1:
         raise OutOfRangeError(f"expected {p.d - 1} z-values, got {len(z_values)}")
     den, names, rows = integer_rows([(as_exponent(z), Fraction(-1, p.t * (p.d - j)))
                                      for j, z in enumerate(z_values)])
-    num, total, entries = 0, {}, []  # total: the rows so far, summed on the columns they use
+    num, total, entries = 0, [0] * len(names), []
     for j, (top, row) in enumerate(rows):  # row j is z_(j+1) times its tail
-        f, own = j + 1 - p.d, {k: row[k] for k in compress(range(len(row)), row)}
-        cols = sorted(total.keys() | own.keys())
-        entries.append(row_exponent(num + f * top, den, [names[k] for k in cols],
-                                    [total.get(k, 0) + f * own.get(k, 0) for k in cols]))
-        num, total = num + top, {k: total.get(k, 0) + own.get(k, 0) for k in cols}
-    entries.append(row_exponent(num, den, [names[k] for k in total], [*total.values()]))
+        f = j + 1 - p.d
+        entries.append(row_exponent(num + f * top, den, names,
+                                    [a + f * b for a, b in zip(total, row)]))
+        num, total = num + top, list(map(add, total, row))
+    entries.append(row_exponent(num, den, names, total))
     return Weight(tuple(entries))
 
 
