@@ -339,8 +339,7 @@ def _parse(args, keys, interspersed: bool = True) -> tuple[dict, list[str]]:
 def _help(prog: str, name: str | None = None) -> str:
     """The help page of the group, or of command ``name``, at 80 columns."""
     body, keys, kinds = _COMMANDS[name] if name else (main, ("version",), ())
-    usage = f"{name} [OPTIONS]" + f" {{{'|'.join(kinds)}}}" * bool(kinds) if name else \
-        "[OPTIONS] COMMAND [ARGS]..."
+    usage = f"{prog} {name} [OPTIONS]" if name else f"{prog} [OPTIONS] COMMAND [ARGS]..."
     sections = {"Options": [(flag if kind is bool else f"{flag} {_TYPE_NAMES[kind].upper()}",
                              text or f"[default: {default}]")
                             for flag, kind, text, default in map(_OPTIONS.get, (*keys, "help"))]}
@@ -348,7 +347,7 @@ def _help(prog: str, name: str | None = None) -> str:
         sections["Commands"] = [(n, textwrap.shorten(c[0].__doc__, 74 - max(map(len, _COMMANDS)),
                                                      placeholder="..."))
                                 for n, c in sorted(_COMMANDS.items())]
-    lines = [f"Usage: {prog} {usage}", "",
+    lines = [f"Usage: {usage}" + f" {{{'|'.join(kinds)}}}" * bool(kinds), "",
              textwrap.fill(body.__doc__, 80, initial_indent="  ", subsequent_indent="  ")]
     for title, rows in sections.items():  # terms padded to the widest, text wrapped
         width = max(len(term) for term, _ in rows) + 2
