@@ -259,9 +259,10 @@ def residue_terms(p: SetupParams, spec: QuadratureSpec,
 def decomposition_report(p: SetupParams, spec: QuadratureSpec) -> DecompositionReport:
     """Both sides and the per-term breakdown, from one build of mu.
 
-    Raises OverflowError when a side does not fit in a complex float: a
-    term's size beyond the float range turns its node mean into inf or nan,
-    and numpy's warnings about it are silenced in favour of that one error.  An
+    Raises OverflowError naming the side or sides that do not fit in a
+    complex float: a term's size beyond the float range turns its node mean
+    into inf or nan, which the message leaves out, and numpy's warnings about
+    it are silenced in favour of that one error.  An
     unsupported depth or an oversized torus is refused before mu is built.
     """
     _check_decomposition(p, spec)
@@ -270,8 +271,9 @@ def decomposition_report(p: SetupParams, spec: QuadratureSpec) -> DecompositionR
         chain, offchain = residue_terms(p, spec, f)
         lhs = lhs_contour(p, spec, f)
     rhs = sum(chain, 0j) + offchain
-    if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
-        raise OverflowError(f"lhs = {lhs}, rhs = {rhs} at q = {spec.q}")
+    beyond = [side for side, value in (("lhs", lhs), ("rhs", rhs)) if not cmath.isfinite(value)]
+    if beyond:
+        raise OverflowError(f"{' and '.join(beyond)} at q = {spec.q}")
     rel = abs(lhs - rhs) / max(abs(lhs), 1.0)
     status = "pass" if rel <= spec.tolerance else "fail"
     return DecompositionReport(lhs, rhs, chain, offchain, rel, status)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd
-from operator import sub
 
 from .coords import Weight, generic_weight
 from .model import OutOfRangeError, SetupParams
@@ -89,25 +88,32 @@ def mu_on_z(p: SetupParams) -> FactoredForm:
     denominator D (``integer_rows``).
 
     Each row has numerator 0; row k is nonzero exactly on z1..zk, the last row
-    on z1..z(d-1); two rows agree left of the smaller one's last column.  So
-    the part t(s_i - s_j), i < j, is row i minus row j on columns zi..zj: no
-    zero among them, a positive first coefficient, and all parts distinct.
-    For a fixed i each column left of zj is the same in every later part, so
-    the gcd that reduces a part is carried along j.  The parts come in build's
-    order (by the first name as a string, z10 < z2, then by j), in three runs,
-    one per binomial of ``_rank_one_binomials`` sorted by constant (-t < 0 < t);
-    tx + c is (c den + terms) / den, so a part's binomials share its terms.
+    on z1..z(d-1); and in each column c every row below row c holds the same
+    value, tail[c].  So the part t(s_i - s_j), i < j, row i minus row j on
+    columns zi..zj, is row i's run [row_i[i] - tail[i], -tail[i+1], ...] cut
+    to its first j - i entries, then -row_j[j], which the last row, lacking
+    column zj, does not add: no zero among them, a positive first coefficient,
+    and all parts distinct.  Each run is made once, and as its entries are the
+    same in every later part, the gcd that reduces a part is carried along j.
+    The parts come in build's order (by the first name as a string, z10 < z2,
+    then by j), in three runs, one per binomial of ``_rank_one_binomials``
+    sorted by constant (-t < 0 < t); tx + c is (c den + terms) / den, so a
+    part's binomials share its terms.
     """
     den, names, entries = integer_rows([(e, p.t) for e in generic_weight(p).s])
     rows = [row for _, row in entries]
+    tail = [rows[c + 1][c] for c in range(p.d - 1)]  # column c of every row below row c
     parts = []
     for i in sorted(range(p.d - 1), key=names.__getitem__):
+        run = [rows[i][i] - tail[i], *[-v for v in tail[i + 1:]]]
         g = den
         for j in range(i + 1, p.d):
-            part = list(map(sub, rows[i][i:j + 1], rows[j][i:j + 1]))
-            g = gcd(g, part[j - i - 1])  # column j-1: the same in every later part
-            r = gcd(g, *part[j - i:])  # with column j, which the last row lacks
-            terms = tuple(zip(names[i:j + 1], [c // r for c in part]))
+            g = gcd(g, run[j - i - 1])  # column j-1: the same in every later part
+            part = run[:j - i]
+            if j < p.d - 1:  # column j, which the last row lacks
+                part.append(-rows[j][j])
+            r = gcd(g, part[-1])
+            terms = tuple(zip(names[i:j + 1], part if r == 1 else [c // r for c in part]))
             parts.append(AffineExponent(0, den // r, terms))
     runs = sorted((e._num, m) for e, m in _rank_one_binomials(p, as_exponent(0)))
     binomials = tuple([(AffineExponent(c * tx._den, tx._den, tx._terms) if c else tx, m)

@@ -12,8 +12,9 @@ expanded; residues decrement it, measure prefactors increment it.
 Each exponent is stored as Python integers over one shared denominator,
 (num + sum_l c_l z_l) / den, reduced so that den > 0 and
 gcd(den, num, c_1, ...) = 1.  The representation is unique, so exponents
-hash and compare as integer tuples, and their algebra is integer arithmetic
-with one gcd step; no Fraction arithmetic runs while forms are built.
+compare by their integers and hash their integer tuple, once, on first use;
+their algebra is integer arithmetic with one gcd step, and no Fraction
+arithmetic runs while forms are built.
 
 The module holds, each described where it is defined: ``rational_text``,
 the program's one printer of an exact rational, for any number of digits;
@@ -180,13 +181,16 @@ class AffineExponent:
     Stored as integers over one shared denominator: the value is
     (num + sum_l c_l * z_l) / den with den > 0, gcd(den, num, c_1, ...) = 1,
     no zero c_l, and the variables in natural order.  That representation is
-    unique, so equality and hashing compare the integer tuple, and every
-    operation is integer arithmetic followed by at most one gcd step.
+    unique, so equality compares the integers, and every operation is integer
+    arithmetic followed by at most one gcd step.  The hash of the integer
+    tuple is computed the first time it is asked for and then kept: an
+    exponent that is never a dict key, as mu's on the residue chain, never
+    pays for it.
     ``const``, ``coeffs`` and ``coeff`` give the parts as Fractions.
 
     Build exponents with ``make``, ``variable`` or ``as_exponent``; the
     constructor takes an already reduced integer representation.  Instances
-    are never mutated after construction.
+    are never mutated after construction, apart from caching that hash.
     """
 
     __slots__ = ("_num", "_den", "_terms", "_hash")
@@ -196,7 +200,7 @@ class AffineExponent:
         self._num = num
         self._den = den
         self._terms = terms
-        self._hash = hash((num, den, terms))
+        self._hash = None
 
     @staticmethod
     def make(const: Rational = 0,
@@ -241,11 +245,14 @@ class AffineExponent:
     def __eq__(self, other) -> bool:
         if type(other) is not AffineExponent:
             return NotImplemented
-        return (self._hash == other._hash and self._num == other._num
-                and self._den == other._den and self._terms == other._terms)
+        return (self._num == other._num and self._den == other._den
+                and self._terms == other._terms)
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:  # first use: O(terms), once
+            h = self._hash = hash((self._num, self._den, self._terms))
+        return h
 
     def __reduce__(self):
         # string hashes differ between processes: rebuild rather than copy _hash
@@ -702,9 +709,11 @@ def split_at_point(f: FactoredForm, steps: Sequence[tuple[str, Fraction]]
     residue at a simple pole is the same.  The others are evaluated in
     integers over the exponent's denominator times the lcm of the point's,
     each variable part once, keyed by the identity of its terms tuple, which
-    f keeps alive and the three binomials of a mu pair share.  Each value is
-    reduced by one gcd step, over its numerator, its denominator and any
-    symbolic remainder's coefficients, and equal reduced values merge.
+    f keeps alive and the three binomials of a mu pair share.  An integer
+    value, which its denominator divides, is filed as that integer with no
+    gcd and laid out as the shared ``as_exponent`` instance; any other value
+    is reduced by one gcd step, over its numerator, its denominator and any
+    symbolic remainder's coefficients.  Equal values merge.
     Variables not in ``steps`` stay free.
     """
     den = lcm(*(point.denominator for _, point in steps))
@@ -729,8 +738,11 @@ def split_at_point(f: FactoredForm, steps: Sequence[tuple[str, Fraction]]
             key = (num, whole, rest)
             regular[key] = regular.get(key, 0) + m
         elif num:
-            g = gcd(num, whole)
-            key = (num // g, whole // g, ())
+            if num % whole:
+                g = gcd(num, whole)
+                key = (num // g, whole // g, ())
+            else:  # an integer value needs no gcd
+                key = num // whole
             regular[key] = regular.get(key, 0) + m
         else:
             k, name, c = max((position[n], n, c) for n, c in terms)
@@ -741,8 +753,8 @@ def split_at_point(f: FactoredForm, steps: Sequence[tuple[str, Fraction]]
     monomial = _reduced(f.monomial._num * den + value, f.monomial._den * den, rest)
     forms = [FactoredForm(_UNITS[flip % 2], 0, _ZERO_EXPONENT, sorted_binomials(level))
              for flip, level in zip(flips, levels)]
-    return monomial, forms, [(AffineExponent(num, whole, rest) if rest or whole != 1
-                              else as_exponent(num), m) for (num, whole, rest), m in regular.items()]
+    return monomial, forms, [(as_exponent(key) if type(key) is int else AffineExponent(*key), m)
+                             for key, m in regular.items()]
 
 
 # ---------------------------------------------------------------------------

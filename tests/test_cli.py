@@ -273,20 +273,24 @@ class TestContourCommand:
         assert result.exit_code == 0
         assert "[pass]" in result.output
 
-    # both sides are about q^((a+t)d(d-1)/2), here 1e600 and 1e450, beyond the
-    # float range; the grid evaluator's one exp of size overflows, and the
+    # both sides are about q^((a+t)d(d-1)/2), here 1e600, 1e450 and 2^(6e12), beyond
+    # the float range; the grid evaluator's one exp of size overflows, and the
     # finite check in decomposition_report turns that into exit 3
     @pytest.mark.parametrize("args", [
         ["--d", "2", "--q", "1e300", "--t", "1", "--m", "1", "--a", "1", "--nodes", "16"],
         ["--d", "3", "--q", "1e30", "--t", "3", "--m", "3", "--a", "2", "--nodes", "16",
          "--json"],
+        ["--d", "3", "--m", "1000000000000", "--t", "1000000000000", "--a", "1000000000000",
+         "--q", "2", "--nodes", "64", "--tol", "1000000000000"],
     ])
     def test_beyond_float_range_exits_3(self, runner, args):
         result = runner.invoke(main, ["contour", *args])
         assert result.exit_code == 3
         assert result.stdout == ""
         assert len(result.stderr.splitlines()) == 1
-        assert "beyond float range" in result.stderr
+        # an overflow that became nan in the node means is named by its side, not printed
+        assert result.stderr.startswith("error: value beyond float range: lhs and rhs at q = ")
+        assert "nan" not in result.stderr and "inf" not in result.stderr
 
     # q is validated as the exact rational given, then evaluated as a float:
     # each refusal names q as it was given, not as its float

@@ -3,9 +3,15 @@ argv drawn from them gets a correct answer or one documented line.
 
 Exit 0 or 1 (a verification failed) may print anything; any other exit is in
 {2, 3} with at most one stderr line and, for 2 and 3, nothing on stdout; and
-``--json`` output on exit 0 or 1 parses.  Sizes stay prompt: the number of
+``--json`` output on exit 0 or 1 parses.  Sizes are capped: the number of
 blocks d <= 12, --d-max <= 3, --nodes <= 64 and the block size m <= 1000,
 because a degree at m = 10**6, d = 12 and a numeric q takes about a minute.
+The caps do not keep every draw prompt: ``--m 1000`` can come with ``--d`` 2,
+3, 4, 10 or 12, a numeric ``--q`` and ``--deg-sigma``, and such a degree takes
+seconds or more (about 6.5 s at d = 2 and 42 s at d = 3 with q = 2, on a
+shared 2-core x86_64 host), most of it in the gcd of the exact value's
+``Fraction``.  That is an open promptness fault, and the caps are not lowered
+to hide it.
 """
 
 import json

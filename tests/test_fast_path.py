@@ -615,6 +615,8 @@ def test_split_at_point_matches_substitution():
         assert levels == want_levels
         assert FF.build(1, 0, 0, regular) == want_regular
         assert len(regular) == len({e for e, _ in regular})
+        # an integer value is the shared exponent of that integer
+        assert all(e is as_exponent(e._num) for e, _ in regular if e.is_constant and e._den == 1)
         seen.update(k for k, level in enumerate(levels) if level.binomials)
         if any(not e.is_constant for e, _ in regular):
             seen.add("free variables")

@@ -13,7 +13,7 @@ from qdegree.model import OutOfRangeError, validate
 from qdegree.mu import (mu_full, mu_level_ratio_closed, mu_level_ratio_telescoped, mu_on_z,
                         rank_one_factor)
 from qdegree.qform import (AffineExponent as AE, FactoredForm as FF, PoleAtSubstitutionError,
-                           integer_rows, split_at_point)
+                           as_exponent, integer_rows, split_at_point)
 
 
 class TestRankOne:
@@ -172,7 +172,7 @@ class TestLaidOutMu:
     @pytest.mark.parametrize("d", range(1, 25))
     @pytest.mark.parametrize("t", (1, 2, 3, 6))
     def test_generic_weight_row_shape(self, d, t):
-        """The three facts mu_on_z's layout relies on."""
+        """The facts mu_on_z's layout relies on."""
         p = validate(6, d, t, 1)
         _, names, entries = integer_rows([(e, t) for e in generic_weight(p).s])
         assert names == [f"z{k}" for k in range(1, d)]
@@ -184,6 +184,8 @@ class TestLaidOutMu:
             for j in range(i + 1, d):
                 assert entries[i][1][:last[i]] == entries[j][1][:last[i]]
                 assert entries[i][1][i] > entries[j][1][i]  # the part's first coefficient
+        for c in range(d - 1):  # the tail: for c < j < j', row j and row j' agree in column c
+            assert all(entries[j][1][c] == entries[c + 1][1][c] for j in range(c + 2, d))
 
     @pytest.mark.parametrize("d", range(1, 17))
     @pytest.mark.parametrize("t", (1, 2, 3, 6))
@@ -219,6 +221,9 @@ class TestLaidOutMu:
         plan = residue_plan(p)
         for k in range(1, d):
             assert split_at_point(f, plan[:k]) == split_at_point(copied, plan[:k])
+        # at the full point every value is an integer, laid out as its shared exponent
+        _, _, regular = split_at_point(f, plan)
+        assert regular and all(e is as_exponent(e._num) for e, _ in regular)
 
 
 class TestLevelRatios:

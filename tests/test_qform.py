@@ -86,6 +86,41 @@ class TestAffineExponent:
         assert as_exponent(F(k)) == e
         assert as_exponent(True) == AE(1)
 
+    @staticmethod
+    def _built_every_way(const, coeff):
+        """const + coeff * z1, fresh from make, the constructor, substitute and
+        pickling, and for an integer the shared instance too."""
+        e = AE.make(const, {"z1": coeff})
+        ways = [AE.make(const, {"z1": coeff}), AE(e._num, e._den, tuple(e._terms)),
+                AE.make(const, {"w": coeff}).substitute("w", AE.variable("z1")),
+                pickle.loads(pickle.dumps(AE.make(const, {"z1": coeff})))]
+        if not coeff and F(const).denominator == 1:
+            ways.append(as_exponent(int(const)))
+        return ways
+
+    @hypothesis.settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(_rationals, _rationals)
+    def test_equal_exponents_find_each_other_however_built(self, const, coeff):
+        n = len(self._built_every_way(const, coeff))
+        for i in range(n):
+            for j in range(n):
+                for hashed_first in (False, True):
+                    key = self._built_every_way(const, coeff)[i]
+                    probe = self._built_every_way(const, coeff)[j]
+                    if hashed_first:  # the probe's hash is cached before the lookup
+                        hash(probe)
+                    found = {key: "found"}  # the key is hashed on insertion
+                    assert found.get(probe) == "found"
+                    assert hash(probe) == hash(key) and probe == key
+
+    def test_an_exponent_never_hashed_equals_a_hashed_one(self):
+        for const, coeff in ((F(1, 2), 3), (0, F(-2, 3)), (7, 0)):
+            hashed, fresh = AE.make(const, {"z1": coeff}), AE.make(const, {"z1": coeff})
+            hash(hashed)
+            assert fresh == hashed and hashed == fresh
+            assert fresh._hash is None  # equality compares the integers, not hashes
+            assert fresh != AE.make(const + 1, {"z1": coeff})
+
     def test_gamma_and_gl_order_share_their_exponents(self):
         p = validate(3, 4, 1, 2)
         gamma, gl = gamma_factor(p), gl_order(p.n)
