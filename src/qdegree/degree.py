@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .checks import CheckReport, run_check
 from .model import OutOfRangeError, SetupParams
-from .qform import FactoredForm, as_exponent
+from .qform import UNITS, FactoredForm, as_exponent
 from .resdata import res_a1_mu, residue_closed_form
 
 
@@ -48,7 +48,7 @@ def gl_order(n: int) -> FactoredForm:
     """
     if n < 1:
         raise OutOfRangeError(f"matrix size {n} must be positive")
-    return FactoredForm(Fraction((-1) ** n), 0, as_exponent(n * (n - 1) // 2),
+    return FactoredForm(UNITS[n % 2], 0, as_exponent(n * (n - 1) // 2),
                         tuple([(as_exponent(k), 1) for k in range(1, n + 1)]))
 
 
@@ -61,7 +61,7 @@ def gamma_factor(p: SetupParams) -> FactoredForm:
     """
     m, n, d = p.m, p.n, p.d
     low = [(as_exponent(k), 1 - d) for k in range(1, m + 1)] if d > 1 else []
-    return FactoredForm(Fraction(1), 0,
+    return FactoredForm(UNITS[0], 0,
                         as_exponent(n * (n - 1) // 2 - d * (m * (m - 1) // 2) + m * n - n * n),
                         tuple(low + [(as_exponent(k), 1) for k in range(m + 1, n + 1)]))
 
@@ -90,14 +90,18 @@ def _numeric(factored: FactoredForm, q: Fraction | float) -> float | None:
 
 
 def _finish(p: SetupParams, factored: FactoredForm) -> DegreeResult:
-    """Fold in deg(sigma) when given; evaluate when q is also given.
+    """Fold in deg(sigma) when given, as one Fraction of integers with the
+    constant; evaluate when q is also given.
 
     ``numeric`` stays None when the value does not fit in a float; the exact
     factored form is still returned.
     """
     power = p.d
     if p.deg_sigma is not None:
-        factored = factored.scale(p.deg_sigma ** p.d)
+        c, s = factored.constant, p.deg_sigma
+        factored = FactoredForm(Fraction(c.numerator * s.numerator ** p.d,
+                                         c.denominator * s.denominator ** p.d),
+                                factored.log_grade, factored.monomial, factored.binomials)
         power = 0
     numeric = None
     if p.q is not None and power == 0:

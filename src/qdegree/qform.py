@@ -500,13 +500,16 @@ class FactoredForm:
 
     def __mul__(self, other: "FactoredForm") -> "FactoredForm":
         """Merged from two canonical forms, which are already oriented: equal
-        exponents add multiplicities, zeros drop, one sort orders the rest."""
-        if self.is_zero or other.is_zero:
+        exponents add multiplicities, zeros drop, one sort orders the rest.
+        A constant 1 (gamma's, for one) takes the other's with no product."""
+        a, b = self.constant, other.constant
+        if not a or not b:
             return _ZERO_FORM
         merged = dict(self.binomials)
         for e, m in other.binomials:
             merged[e] = merged.get(e, 0) + m
-        return FactoredForm(self.constant * other.constant, self.log_grade + other.log_grade,
+        return FactoredForm(b if a == 1 else a if b == 1 else a * b,
+                            self.log_grade + other.log_grade,
                             self.monomial + other.monomial, sorted_binomials(merged))
 
     def scale(self, c: Rational) -> "FactoredForm":
@@ -676,9 +679,9 @@ class FactoredForm:
         return self.render()
 
 
+UNITS = (Fraction(1), Fraction(-1))  # (-1)^k by k % 2, shared by every form that has one
 _ZERO_FORM = FactoredForm(Fraction(0), 0, _ZERO_EXPONENT, ())
-_ONE_FORM = FactoredForm(Fraction(1), 0, _ZERO_EXPONENT, ())
-_UNITS = (Fraction(1), Fraction(-1))  # (-1)^k by k % 2
+_ONE_FORM = FactoredForm(UNITS[0], 0, _ZERO_EXPONENT, ())
 
 
 def _at_point(terms: tuple[tuple[str, int], ...], nums: Mapping[str, int], den: int
@@ -751,7 +754,7 @@ def split_at_point(f: FactoredForm, steps: Sequence[tuple[str, Fraction]]
             levels[k][restriction] = levels[k].get(restriction, 0) + m
     value, rest = _at_point(f.monomial._terms, nums, den)
     monomial = _reduced(f.monomial._num * den + value, f.monomial._den * den, rest)
-    forms = [FactoredForm(_UNITS[flip % 2], 0, _ZERO_EXPONENT, sorted_binomials(level))
+    forms = [FactoredForm(UNITS[flip % 2], 0, _ZERO_EXPONENT, sorted_binomials(level))
              for flip, level in zip(flips, levels)]
     return monomial, forms, [(as_exponent(key) if type(key) is int else AffineExponent(*key), m)
                              for key, m in regular.items()]

@@ -65,16 +65,17 @@ def res_al(p: SetupParams, psi: FactoredForm, l: int) -> FactoredForm:
     the surviving variables z_1..z_(l-1); its prefactor carries log grade d-l.
 
     The prefactor (m/t)^(d-l)/(d-l+1) * logq^(d-l) is a constant and a log
-    grade, so it goes straight into the canonical residue's constant and
-    log grade, with no build.
+    grade, so it goes straight into the canonical residue's constant, as one
+    Fraction of integers, and its log grade, with no build.
     """
     p.check_level(l)
-    inner = iterated_residue(psi, residue_plan(p)[:p.d - l])
+    k = p.d - l
+    inner = iterated_residue(psi, residue_plan(p)[:k])
     if inner.is_zero:
         return inner
-    scale = Fraction(p.m, p.t) ** (p.d - l) / (p.d - l + 1)
-    return FactoredForm(inner.constant * scale, inner.log_grade + p.d - l, inner.monomial,
-                        inner.binomials)
+    c = inner.constant
+    return FactoredForm(Fraction(c.numerator * p.m ** k, c.denominator * p.t ** k * (k + 1)),
+                        inner.log_grade + k, inner.monomial, inner.binomials)
 
 
 def res_a1_mu(p: SetupParams) -> FactoredForm:
@@ -85,8 +86,10 @@ def res_a1_mu(p: SetupParams) -> FactoredForm:
 def residue_closed_form(p: SetupParams) -> FactoredForm:
     """Closed form of res_a1_mu:  (m/t)^(d-1) (1/d) q^((a+t) d(d-1)/2) (q^t-1)^d / (q^(td)-1).
 
-    With q^k - 1 = -(1 - q^k), the sign is (-1)^d / (-1) = (-1)^(d-1).
+    With q^k - 1 = -(1 - q^k), the sign is (-1)^d / (-1) = (-1)^(d-1).  The
+    constant is one Fraction of integers.
     """
-    return FactoredForm.build(Fraction(p.m, p.t) ** (p.d - 1) / p.d * (-1) ** (p.d - 1), 0,
-                              (p.a + p.t) * (p.d * (p.d - 1) // 2),
+    k = p.d - 1
+    return FactoredForm.build(Fraction((-1) ** k * p.m ** k, p.t ** k * p.d), 0,
+                              (p.a + p.t) * (p.d * k // 2),
                               [(as_exponent(p.t), p.d), (as_exponent(p.t * p.d), -1)])

@@ -29,6 +29,12 @@ each scaled exponent's coefficients over one denominator, and
 and ``+``; and ``split_at_point`` must give what ``substitute`` one
 variable at a time gives, with the vanishing binomials filed under the
 right step.
+
+The theorem path makes its exact constants from integers: ``res_al``'s
+prefactor at every level, ``residue_closed_form``'s constant, a product
+with gamma, whose constant 1 takes no ``Fraction`` product, and deg(sigma)^d
+folded into a degree must give the forms that their ``Fraction``
+expressions and one ``build`` give.
 """
 
 import math
@@ -40,6 +46,7 @@ import pytest
 
 from qdegree import resdata
 from qdegree.coords import residue_plan, z_to_s
+from qdegree.degree import closed_form_degree, gamma_factor
 from qdegree.model import validate
 from qdegree.mu import mu_on_z
 from qdegree.qform import (AffineExponent as AE, FactoredForm as FF, HigherOrderPoleError,
@@ -635,3 +642,68 @@ def test_split_at_point_merges_values_that_meet_at_a_partial_point():
     assert monomial.is_zero and levels[0].is_one
     assert sorted(regular, key=lambda item: item[1]) == [
         (AE.make(1, {"z2": 1}), -1), (AE.make(1, {"z2": 2}), 1)]
+
+
+# -- exact constants from integers against their Fraction expressions -------
+
+theorem_params = st.integers(1, 12).flatmap(lambda m: st.tuples(
+    st.just(m), st.integers(1, 24), st.integers(1, m), st.integers(0, 3)))
+
+
+def _res_al_reference(p, inner: FF, l: int) -> FF:
+    """res_al from its chain's result ``inner``, with its prefactor
+    (m/t)^(d-l)/(d-l+1) made by Fraction operations."""
+    if inner.is_zero:
+        return inner
+    scale = F(p.m, p.t) ** (p.d - l) / (p.d - l + 1)
+    return FF(inner.constant * scale, inner.log_grade + p.d - l, inner.monomial, inner.binomials)
+
+
+def _closed_form_reference(p) -> FF:
+    """residue_closed_form with its constant (-1)^(d-1) (m/t)^(d-1)/d made by Fraction operations."""
+    return FF.build(F(p.m, p.t) ** (p.d - 1) / p.d * (-1) ** (p.d - 1), 0,
+                    (p.a + p.t) * (p.d * (p.d - 1) // 2),
+                    [(as_exponent(p.t), p.d), (as_exponent(p.t * p.d), -1)])
+
+
+def _assert_same_form(got: FF, want: FF) -> None:
+    assert got == want
+    assert type(got.constant) is F
+
+
+def test_integer_constants_match_fraction_expressions(monkeypatch):
+    # res_al's chain result is recorded, so the reference takes the same one
+    # and the chain runs once per level (the one-pass chain has its own test)
+    seen, inners = set(), []
+
+    def recording(f, steps):
+        inners.append(iterated_residue(f, steps))
+        return inners[-1]
+
+    monkeypatch.setattr(resdata, "iterated_residue", recording)
+
+    @hypothesis.settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(theorem_params)
+    def check(params):
+        m, d, t, a = params
+        p = validate(m, d, t, a)
+        seen.add("t divides m" if m % t == 0 else "t does not divide m")
+        psi = mu_on_z(p)
+        for l in range(1, d + 1):
+            got = resdata.res_al(p, psi, l)
+            _assert_same_form(got, _res_al_reference(p, inners[-1], l))
+        _assert_same_form(resdata.residue_closed_form(p), _closed_form_reference(p))
+        gamma = gamma_factor(p)
+        assert gamma.constant == 1
+        for f in (resdata.res_a1_mu(p), resdata.residue_closed_form(p)):
+            want = FF.build(gamma.constant * f.constant, gamma.log_grade + f.log_grade,
+                            gamma.monomial + f.monomial, gamma.binomials + f.binomials)
+            _assert_same_form(gamma * f, want)
+            _assert_same_form(f * gamma, want)
+        # deg(sigma)^d folded into the constant, against the Fraction power and scale
+        deg_sigma = F(a + 2, t + 1)
+        folded = closed_form_degree(validate(m, d, t, a, deg_sigma=deg_sigma)).factored
+        _assert_same_form(folded, closed_form_degree(p).factored.scale(deg_sigma ** d))
+
+    check()
+    assert seen == {"t divides m", "t does not divide m"}
