@@ -17,7 +17,7 @@ from math import comb, gcd
 
 from .coords import Weight, generic_weight
 from .model import OutOfRangeError, SetupParams
-from .qform import AffineExponent, ExponentValue, FactoredForm, as_exponent, integer_rows
+from .qform import UNITS, AffineExponent, ExponentValue, FactoredForm, as_exponent, integer_rows
 
 
 def _rank_one_binomials(p: SetupParams, tx: AffineExponent) -> list[tuple[AffineExponent, int]]:
@@ -118,4 +118,4 @@ def mu_on_z(p: SetupParams) -> FactoredForm:
     runs = sorted((e._num, m) for e, m in _rank_one_binomials(p, as_exponent(0)))
     binomials = tuple([(AffineExponent(c * tx._den, tx._den, tx._terms) if c else tx, m)
                        for c, m in runs for tx in parts])
-    return FactoredForm(Fraction(1), 0, as_exponent((p.a + p.t) * comb(p.d, 2)), binomials)
+    return FactoredForm(UNITS[0], 0, as_exponent((p.a + p.t) * comb(p.d, 2)), binomials)

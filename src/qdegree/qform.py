@@ -13,8 +13,10 @@ Each exponent is stored as Python integers over one shared denominator,
 (num + sum_l c_l z_l) / den, reduced so that den > 0 and
 gcd(den, num, c_1, ...) = 1.  The representation is unique, so exponents
 compare by their integers and hash their integer tuple, once, on first use;
-their algebra is integer arithmetic with one gcd step, and no Fraction
-arithmetic runs while forms are built.
+their algebra is integer arithmetic with one gcd step, taken by the one
+reducer ``_reduced``, and no Fraction arithmetic runs while forms are built.
+Every exact rational argument, int or Fraction, is read by one function,
+``_ratio``, which refuses anything else.
 
 The module holds, each described where it is defined: ``rational_text``,
 the program's one printer of an exact rational, for any number of digits;
@@ -60,21 +62,18 @@ class DivisionByZeroError(ZeroDivisionError):
     """A denominator factor evaluated within machine tolerance of zero."""
 
 
-def _as_fraction(x: Rational) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
-
-
 def _ratio(x: Rational) -> tuple[int, int]:
-    """Numerator and positive denominator of an exact rational, in lowest terms."""
+    """Numerator and positive denominator of an exact rational, in lowest terms:
+    the one reader of an int or a Fraction; anything else raises TypeError."""
     if isinstance(x, int):
         return int(x), 1  # int() turns a bool into a plain int
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def _as_fraction(x: Rational) -> Fraction:
+    return Fraction(*_ratio(x))
 
 
 _EXP_SAFE = 708.0  # |Re w| up to which exp(w) is a normal float
@@ -145,21 +144,17 @@ def _merge(t1, f1: int, t2, f2: int) -> tuple[tuple[str, int], ...]:
     acc = {n: c * f1 for n, c in t1}
     for n, c in t2:
         acc[n] = acc.get(n, 0) + c * f2
-    items = [item for item in acc.items() if item[1]]
-    if len(acc) > len(t1):
-        # variables new to t1 were appended at the end
-        items.sort(key=_term_key)
-    return tuple(items)
+    return tuple(sorted([item for item in acc.items() if item[1]], key=_term_key))
 
 
 def _reduced(num: int, den: int, terms: tuple[tuple[str, int], ...]) -> "AffineExponent":
-    """The exponent (num + terms)/den, den > 0, with the common factor divided out."""
-    if den != 1:
-        g = gcd(den, num, *[c for _, c in terms])
-        if g != 1:
-            num //= g
-            den //= g
-            terms = tuple((n, c // g) for n, c in terms)
+    """The exponent (num + terms)/den, den > 0, with the common factor divided
+    out: the one reducer of an exponent."""
+    g = gcd(den, num, *[c for _, c in terms])
+    if g != 1:
+        num //= g
+        den //= g
+        terms = tuple([(n, c // g) for n, c in terms])
     return AffineExponent(num, den, terms)
 
 
@@ -371,9 +366,8 @@ def integer_rows(scaled: Sequence[tuple[AffineExponent, Rational]]
 
 
 def row_exponent(num: int, den: int, names: Sequence[str], row: Sequence[int]) -> AffineExponent:
-    """The exponent (num + sum_k row[k] names[k]) / den, reduced by one gcd step."""
-    g = gcd(den, num, *row)
-    return AffineExponent(num // g, den // g, tuple([(n, c // g) for n, c in zip(names, row) if c]))
+    """The exponent (num + sum_k row[k] names[k]) / den, reduced by ``_reduced``."""
+    return _reduced(num, den, tuple([(n, c) for n, c in zip(names, row) if c]))
 
 
 def _scaled_key(den: int):
@@ -713,10 +707,9 @@ def split_at_point(f: FactoredForm, steps: Sequence[tuple[str, Fraction]]
     integers over the exponent's denominator times the lcm of the point's,
     each variable part once, keyed by the identity of its terms tuple, which
     f keeps alive and the three binomials of a mu pair share.  An integer
-    value, which its denominator divides, is filed as that integer with no
-    gcd and laid out as the shared ``as_exponent`` instance; any other value
-    is reduced by one gcd step, over its numerator, its denominator and any
-    symbolic remainder's coefficients.  Equal values merge.
+    value, which its denominator divides, is keyed by that integer, with no
+    gcd, and laid out as the shared ``as_exponent`` instance; any other value
+    is keyed by its exponent, reduced by ``_reduced``.  Equal values merge.
     Variables not in ``steps`` stay free.
     """
     den = lcm(*(point.denominator for _, point in steps))
@@ -725,7 +718,7 @@ def split_at_point(f: FactoredForm, steps: Sequence[tuple[str, Fraction]]
     levels: list[dict] = [{} for _ in steps]  # oriented restriction -> multiplicity
     flips = [0] * len(steps)  # the multiplicity each step turned round
     parts: dict[int, tuple[int, tuple]] = {}  # id(terms) -> the part at the point
-    regular: dict = {}  # reduced (num, den, terms) -> multiplicity
+    regular: dict = {}  # an integer value, or the reduced exponent of any other -> multiplicity
     for e, m in f.binomials:
         terms = e._terms
         part = parts.get(id(terms))
@@ -734,29 +727,19 @@ def split_at_point(f: FactoredForm, steps: Sequence[tuple[str, Fraction]]
         value, rest = part
         num = e._num * den + value
         whole = e._den * den
-        if rest:
-            g = gcd(num, whole, *[c for _, c in rest])
-            if g != 1:
-                num, whole, rest = num // g, whole // g, tuple((n, c // g) for n, c in rest)
-            key = (num, whole, rest)
-            regular[key] = regular.get(key, 0) + m
-        elif num:
-            if num % whole:
-                g = gcd(num, whole)
-                key = (num // g, whole // g, ())
-            else:  # an integer value needs no gcd
-                key = num // whole
-            regular[key] = regular.get(key, 0) + m
-        else:
+        if not (num or rest):
             k, name, c = max((position[n], n, c) for n, c in terms)
             flips[k] += m * (c < 0)
             restriction = _reduced(-abs(c) * nums[name], whole, ((name, abs(c) * den),))
             levels[k][restriction] = levels[k].get(restriction, 0) + m
+            continue
+        key = _reduced(num, whole, rest) if rest or num % whole else num // whole
+        regular[key] = regular.get(key, 0) + m
     value, rest = _at_point(f.monomial._terms, nums, den)
     monomial = _reduced(f.monomial._num * den + value, f.monomial._den * den, rest)
     forms = [FactoredForm(UNITS[flip % 2], 0, _ZERO_EXPONENT, sorted_binomials(level))
              for flip, level in zip(flips, levels)]
-    return monomial, forms, [(as_exponent(key) if type(key) is int else AffineExponent(*key), m)
+    return monomial, forms, [(as_exponent(key) if type(key) is int else key, m)
                              for key, m in regular.items()]
 
 

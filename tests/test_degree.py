@@ -122,6 +122,56 @@ class TestDepthZeroSlice:
             got = closed_form_degree(validate(m, d, m, m * m - m, deg_sigma=1))
             assert got.factored == want and got.deg_sigma_power == 0, (m, d)
 
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_both_routes_are_flag_count_times_steinberg_degree(self, m):
+        """At (t, a) = (m, m^2 - m) both degrees, over deg(sigma)^d, equal
+
+            [n; m, ..., m]_q * (1 - Q^-1)^d / (1 - Q^-d) / d,   Q = q^m,
+
+        the number of partial flags of type (m, ..., m) in F_q^n times the
+        formal degree of the Steinberg module of an affine Hecke algebra of
+        type A_(d-1) with parameter Q.  That is what a type of shape
+        (m, ..., m) predicts for depth zero.  The q-multinomial is built here
+        from its factors (1 - q^k), not from ``gl_order``, and the assembled
+        degree goes through mu and the residue chain, so neither side shares
+        a formula with this product.  It does not confirm that a = m^2 - m is
+        the pair conductor of a depth-zero sigma.
+        """
+        for d in range(1, 17):
+            n = m * d
+            flags = [(as_exponent(k), 1) for k in range(1, n + 1)]
+            flags += [(as_exponent(k), -d) for k in range(1, m + 1)]
+            want = FF.build(F(1, d), 0, 0, flags + [(as_exponent(-m), d), (as_exponent(-n), -1)])
+            p = validate(m, d, m, m * m - m)
+            for route in (closed_form_degree, assemble_degree):
+                got = route(p)
+                assert got.factored == want and got.deg_sigma_power == d, (m, d, route.__name__)
+
+    @pytest.mark.parametrize("q", (2, 3))
+    def test_q_multinomial_counts_partial_flags(self, q):
+        # every chain 0 < V_1 < ... < V_d = F_q^n with dim V_i = i m, counted
+        # over the subspaces of F_q^n made as sets of vectors, for n <= 4
+        for n in (2, 3, 4):
+            vectors = list(itertools.product(range(q), repeat=n))
+            index = {v: i for i, v in enumerate(vectors)}
+            add = [[index[tuple((x + y) % q for x, y in zip(u, v))] for v in vectors] for u in vectors]
+            times = [[index[tuple(c * x % q for x in v)] for v in vectors] for c in range(q)]
+            layers = [{frozenset([0])}]  # the subspaces of each dimension; vector 0 is (0, ..., 0)
+            for _ in range(n):
+                layers.append({frozenset(add[w][times[c][v]] for w in space for c in range(q))
+                               for space in layers[-1] for v in range(len(vectors))
+                               if v not in space})
+            assert all(len(space) == q ** k for k, layer in enumerate(layers) for space in layer)
+            for m in (k for k in range(1, n + 1) if n % k == 0):
+                chains = {space: 1 for space in layers[m]}
+                for dim in range(2 * m, n + 1, m):
+                    chains = {space: sum(c for low, c in chains.items() if low <= space)
+                              for space in layers[dim]}
+                d = n // m
+                multinomial = FF.build(1, 0, 0, [(as_exponent(k), 1) for k in range(1, n + 1)]
+                                       + [(as_exponent(k), -d) for k in range(1, m + 1)])
+                assert multinomial.eval_exact(F(q)) == sum(chains.values()), (q, n, m)
+
 
 class TestDegree:
     def test_single_block_is_cuspidal_degree(self):

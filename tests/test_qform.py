@@ -194,6 +194,15 @@ class TestCanonicalForm:
         with pytest.raises(PoleAtSubstitutionError):
             FF.build(1, 0, as_exponent(0), ((as_exponent(0), 1), (as_exponent(0), -1)))
 
+    @pytest.mark.parametrize("make", [lambda: FF.build(0.5, 0, 0, ()),
+                                      lambda: FF.from_constant(0.5),
+                                      lambda: FF.binomial(1).scale(0.5)],
+                             ids=["build", "from_constant", "scale"])
+    def test_constant_refuses_a_float(self, make):
+        # a form's constant is read as an exponent's is, by the one reader of an exact rational
+        with pytest.raises(TypeError, match="exact rational"):
+            make()
+
     def test_division_by_zero_form(self):
         with pytest.raises(DivisionByZeroError):
             FF.from_constant(0).inverse()

@@ -111,6 +111,25 @@ class TestClosedScalar:
         assert faulty == honest.scale(p.d)
 
 
+class TestBaseChange:
+    def test_every_block_is_the_unramified_one_at_q_to_the_t(self):
+        """The residue route alone, with no closed form: t enters only through
+        Q = q^t, a only through q^(a d(d-1)/2) and m only through (m/t)^(d-1),
+
+            res_a1_mu(m, d, t, a) = (m/t)^(d-1) q^(a d(d-1)/2) sigma_t(res_a1_mu(1, d, 1, 0)),
+
+        where sigma_t multiplies every exponent by t.  t need not divide m."""
+        for d in range(1, 13):
+            base = res_a1_mu(validate(1, d, 1, 0))
+            for m in range(1, 7):
+                for t in range(1, m + 1):
+                    for a in range(4):
+                        want = FF.build(base.constant * F(m, t) ** (d - 1), base.log_grade,
+                                        base.monomial.scale(t) + a * d * (d - 1) // 2,
+                                        [(e.scale(t), k) for e, k in base.binomials])
+                        assert res_a1_mu(validate(m, d, t, a)) == want, (m, d, t, a)
+
+
 class TestOrderInsensitivity:
     @pytest.mark.parametrize("m,t,a", [(1, 1, 0), (2, 2, 1), (2, 1, 2)])
     def test_three_block_residues_commute_across_hyperplanes(self, m, t, a):
