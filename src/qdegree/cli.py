@@ -4,7 +4,8 @@ subcommands, canonical text output and a stable JSON schema.
 Every command shares one intake: each of ``--m --d --t --a --q --deg-sigma``
 falls back to its key (``m d t a q deg_sigma``, no other) in a ``--config``
 file of ``key=value`` lines, then ``model.validate`` runs once and each parameter
-warning goes to stderr as one ``warning: ...`` line.  ``--q`` and
+warning goes to stderr as one ``warning: ...`` line, just before the command's
+first output; a run that ends in an error shows its error line alone.  ``--q`` and
 ``--deg-sigma`` take exact rationals such as ``3/2`` or ``2.5``; ``contour``
 then evaluates q as a float, which must be finite and > 1.  One table-driven parser
 (``_OPTIONS``, ``_COMMANDS``) words help, at 80 columns, and usage errors as click did.
@@ -143,13 +144,18 @@ def _intake(flags: dict, numeric_q: bool) -> model.SetupParams:
         problems += contour.run_problems(values["d"], flags["nodes"], flags["tol"])
     if problems:  # one line naming every bad parameter
         raise UsageError("; ".join(problems))
-    for warning in p.warnings:
-        _echo(f"warning: {warning}", err=True)
+    _held[:] = [f"warning: {warning}" for warning in p.warnings]
     return p
 
 
+_held: list[str] = []  # parameter warnings not yet shown: an error drops them
+
+
 def _echo(text: str, err: bool = False) -> None:
-    """One line, flushed, to the stream as it is now: callers may redirect it."""
+    """One line, flushed, to the stream as it is now: callers may redirect it.
+    Held warnings go to stderr first."""
+    while _held:
+        print(_held.pop(0), file=sys.stderr, flush=True)
     print(text, file=sys.stderr if err else sys.stdout, flush=True)
 
 
@@ -364,20 +370,24 @@ def main(args=None, prog_name: str | None = None, standalone_mode: bool = True) 
     if prog_name is None:  # as Python was started: python -m <module>, or a script
         package, script = sys.modules["__main__"].__package__, os.path.basename(sys.argv[0])
         prog_name = f"python -m {package}.{script[:-3]}" if package else script
+    _held.clear()
     try:
         _dispatch(sys.argv[1:] if args is None else list(args), prog_name)
     except (UsageError, model.InvalidParamsError, model.OutOfRangeError) as exc:
+        _held.clear()
         if not standalone_mode:
             raise
         _echo(f"Error: {exc}", err=True)
         sys.exit(2)
     except OverflowError as exc:
+        _held.clear()
         _echo(f"error: value beyond float range: {exc}", err=True)
         sys.exit(3)
     except BrokenPipeError:
         sys.stdout = sys.stderr = io.StringIO()  # flushing at exit must not fail again
         sys.exit(141)
     except Exception as exc:
+        _held.clear()
         _echo(f"error: internal: {type(exc).__name__}: {exc}", err=True)
         sys.exit(4)
 

@@ -292,6 +292,13 @@ def test_parameter_warning_on_stderr(files):
         "warning: t=2 does not divide m=3; formulas remain rational\n")
 
 
+def test_parameter_warning_dropped_when_the_run_fails(files):
+    # the error line alone, though the parameters also gave a warning
+    assert _run(["contour", "--a", "1000", "--m", "3", "--nodes", "16", "--q", "2", "--d", "3",
+                 "--t", "2", "--tol", "1e-6"], files) == (
+        3, "", "error: value beyond float range: lhs and rhs at q = 2.0\n")
+
+
 def test_version_without_installed_metadata():
     result = CliRunner().invoke(main, ["--version"])
     assert result.exit_code == 0
