@@ -363,8 +363,7 @@ def _help(prog: str, name: str | None = None) -> str:
     return "\n".join(lines)
 
 
-# click's interface, for click's test runner and the benchmark: main.main(args, prog_name,
-# standalone_mode), outside of which a usage error or rejected parameter propagates
+# main.main, the benchmark's interface: outside standalone mode, usage and parameter errors raise
 def main(args=None, prog_name: str | None = None, standalone_mode: bool = True) -> None:
     """Exact formal-degree engine for discrete series built from a cuspidal block."""
     if prog_name is None:  # as Python was started: python -m <module>, or a script
@@ -427,7 +426,7 @@ def _dispatch(args: list[str], prog: str) -> None:
     body(_intake(flags, name == "contour") if "config" in keys else kind, **flags)
 
 
-main.main, main.name = main, "main"
+main.main = main
 
 if __name__ == "__main__":
     main()

@@ -22,10 +22,14 @@ from .qform import UNITS, AffineExponent, ExponentValue, FactoredForm, as_expone
 
 def _rank_one_binomials(p: SetupParams, tx: AffineExponent) -> list[tuple[AffineExponent, int]]:
     """The binomials of the oriented pair factor at difference x, given as tx = t x,
-    with multiplicities: (1 - q^(tx))^2 (1 - q^(tx+t))^-1 (1 - q^(tx-t))^-1; its
-    monomial is q^(a+t).
-    """
+    with multiplicities: (1 - q^(tx))^2 (1 - q^(tx+t))^-1 (1 - q^(tx-t))^-1."""
     return [(tx, 2), (tx + p.t, -1), (tx - p.t, -1)]
+
+
+def _pair_product(p: SetupParams, txs: list[AffineExponent]) -> FactoredForm:
+    """The pair factors at the differences tx in ``txs``, q^(a+t) each, in one build."""
+    return FactoredForm.build(1, 0, (p.a + p.t) * len(txs),
+                              [b for tx in txs for b in _rank_one_binomials(p, tx)])
 
 
 def rank_one_factor(p: SetupParams, x: ExponentValue) -> FactoredForm:
@@ -38,7 +42,7 @@ def rank_one_factor(p: SetupParams, x: ExponentValue) -> FactoredForm:
     level ratios; the telescoping tests pin it down.  Vanishes (second order)
     at x = 0; poles at x = +-1 raise.
     """
-    return FactoredForm.build(1, 0, p.a + p.t, _rank_one_binomials(p, as_exponent(x).scale(p.t)))
+    return _pair_product(p, [as_exponent(x).scale(p.t)])
 
 
 def mu_full(p: SetupParams, weight: Weight) -> FactoredForm:
@@ -49,10 +53,8 @@ def mu_full(p: SetupParams, weight: Weight) -> FactoredForm:
     """
     if weight.dim != p.d:
         raise OutOfRangeError(f"weight has {weight.dim} entries, expected {p.d}")
-    s = weight.s
-    return FactoredForm.build(1, 0, (p.a + p.t) * comb(p.d, 2), [
-        b for i in range(p.d) for j in range(i + 1, p.d)
-        for b in _rank_one_binomials(p, (s[i] - s[j]).scale(p.t))])
+    return _pair_product(p, [(weight.s[i] - weight.s[j]).scale(p.t)
+                             for i in range(p.d) for j in range(i + 1, p.d)])
 
 
 def mu_level_ratio_closed(p: SetupParams, l: int) -> FactoredForm:
@@ -75,11 +77,9 @@ def mu_level_ratio_telescoped(p: SetupParams, l: int) -> FactoredForm:
     x_j = z/t - (d-l)/2 + (j-l); the product telescopes to the closed form.
     """
     p.check_level(l, low=2)
-    binomials = []
-    for j in range(l, p.d + 1):
-        tx = AffineExponent.variable("z", const=p.t * (Fraction(-(p.d - l), 2) + (j - l)))
-        binomials += _rank_one_binomials(p, tx)
-    return FactoredForm.build(1, 0, (p.a + p.t) * (p.d - l + 1), binomials)
+    half = Fraction(p.t * (p.d - l), 2)
+    return _pair_product(p, [AffineExponent.variable("z", const=p.t * (j - l) - half)
+                             for j in range(l, p.d + 1)])
 
 
 def mu_on_z(p: SetupParams) -> FactoredForm:

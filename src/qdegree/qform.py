@@ -73,7 +73,7 @@ def _ratio(x: Rational) -> tuple[int, int]:
 
 
 def _as_fraction(x: Rational) -> Fraction:
-    return Fraction(*_ratio(x))
+    return x if type(x) is Fraction else Fraction(*_ratio(x))
 
 
 _EXP_SAFE = 708.0  # |Re w| up to which exp(w) is a normal float

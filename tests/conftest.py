@@ -1,17 +1,62 @@
 """Shared helpers: seeded random factored forms, a numeric residue oracle,
-and a fault injected into the residue datum."""
+a fault injected into the residue datum, and a runner of the command line."""
 
 from __future__ import annotations
 
 import cmath
+import io
 import math
 import random
+import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
-from qdegree import contour, resdata
+from qdegree import cli, contour, resdata
 from qdegree.qform import AffineExponent, FactoredForm, as_sum
+
+
+class Result(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr interleaved in write order, as a terminal shows them
+    exception: BaseException | None
+
+
+class _Copied(io.StringIO):
+    """A captured stream that also copies each write to a shared one."""
+
+    def __init__(self, both: io.StringIO):
+        super().__init__()
+        self.both = both
+
+    def write(self, text: str) -> int:
+        self.both.write(text)
+        return super().write(text)
+
+
+def invoke(args: list[str], prog_name: str = "main") -> Result:
+    """Run the command line in process, as click's ``CliRunner.invoke`` did: exit 0
+    on return or ``sys.exit()``, a nonzero exit code with its ``SystemExit`` kept,
+    and exit 1 for any other exception, kept.  ``main`` is the program name click
+    gave a command named ``main``."""
+    both = io.StringIO()
+    out, err = _Copied(both), _Copied(both)
+    saved = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = out, err
+    exit_code, exception = 0, None
+    try:
+        cli.main(args, prog_name=prog_name)
+    except SystemExit as exc:
+        exit_code = exc.code or 0
+        exception = exc if exit_code else None
+    except Exception as exc:
+        exit_code, exception = 1, exc
+    finally:
+        sys.stdout, sys.stderr = saved
+    return Result(exit_code, out.getvalue(), err.getvalue(), both.getvalue(), exception)
 
 
 @pytest.fixture()

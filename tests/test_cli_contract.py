@@ -16,11 +16,11 @@ to hide it.
 
 import json
 
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdegree.cli import _COMMANDS, _OPTIONS, main
+from conftest import invoke
+from qdegree.cli import _COMMANDS, _OPTIONS
 
 # small valid values of each option, and the largest value a size option takes
 VALID = {"m": ["1", "2", "3", "6"], "d": ["1", "2", "3", "4", "12"], "t": ["1", "2", "3"],
@@ -63,7 +63,7 @@ def argvs(draw):
 @settings(max_examples=300, deadline=None)
 @given(argvs())
 def test_every_argv_gets_an_answer_or_one_line(argv):
-    result = CliRunner().invoke(main, argv, prog_name="qdegree")
+    result = invoke(argv, prog_name="qdegree")
     code, stdout, stderr = result.exit_code, result.stdout, result.stderr
     assert code in (0, 1, 2, 3), (argv, code, stderr)
     if code not in (0, 1):

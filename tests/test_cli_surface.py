@@ -19,11 +19,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import qdegree
+from conftest import invoke
 from qdegree import __version__
-from qdegree.cli import main
 
 DEGREE = ["degree", "--m", "1", "--d", "2", "--t", "1", "--a", "0"]
 
@@ -182,7 +181,7 @@ def files(tmp_path):
 
 def _run(args, files, **kwargs):
     tmp_path, paths = files
-    result = CliRunner().invoke(main, [arg.format(**paths) for arg in args], **kwargs)
+    result = invoke([arg.format(**paths) for arg in args], **kwargs)
     masked = [text.replace(str(tmp_path), "<tmp>") for text in (result.stdout, result.stderr)]
     masked[0] = re.sub(r"\(\d+ ms\)", "(N ms)", masked[0])
     return result.exit_code, masked[0], masked[1]
@@ -300,7 +299,7 @@ def test_parameter_warning_dropped_when_the_run_fails(files):
 
 
 def test_version_without_installed_metadata():
-    result = CliRunner().invoke(main, ["--version"])
+    result = invoke(["--version"])
     assert result.exit_code == 0
     assert __version__ in result.stdout
 

@@ -1,6 +1,7 @@
 """Degree assembly tests with brute-force finite-field oracles."""
 
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -171,6 +172,35 @@ class TestDepthZeroSlice:
                 multinomial = FF.build(1, 0, 0, [(as_exponent(k), 1) for k in range(1, n + 1)]
                                        + [(as_exponent(k), -d) for k in range(1, m + 1)])
                 assert multinomial.eval_exact(F(q)) == sum(chains.values()), (q, n, m)
+
+    @pytest.mark.parametrize("d, length", [(2, 12), (3, 12), (4, 10), (5, 8)])
+    def test_steinberg_degree_inverts_the_poincare_series(self, d, length):
+        """d St(Q) = (1 - Q^-1)^d / (1 - Q^-d), the Steinberg degree the slice tests
+        use, is at Q^-1 = x the inverse of the Poincare series
+        P(x) = (1 - x^d) / (1 - x)^d of the affine Weyl group of type A_(d-1)
+        (Bott's formula; Macdonald, Math. Ann. 199, 1972).  P's coefficients up to
+        x^length are counted here, breadth-first from the identity, since the
+        distance from it is the Coxeter length.
+        """
+        # w as its window (w(1), ..., w(d)), where w(i + d) = w(i) + d: s_i swaps the
+        # entries i and i + 1, and s_0 swaps w(0) = w(d) - d and w(1)
+        def neighbours(w):
+            for i in range(d - 1):
+                yield w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+            yield (w[-1] - d, *w[1:-1], w[0] + d)
+
+        layer = seen = {tuple(range(1, d + 1))}
+        counts = [1]
+        while len(counts) <= length:
+            layer = {v for w in layer for v in neighbours(w)} - seen
+            seen = seen | layer
+            counts.append(len(layer))
+        # (1 - x)^d (1 + x^d + x^2d + ...) up to x^length
+        steinberg = [sum((-1) ** (k - j) * math.comb(d, k - j) for j in range(0, k + 1, d))
+                     for k in range(length + 1)]
+        product = [sum(counts[i] * steinberg[k - i] for i in range(k + 1))
+                   for k in range(length + 1)]
+        assert product == [1] + [0] * length, (d, counts)
 
 
 class TestDegree:

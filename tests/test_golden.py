@@ -9,10 +9,8 @@ one-shot builds existed.
 
 import hashlib
 
-from click.testing import CliRunner
-
+from conftest import invoke
 from qdegree.checks import theorem_grid
-from qdegree.cli import main
 from qdegree.contour import _offchain_sum
 from qdegree.degree import assemble_degree, closed_form_degree
 from qdegree.model import validate
@@ -61,9 +59,8 @@ def _kernel_renders():
 
 
 def _degree_json():
-    runner = CliRunner()
     for args in DEGREE_JSON_ARGS:
-        result = runner.invoke(main, ["degree", *args, "--json"])
+        result = invoke(["degree", *args, "--json"])
         assert result.exit_code == 0, result.output
         yield result.output
 
