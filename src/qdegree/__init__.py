@@ -13,8 +13,7 @@ from .coords import (Weight, discrete_series_point, generic_weight, pairing_coro
 from .degree import (DegreeResult, assemble_degree, closed_form_degree,
                      gamma_factor, gl_order, verify_theorem)
 from .model import InvalidParamsError, OutOfRangeError, SetupParams, validate
-from .mu import (mu_full, mu_level_ratio_closed, mu_level_ratio_telescoped,
-                 mu_on_z, rank_one_factor)
+from .mu import mu_full, mu_level_ratio_closed, mu_level_ratio_telescoped, mu_on_z
 from .qform import (AffineExponent, DivisionByZeroError, FactoredForm,
                     HigherOrderPoleError, PoleAtSubstitutionError, SumForm,
                     residue)
@@ -30,7 +29,7 @@ __all__ = [
     "closed_form_degree", "discrete_series_point", "gamma_factor",
     "generic_weight", "gl_order", "iterated_residue",
     "mu_full", "mu_level_ratio_closed", "mu_level_ratio_telescoped", "mu_on_z",
-    "pairing_coroot", "rank_one_factor", "res_a1_mu", "res_al", "residue",
+    "pairing_coroot", "res_a1_mu", "res_al", "residue",
     "residue_closed_form", "residue_plan", "validate", "verify_theorem",
     "z_to_s",
 ]

@@ -47,14 +47,12 @@ def run_check(name: str, failure: Callable[..., str | None], *args) -> CheckRepo
 # Parameter grids
 # ---------------------------------------------------------------------------
 
-DEFAULT_D_MAX = 6
 DEFAULT_M_SET = (1, 2, 3, 6)
 DEFAULT_T_SET = (1, 2, 3)
 DEFAULT_A_SET = (0, 1, 2)
 
 
-def theorem_grid(d_max: int = DEFAULT_D_MAX,
-                 m_set: Iterable[int] = DEFAULT_M_SET,
+def theorem_grid(d_max: int, m_set: Iterable[int] = DEFAULT_M_SET,
                  a_set: Iterable[int] = DEFAULT_A_SET,
                  t_set: Iterable[int] | None = None) -> Iterator[model.SetupParams]:
     """All (m, d, t, a) with d <= d_max, m in m_set, t | m, a in a_set.
@@ -91,7 +89,7 @@ def _pairing_failure(d: int, t: int) -> str | None:
     return None if point == want_s else f"point {point} != {want_s}"
 
 
-def pairing_reports(d_max: int = 8, t_set: Iterable[int] = (1, 2, 3)) -> list[CheckReport]:
+def pairing_reports(d_max: int, t_set: Iterable[int] = DEFAULT_T_SET) -> list[CheckReport]:
     """Coroot pairing identity and the nested specialization point.
 
     For every d and l:  t <alpha_l^vee, sum z_j atilde_j> = z_l - ((d-l-1)/(d-l)) z_(l+1),
@@ -110,8 +108,7 @@ def _ratio_failure(d: int, t: int, a: int) -> str | None:
     return None
 
 
-def ratio_reports(d_max: int = DEFAULT_D_MAX,
-                  t_set: Iterable[int] = DEFAULT_T_SET,
+def ratio_reports(d_max: int, t_set: Iterable[int] = DEFAULT_T_SET,
                   a_set: Iterable[int] = DEFAULT_A_SET) -> list[CheckReport]:
     """Telescoped pair products equal the closed level ratios, canonically."""
     return [run_check(f"ratio d={d} t={t} a={a}", _ratio_failure, d, t, a)
@@ -126,8 +123,7 @@ def _residue_failure(p: model.SetupParams) -> str | None:
     return f"quotient {(got / closed).render()} log_grade {got.log_grade}"
 
 
-def residue_reports(d_max: int = DEFAULT_D_MAX,
-                    m_set: Iterable[int] = DEFAULT_M_SET,
+def residue_reports(d_max: int, m_set: Iterable[int] = DEFAULT_M_SET,
                     a_set: Iterable[int] = DEFAULT_A_SET,
                     t_set: Iterable[int] | None = None) -> list[CheckReport]:
     """The fully specialized residue datum equals its closed form, log grade 0."""
@@ -135,8 +131,7 @@ def residue_reports(d_max: int = DEFAULT_D_MAX,
             for p in theorem_grid(d_max, m_set, a_set, t_set)]
 
 
-def theorem_reports(d_max: int = DEFAULT_D_MAX,
-                    m_set: Iterable[int] = DEFAULT_M_SET,
+def theorem_reports(d_max: int, m_set: Iterable[int] = DEFAULT_M_SET,
                     a_set: Iterable[int] = DEFAULT_A_SET,
                     t_set: Iterable[int] | None = None) -> list[CheckReport]:
     """Assembled degree equals the closed-form degree on the whole grid."""

@@ -33,10 +33,6 @@ class Weight:
 
     s: tuple[AffineExponent, ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.s)
-
     def shift(self, c: ExponentValue) -> "Weight":
         c = as_exponent(c)
         return Weight(tuple(e + c for e in self.s))

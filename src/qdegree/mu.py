@@ -17,7 +17,7 @@ from math import comb, gcd
 
 from .coords import Weight, generic_weight
 from .model import OutOfRangeError, SetupParams
-from .qform import UNITS, AffineExponent, ExponentValue, FactoredForm, as_exponent, integer_rows
+from .qform import UNITS, AffineExponent, FactoredForm, as_exponent, integer_rows
 
 
 def _rank_one_binomials(p: SetupParams, tx: AffineExponent) -> list[tuple[AffineExponent, int]]:
@@ -27,22 +27,18 @@ def _rank_one_binomials(p: SetupParams, tx: AffineExponent) -> list[tuple[Affine
 
 
 def _pair_product(p: SetupParams, txs: list[AffineExponent]) -> FactoredForm:
-    """The pair factors at the differences tx in ``txs``, q^(a+t) each, in one build."""
+    """The pair factors at the differences tx in ``txs``, q^(a+t) each, in one build.
+
+    Each factor q^(a+t) (1-q^(tx))^2 / ((1-q^(tx+t)) (1-q^(tx-t))) equals
+    q^(a+2t) (1-q^(tx))(1-q^(-tx)) / ((1-q^(t(x+1)))(1-q^(t(1-x)))): writing
+    1-q^(-tx) = -q^(-tx)(1-q^(tx)) and 1-q^(t-tx) = -q^(t-tx)(1-q^(tx-t)) moves
+    q^(-t) into the monomial.  The normalization q^(a+t) is the unique per-pair
+    constant whose telescoped level products reproduce the closed level ratios;
+    the telescoping tests pin it down.  A factor vanishes (second order) at
+    x = 0, and a pole at x = +-1 raises.
+    """
     return FactoredForm.build(1, 0, (p.a + p.t) * len(txs),
                               [b for tx in txs for b in _rank_one_binomials(p, tx)])
-
-
-def rank_one_factor(p: SetupParams, x: ExponentValue) -> FactoredForm:
-    """The pair factor q^(a+t) (1-q^(tx))^2 / ((1-q^(tx+t)) (1-q^(tx-t))).
-
-    It equals q^(a+2t) (1-q^(tx))(1-q^(-tx)) / ((1-q^(t(x+1)))(1-q^(t(1-x)))):
-    writing 1-q^(-tx) = -q^(-tx)(1-q^(tx)) and 1-q^(t-tx) = -q^(t-tx)(1-q^(tx-t))
-    moves q^(-t) into the monomial.  The normalization q^(a+t) is the unique
-    per-pair constant whose telescoped level products reproduce the closed
-    level ratios; the telescoping tests pin it down.  Vanishes (second order)
-    at x = 0; poles at x = +-1 raise.
-    """
-    return _pair_product(p, [as_exponent(x).scale(p.t)])
 
 
 def mu_full(p: SetupParams, weight: Weight) -> FactoredForm:
@@ -51,8 +47,8 @@ def mu_full(p: SetupParams, weight: Weight) -> FactoredForm:
     Depends only on the differences s_i - s_j, so it is shift invariant.  It
     takes any weight, and it is the reference for ``mu_on_z``.
     """
-    if weight.dim != p.d:
-        raise OutOfRangeError(f"weight has {weight.dim} entries, expected {p.d}")
+    if len(weight.s) != p.d:
+        raise OutOfRangeError(f"weight has {len(weight.s)} entries, expected {p.d}")
     return _pair_product(p, [(weight.s[i] - weight.s[j]).scale(p.t)
                              for i in range(p.d) for j in range(i + 1, p.d)])
 

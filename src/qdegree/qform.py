@@ -18,15 +18,6 @@ reducer ``_reduced``, and no Fraction arithmetic runs while forms are built.
 Every exact rational argument, int or Fraction, is read by one function,
 ``_ratio``, which refuses anything else.
 
-The module holds, each described where it is defined: ``rational_text``,
-the program's one printer of an exact rational, for any number of digits;
-``q_problem``, q's one domain rule; ``AffineExponent``; ``integer_rows``,
-exponents as integer rows over one denominator, and ``row_exponent``, such
-a row as a reduced exponent; ``sorted_binomials``,
-the order of a canonical form's binomials; ``FactoredForm`` with its numeric
-and exact evaluation; ``split_at_point``, a form's binomials at a residue
-chain's point; ``SumForm``; and ``residue``, the w^(-1) Laurent coefficient.
-
 Exponents and forms are immutable and hashable, and their operations are
 pure functions.
 """
@@ -264,7 +255,7 @@ class AffineExponent:
         if d2 == 1 and not other._terms:
             # adding an integer keeps the content coprime to the denominator
             return AffineExponent(self._num + other._num * d1, d1, self._terms)
-        den = d1 if d1 == d2 else lcm(d1, d2)
+        den = lcm(d1, d2)
         f1, f2 = den // d1, den // d2
         return _reduced(self._num * f1 + other._num * f2, den,
                         _merge(self._terms, f1, other._terms, f2))
@@ -290,9 +281,7 @@ class AffineExponent:
             return self
         value = as_exponent(value)
         vd = value._den
-        rest = terms[:i] + terms[i + 1:]
-        if vd != 1:
-            rest = tuple((n, x * vd) for n, x in rest)
+        rest = tuple((n, x * vd) for n, x in terms[:i] + terms[i + 1:])
         if value._terms:
             rest = _merge(rest, 1, value._terms, c)
         return _reduced(self._num * vd + c * value._num, self._den * vd, rest)
@@ -378,8 +367,6 @@ def _scaled_key(den: int):
     def key(item: tuple[AffineExponent, int]) -> tuple:
         e = item[0]
         f = den // e._den
-        if f == 1:
-            return (e._num, e._terms)
         return (e._num * f, tuple([(n, c * f) for n, c in e._terms]))
 
     return key

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import invoke
-from qdegree import contour, coords, degree, mu, resdata
+from qdegree import cli, contour, coords, degree, mu, resdata
 from qdegree.cli import emit_json
 
 
@@ -462,6 +462,14 @@ def test_usage_error_is_one_line(args):
     assert len(lines) == 1 and lines[0].startswith("Error: ")
 
 
+def test_usage_error_raises_outside_standalone_mode(capsys):
+    # main.main is the benchmark's interface: there a usage error is raised, as
+    # cli.UsageError, for the caller to catch, and nothing is written
+    with pytest.raises(cli.UsageError, match="missing required parameter --m"):
+        cli.main.main(["degree"], prog_name="qdegree", standalone_mode=False)
+    assert capsys.readouterr() == ("", "")
+
+
 @pytest.fixture()
 def broken_degree(monkeypatch):
     """A fault no command expects: closed_form_degree raises."""
@@ -546,6 +554,10 @@ class TestJsonOutput:
 
     def test_literals(self):
         assert [emit_json(x) for x in (True, False, None)] == ["true", "false", "null"]
+
+    def test_other_types_refused(self):
+        with pytest.raises(TypeError, match="cannot emit object"):
+            emit_json(object())
 
     def test_seventeen_significant_digits(self):
         assert emit_json(1 / 3) == "0.33333333333333331"

@@ -311,6 +311,14 @@ def _source_env() -> dict:
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
 
 
+def test_version_as_a_module():
+    # run as python -m, the program names itself as Python was started
+    proc = subprocess.run([sys.executable, "-m", "qdegree.cli", "--version"], env=_source_env(),
+                          timeout=60, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, f"python -m qdegree.cli, version {__version__}\n", "")
+
+
 def test_cli_import_leaves_numpy_unloaded():
     # only the contour command needs numpy; it imports its module itself.  The
     # command line parses itself, so click is not loaded either

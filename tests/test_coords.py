@@ -94,6 +94,10 @@ class TestZToS:
         with pytest.raises(OutOfRangeError):
             z_to_s(validate(1, 3, 1, 0), [F(1)])
 
+    def test_symbolic_weight_has_no_fractions(self):
+        with pytest.raises(ValueError, match="symbolic entries"):
+            generic_weight(validate(1, 3, 1, 0)).as_fractions()
+
 
 class TestResiduePlan:
     def test_examples(self):
@@ -105,3 +109,8 @@ class TestResiduePlan:
         p = validate(2, 5, 2, 0)
         for l in range(1, 5):
             assert residue_point(p, l) == F(2 * (5 - l + 1), 2)
+
+    @pytest.mark.parametrize("l", (0, 5))
+    def test_point_out_of_range(self, l):
+        with pytest.raises(OutOfRangeError, match="outside"):
+            residue_point(validate(2, 5, 2, 0), l)

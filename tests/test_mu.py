@@ -10,10 +10,14 @@ import pytest
 
 from qdegree.coords import Weight, generic_weight, residue_plan, z_to_s
 from qdegree.model import OutOfRangeError, validate
-from qdegree.mu import (mu_full, mu_level_ratio_closed, mu_level_ratio_telescoped, mu_on_z,
-                        rank_one_factor)
+from qdegree.mu import mu_full, mu_level_ratio_closed, mu_level_ratio_telescoped, mu_on_z
 from qdegree.qform import (AffineExponent as AE, FactoredForm as FF, PoleAtSubstitutionError,
                            as_exponent, integer_rows, split_at_point)
+
+
+def rank_one_factor(p, x):
+    """The pair factor at difference x: mu of GL_2m at the weight (x, 0)."""
+    return mu_full(validate(p.m, 2, p.t, p.a), Weight((as_exponent(x), as_exponent(0))))
 
 
 class TestRankOne:
@@ -99,6 +103,12 @@ class TestMuFull:
                                       for v in ("x", "y", "w")})
                              for _ in range(p.d)))
             assert mu_full(p, w) == self.pairwise_product(p, w)
+
+    @pytest.mark.parametrize("d", (2, 4))
+    def test_weight_of_the_wrong_length_refused(self, d):
+        w = generic_weight(validate(1, 3, 1, 0))
+        with pytest.raises(OutOfRangeError, match="weight has 3 entries, expected"):
+            mu_full(validate(1, d, 1, 0), w)
 
     def test_unitary_positivity(self):
         rng = random.Random(11)

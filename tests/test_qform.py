@@ -55,6 +55,7 @@ class TestAffineExponent:
     def test_structural_equality(self):
         assert AE.make(F(1, 2), {"z": 1}) == AE.make(F(1, 2), {"z": F(2, 2)})
         assert AE.make(0, {"z": 1}) != AE.make(0, {"z": -1})
+        assert (AE.variable("z") == 1) is False  # not an exponent: no exponent equals it
 
     def test_substitute_affine_value(self):
         e = AE.make(1, {"z": 2, "w": 1})
@@ -243,7 +244,9 @@ class TestZeroForm:
             assert z.render() == "0"
             assert z.eval_numeric(2.0, {"z": 0.5}) == 0j
             assert type(z.eval_numeric(2.0, {"z": 0.5})) is complex
+            assert z.eval_exact(F(2)) == 0
         assert zero.constant == 0 and zero.binomials == () and zero.monomial.is_zero
+        assert SumForm().render() == "0"
 
 
 # Few distinct values, so that the two operands often share an exponent (in
@@ -423,8 +426,10 @@ class TestEvalNumeric:
             FF.binomial(1).eval_numeric(q)
 
     def test_zero_value_is_complex_zero(self):
-        for zero in (FF.from_constant(0), SumForm()):
-            got = zero.eval_numeric(2.0)
+        # the last: a numerator factor 1 - q^(1e-20), which is 0.0 in floats
+        for zero, assignment in ((FF.from_constant(0), None), (SumForm(), None),
+                                 (FF.binomial(AE.variable("z")), {"z": 1e-20})):
+            got = zero.eval_numeric(2.0, assignment)
             assert type(got) is complex and got == 0
 
     @pytest.mark.parametrize("q", [math.nan, math.inf, 1.0, 0.5, -2.0])
